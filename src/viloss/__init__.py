@@ -12,7 +12,6 @@ from .data import (
 )
 from .grid import (
     CellGrid,
-    CellStats,
     WeightTable,
     compute_weights,
     fit_grid,

@@ -11,46 +11,44 @@ The training weight of a sample is ``mu / (1 + gamma)``.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 
 
-@dataclass(frozen=True)
-class CellStats:
-    count: int
-    x_mean: np.ndarray
-    sigma_x: float
-    y_mean: np.ndarray
-    sigma_y: float
-    mu: float
-
-
 @dataclass
 class CellGrid:
+    """Per-cell statistics as arrays, one row per non-empty cell in sorted
+    key order, plus the cell row of every sample the grid was fitted on."""
+
     lam: int
     feature_subset: list[int]
     bounds: list[tuple[float, float]]  # per selected dimension
-    cells: dict[tuple[int, ...], CellStats]
+    keys: np.ndarray  # (k, d) bin index per selected dimension
+    count: np.ndarray  # (k,)
+    x_mean: np.ndarray  # (k, d)
+    sigma_x: np.ndarray  # (k,)
+    y_mean: np.ndarray  # (k, v)
+    sigma_y: np.ndarray  # (k,)
+    mu: np.ndarray  # (k,)
+    cell_of: np.ndarray  # (n,) row of each fitting sample
     sigma_x_bar: float
     fingerprint: str
-    mu_floor: float = 0.0
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self.count)
 
 
 def dataset_fingerprint(dataset: Dataset) -> str:
-    """Cheap content hash used to detect grid/dataset mismatch."""
+    """Hash of the full feature and target contents and their shapes, used
+    to detect grid/dataset mismatch."""
     h = hashlib.sha256()
-    x = dataset.features
-    h.update(np.int64([x.shape[0], x.shape[1]]).tobytes())
-    h.update(x.min(axis=0).tobytes())
-    h.update(x.max(axis=0).tobytes())
-    h.update(x.sum(axis=0).tobytes())
+    for values in (dataset.features, dataset.targets):
+        h.update(np.int64(values.shape).tobytes())
+        h.update(np.ascontiguousarray(values))
     return h.hexdigest()
 
 
@@ -75,6 +73,15 @@ def _bin_indices(sub: np.ndarray, bounds, lam: int) -> np.ndarray:
     return idx
 
 
+def _cell_moments(values: np.ndarray, cell_of: np.ndarray, count: np.ndarray):
+    """Per-cell mean (k, c) of ``values`` (n, c) and the root mean squared
+    distance of the cell's rows from it, taken in two passes."""
+    k = len(count)
+    mean = np.stack([np.bincount(cell_of, col, k) for col in values.T], axis=1) / count[:, None]
+    sq_dist = np.sum((values - mean[cell_of]) ** 2, axis=1)
+    return mean, np.sqrt(np.bincount(cell_of, sq_dist, k) / count)
+
+
 def fit_grid(
     dataset: Dataset,
     lam: int,
@@ -83,8 +90,9 @@ def fit_grid(
 ) -> CellGrid:
     """Partition the fitting data into cells and compute all cell statistics.
 
-    Single pass to assign samples to cells, then per-cell means and standard
-    deviations over the selected feature dimensions and over the targets.
+    One ``np.unique`` assigns samples to cells; per-cell means and standard
+    deviations over the selected feature dimensions and over the targets are
+    then accumulated by cell row.
     """
     if dataset.n == 0:
         raise ValueError("cannot fit a grid on an empty dataset")
@@ -100,37 +108,32 @@ def fit_grid(
     _check_finite(dataset.features)
     sub = dataset.features[:, feature_subset]
     bounds = [(float(c.min()), float(c.max())) for c in sub.T]
-    idx = _bin_indices(sub, bounds, lam)
+    keys, cell_of = np.unique(_bin_indices(sub, bounds, lam), axis=0, return_inverse=True)
+    cell_of = cell_of.reshape(-1)  # some numpy releases keep a trailing axis here
+    count = np.bincount(cell_of)
+    x_mean, sigma_x = _cell_moments(sub, cell_of, count)
+    y_mean, sigma_y = _cell_moments(dataset.targets, cell_of, count)
 
-    members: dict[tuple[int, ...], list[int]] = {}
-    for i, key in enumerate(map(tuple, idx)):
-        members.setdefault(key, []).append(i)
-
-    raw = {}
-    for key, rows in members.items():
-        cx, cy = sub[rows], dataset.targets[rows]
-        x_mean, y_mean = cx.mean(axis=0), cy.mean(axis=0)
-        sigma_x = float(np.sqrt(np.mean(np.sum((cx - x_mean) ** 2, axis=1))))
-        sigma_y = float(np.sqrt(np.mean(np.sum((cy - y_mean) ** 2, axis=1))))
-        raw[key] = (len(rows), x_mean, sigma_x, y_mean, sigma_y)
-
-    sigma_x_bar = float(np.mean([r[2] for r in raw.values()]))
-    cells = {}
-    for key, (count, x_mean, sigma_x, y_mean, sigma_y) in raw.items():
-        if sigma_x_bar > 0:
-            mu = sigma_x**2 / sigma_x_bar**2
-        else:
-            mu = 1.0  # no variation anywhere: degrade to uniform weighting
-        cells[key] = CellStats(count, x_mean, sigma_x, y_mean, sigma_y, max(mu, mu_floor))
+    sigma_x_bar = float(sigma_x.mean())
+    if sigma_x_bar > 0:
+        mu = sigma_x**2 / sigma_x_bar**2
+    else:
+        mu = np.ones(len(count))  # no variation anywhere: degrade to uniform weighting
 
     return CellGrid(
         lam=lam,
         feature_subset=list(feature_subset),
         bounds=bounds,
-        cells=cells,
+        keys=keys,
+        count=count,
+        x_mean=x_mean,
+        sigma_x=sigma_x,
+        y_mean=y_mean,
+        sigma_y=sigma_y,
+        mu=np.maximum(mu, mu_floor),
+        cell_of=cell_of,
         sigma_x_bar=sigma_x_bar,
         fingerprint=dataset_fingerprint(dataset),
-        mu_floor=mu_floor,
     )
 
 
@@ -178,23 +181,16 @@ def compute_weights(grid: CellGrid, dataset: Dataset, norm_kind: str = "l2") -> 
     if dataset_fingerprint(dataset) != grid.fingerprint:
         raise ValueError("dataset does not match the one the grid was fitted on")
 
-    sub = dataset.features[:, grid.feature_subset]
-    idx = _bin_indices(sub, grid.bounds, grid.lam)
-
-    n = dataset.n
-    mu = np.empty(n)
-    gamma = np.empty(n)
-    for i, key in enumerate(map(tuple, idx)):
-        cell = grid.cells[key]
-        mu[i] = cell.mu
-        if cell.sigma_y == 0:
-            gamma[i] = 0.0
-            continue
-        dev = dataset.targets[i] - cell.y_mean
-        if norm_kind == "l1":
-            gamma[i] = np.sum(np.abs(dev)) / cell.sigma_y
-        else:
-            gamma[i] = np.sum(dev**2) / cell.sigma_y**2
+    # the fingerprint covers every feature and target byte, so the stored
+    # cell rows of the fitting samples are this dataset's rows
+    mu = grid.mu[grid.cell_of]
+    sigma_y = grid.sigma_y[grid.cell_of]
+    dev = dataset.targets - grid.y_mean[grid.cell_of]
+    if norm_kind == "l1":
+        dist, scale = np.sum(np.abs(dev), axis=1), sigma_y
+    else:
+        dist, scale = np.sum(dev**2, axis=1), sigma_y**2
+    gamma = np.divide(dist, scale, out=np.zeros(dataset.n), where=sigma_y > 0)
 
     weight = mu / (1.0 + gamma)
     for arr in (mu, gamma, weight):
@@ -204,7 +200,7 @@ def compute_weights(grid: CellGrid, dataset: Dataset, norm_kind: str = "l2") -> 
 
 def localized_deviation(grid: CellGrid) -> float:
     """Sum of per-cell feature standard deviations over non-empty cells."""
-    return float(sum(c.sigma_x for c in grid.cells.values()))
+    return float(grid.sigma_x.sum())
 
 
 @dataclass(frozen=True)

@@ -43,13 +43,11 @@ class TrainConfig:
     learning_rate: float = 0.01
     seed: int = 0
     shuffle: bool = True
-    lr_decay: float = 1.0  # multiplicative per-epoch step decay
 
 
 @dataclass
 class TrainReport:
     loss_history: list[float] = field(default_factory=list)
-    final_parameters: np.ndarray | None = None
     wall_time: float = 0.0
 
 
@@ -198,9 +196,7 @@ def train(
             model.weights -= lr * (gz.T @ xb) / len(batch)
             model.bias -= lr * gz.mean(axis=0)
         report.loss_history.append(epoch_loss / n)
-        lr *= config.lr_decay
 
-    report.final_parameters = np.concatenate([model.weights.ravel(), model.bias])
     report.wall_time = time.perf_counter() - t0
     return model, report
 

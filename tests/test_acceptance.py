@@ -149,12 +149,13 @@ def test_criterion_2_grid_oracle():
         table = compute_weights(grid, ds, norm)
         membership, stats, mu, gamma = _oracle_weights(features, targets, lam, norm)
 
-        assert set(grid.cells) == set(membership)
+        rows_of = {tuple(key): row for row, key in enumerate(grid.keys.tolist())}
+        assert set(rows_of) == set(membership)
         for key, rows in membership.items():
-            cell = grid.cells[key]
-            assert cell.count == len(rows)
-            np.testing.assert_allclose(cell.sigma_x, stats[key][0], rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(cell.sigma_y, stats[key][1], rtol=1e-9, atol=1e-12)
+            row = rows_of[key]
+            assert grid.count[row] == len(rows)
+            np.testing.assert_allclose(grid.sigma_x[row], stats[key][0], rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(grid.sigma_y[row], stats[key][1], rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(table.mu, mu, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(table.gamma, gamma, rtol=1e-9, atol=1e-12)
     elapsed = time.perf_counter() - t0

@@ -3,8 +3,10 @@ import pytest
 
 from viloss import (
     Dataset,
+    SynthSpec,
     compute_weights,
     fit_grid,
+    generate_synth,
     localized_deviation,
     locate_cell,
     select_lambda,
@@ -42,28 +44,32 @@ def brute_force_cells(features, lam):
     return cells
 
 
+def cell_rows(grid):
+    """Map each non-empty cell's bin-index tuple to its row in the grid arrays."""
+    return {tuple(key): row for row, key in enumerate(grid.keys.tolist())}
+
+
 class TestFitGrid:
     def test_four_point_example(self):
         ds = make_1d([0.1, 0.2, 0.8, 0.9])
         grid = fit_grid(ds, 2)
-        assert sorted(c.count for c in grid.cells.values()) == [2, 2]
-        low = grid.cells[(0,)]
-        assert low.x_mean[0] == pytest.approx(0.15)
-        assert low.sigma_x == pytest.approx(0.05)
+        assert sorted(grid.count.tolist()) == [2, 2]
+        low = cell_rows(grid)[(0,)]
+        assert grid.x_mean[low][0] == pytest.approx(0.15)
+        assert grid.sigma_x[low] == pytest.approx(0.05)
 
     def test_lambda_one_single_cell(self):
         ds = make_1d([0.0, 0.5, 1.0])
         grid = fit_grid(ds, 1)
         assert grid.n_cells == 1
-        cell = next(iter(grid.cells.values()))
-        assert cell.sigma_x > 0
-        assert cell.mu == pytest.approx(1.0)
+        assert grid.sigma_x[0] > 0
+        assert grid.mu[0] == pytest.approx(1.0)
 
     def test_all_singletons(self):
         ds = make_1d([0.0, 0.4, 1.0])
         grid = fit_grid(ds, 1000)
-        assert all(c.count == 1 for c in grid.cells.values())
-        assert all(c.sigma_x == 0 for c in grid.cells.values())
+        assert all(grid.count == 1)
+        assert all(grid.sigma_x == 0)
         assert grid.sigma_x_bar == 0.0
 
     def test_full_partitioning_cell_bound(self):
@@ -71,21 +77,21 @@ class TestFitGrid:
         ds = Dataset(rng.random((1000, 2)), rng.random((1000, 1)))
         grid = fit_grid(ds, 10)
         assert grid.n_cells <= 10**2
-        assert sum(c.count for c in grid.cells.values()) == 1000
+        assert grid.count.sum() == 1000
 
     def test_counts_sum_to_n(self):
         rng = np.random.default_rng(3)
         ds = Dataset(rng.random((57, 3)), rng.random((57, 2)))
         for lam in (1, 2, 5, 9):
             grid = fit_grid(ds, lam)
-            assert sum(c.count for c in grid.cells.values()) == 57
-            assert all(c.count > 0 for c in grid.cells.values())
+            assert grid.count.sum() == 57
+            assert all(grid.count > 0)
 
     def test_zero_range_dimension_collapses(self):
         x = np.column_stack([np.full(5, 3.0), np.arange(5.0)])
         ds = Dataset(x, np.zeros((5, 1)))
         grid = fit_grid(ds, 4)
-        assert all(key[0] == 0 for key in grid.cells)
+        assert all(grid.keys[:, 0] == 0)
 
     def test_empty_dataset_rejected(self):
         ds = Dataset(np.empty((0, 1)), np.empty((0, 1)))
@@ -108,7 +114,7 @@ class TestFitGrid:
         rng = np.random.default_rng(11)
         ds = Dataset(rng.random((120, 2)), rng.random((120, 1)))
         grid = fit_grid(ds, 4)
-        expected = np.mean([c.sigma_x for c in grid.cells.values()])
+        expected = np.mean(grid.sigma_x)
         assert grid.sigma_x_bar == pytest.approx(expected, rel=1e-9)
 
     def test_matches_brute_force_oracle(self):
@@ -122,16 +128,17 @@ class TestFitGrid:
             ds = Dataset(features, targets)
             grid = fit_grid(ds, lam)
             oracle = brute_force_cells(features, lam)
-            assert set(grid.cells) == set(oracle)
+            rows_of = cell_rows(grid)
+            assert set(rows_of) == set(oracle)
             for key, rows in oracle.items():
-                cell = grid.cells[key]
-                assert cell.count == len(rows)
+                row = rows_of[key]
+                assert grid.count[row] == len(rows)
                 cx = features[rows]
                 sigma_x = np.sqrt(np.mean(np.sum((cx - cx.mean(0)) ** 2, axis=1)))
-                assert cell.sigma_x == pytest.approx(sigma_x, rel=1e-9, abs=1e-12)
+                assert grid.sigma_x[row] == pytest.approx(sigma_x, rel=1e-9, abs=1e-12)
                 cy = targets[rows]
                 sigma_y = np.sqrt(np.mean(np.sum((cy - cy.mean(0)) ** 2, axis=1)))
-                assert cell.sigma_y == pytest.approx(sigma_y, rel=1e-9, abs=1e-12)
+                assert grid.sigma_y[row] == pytest.approx(sigma_y, rel=1e-9, abs=1e-12)
 
 
 class TestLocateCell:
@@ -203,6 +210,12 @@ class TestComputeWeights:
         grid = fit_grid(ds, 2)
         with pytest.raises(ValueError, match="does not match"):
             compute_weights(grid, other, "l2")
+
+    def test_reordered_targets_rejected(self):
+        ds = generate_synth(SynthSpec(variant="synth-2d", seed=0))
+        grid = fit_grid(ds, 10)
+        with pytest.raises(ValueError, match="does not match"):
+            compute_weights(grid, Dataset(ds.features, ds.targets[::-1]), "l2")
 
     def test_bad_norm_rejected(self):
         ds = make_1d([0.1, 0.9])
@@ -304,9 +317,16 @@ class TestFingerprint:
     def test_stable_for_same_data(self):
         rng = np.random.default_rng(4)
         features = rng.random((30, 2))
+        targets = rng.normal(size=(30, 1))
+        a = Dataset(features, targets)
+        b = Dataset(features.copy(), targets.copy())
+        assert dataset_fingerprint(a) == dataset_fingerprint(b)
+
+    def test_changes_with_targets_only(self):
+        features = np.random.default_rng(4).random((30, 2))
         a = Dataset(features, np.zeros((30, 1)))
         b = Dataset(features.copy(), np.ones((30, 1)))
-        assert dataset_fingerprint(a) == dataset_fingerprint(b)
+        assert dataset_fingerprint(a) != dataset_fingerprint(b)
 
     def test_changes_with_data(self):
         a = make_1d([0.1, 0.2])
