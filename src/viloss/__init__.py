@@ -19,7 +19,7 @@ from .grid import (
     locate_cell,
     select_lambda,
 )
-from .losses import LossEval, LossSpec, base_loss, weighted_loss
+from .losses import LossSpec, batch_value_grad
 from .metrics import classification_metrics, regression_metrics
 from .models import (
     Model,
@@ -29,7 +29,6 @@ from .models import (
     expand_polynomial,
     load_model,
     parameter_gradient,
-    predict,
     save_model,
     train,
 )

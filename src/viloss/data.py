@@ -304,13 +304,18 @@ def normalize_minmax(dataset: Dataset, fit_on: np.ndarray | None = None):
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int, shuffle: bool = True):
-    """Seeded shuffle then prefix split into (train, test)."""
+    """Seeded shuffle then prefix split into (train, test), both non-empty."""
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must be in (0, 1)")
     order = np.arange(dataset.n)
     if shuffle:
         order = np.random.default_rng(seed).permutation(dataset.n)
     n_train = round(train_fraction * dataset.n)
+    if not 0 < n_train < dataset.n:
+        raise ValueError(
+            f"split of n={dataset.n} rows at train_fraction={train_fraction} gives sizes "
+            f"{n_train} and {dataset.n - n_train}; both sides must be non-empty"
+        )
     return dataset.subset(order[:n_train]), dataset.subset(order[n_train:])
 
 

@@ -1,9 +1,9 @@
-"""Base losses (MSE, Huber, quartic, BCE) with analytic gradients and the
-per-sample weighting wrapper.
+"""Base losses (MSE, Huber, quartic, BCE) with analytic gradients.
 
-The weighted loss scales both value and gradient by a model-independent
-factor, so the scaling is always applied as the final operation and the
-gradient identity holds exactly.
+The per-sample weight is model-independent. It multiplies each sample's
+parameter gradient last, inside the step that ``train`` runs
+(``viloss.models._batch_step``), so the weighted gradient is exactly the
+weight times the base gradient.
 """
 
 from __future__ import annotations
@@ -33,12 +33,6 @@ class LossSpec:
             raise ValueError(f"norm_kind must be 'l1' or 'l2', got {self.norm_kind!r}")
 
 
-@dataclass(frozen=True)
-class LossEval:
-    value: float
-    grad: np.ndarray  # d(value)/d(y_hat), one entry per output dimension
-
-
 def batch_value_grad(spec: LossSpec, y_hat: np.ndarray, y: np.ndarray):
     """Vectorized loss over a batch: y_hat, y are (B, v). Returns per-sample
     values (B,) and gradients w.r.t. predictions (B, v)."""
@@ -50,17 +44,17 @@ def batch_value_grad(spec: LossSpec, y_hat: np.ndarray, y: np.ndarray):
     r = y_hat - y
 
     if spec.base == "mse":
-        return np.mean(r**2, axis=1), 2.0 * r / v
+        return (r**2).sum(axis=1) / v, 2.0 * r / v
 
     if spec.base == "lqr":
-        return np.mean(r**4, axis=1), 4.0 * r**3 / v
+        return (r**4).sum(axis=1) / v, 4.0 * r**3 / v
 
     if spec.base == "huber":
         d = spec.delta
         small = np.abs(r) < d
         z = np.where(small, 0.5 * r**2, d * np.abs(r) - 0.5 * d**2)
         dz = np.where(small, r, d * np.sign(r))
-        return np.mean(z, axis=1), dz / v
+        return z.sum(axis=1) / v, dz / v
 
     # bce: scalar probability target in {0, 1}
     if v != 1:
@@ -69,20 +63,3 @@ def batch_value_grad(spec: LossSpec, y_hat: np.ndarray, y: np.ndarray):
     value = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
     grad = (p - y) / (p * (1.0 - p))
     return value[:, 0], grad
-
-
-def base_loss(spec: LossSpec, y_hat, y) -> LossEval:
-    """Per-sample loss value and exact gradient w.r.t. the prediction."""
-    y_hat = np.atleast_1d(np.asarray(y_hat, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    values, grads = batch_value_grad(spec, y_hat[None, :], y[None, :])
-    return LossEval(float(values[0]), grads[0])
-
-
-def weighted_loss(weight: float, base: LossEval) -> LossEval:
-    """Scale a base loss evaluation by a per-sample weight."""
-    if not np.isfinite(weight) or weight < 0:
-        raise ValueError(f"weight must be finite and non-negative, got {weight!r}")
-    if weight == 1.0:
-        return base
-    return LossEval(weight * base.value, weight * base.grad)

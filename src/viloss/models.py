@@ -3,6 +3,7 @@ mini-batch SGD trainer that consumes per-sample weights."""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
@@ -112,32 +113,32 @@ def init_model(spec: ModelSpec) -> Model:
     return Model(spec, np.zeros((spec.output_dim, basis_dim)), np.zeros(spec.output_dim))
 
 
-def predict(model: Model, features: np.ndarray) -> np.ndarray:
-    """Prediction for a single feature vector."""
-    return model.predict_batch(np.atleast_2d(features))[0]
+def _batch_step(model: Model, loss_spec: LossSpec, phi: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """Forward and backward pass over one batch of expanded features.
 
-
-def _grad_wrt_linear_output(model: Model, pred: np.ndarray, grad_pred: np.ndarray):
-    # chain through the sigmoid for logistic outputs
-    if model.spec.kind == "logistic":
-        return grad_pred * pred * (1.0 - pred)
-    return grad_pred
+    Returns the unweighted per-sample loss values (B,) and the weighted
+    gradient sums over the batch w.r.t. W (out, basis) and b (out,). Each
+    sample's gradient is formed first and its weight multiplies it last, so
+    a weighted sample's gradient is exactly w_i times its unweighted one.
+    """
+    z = phi @ model.weights.T + model.bias
+    logistic = model.spec.kind == "logistic"
+    pred = _sigmoid(z) if logistic else z
+    values, grad = batch_value_grad(loss_spec, pred, y)
+    if logistic:
+        grad = grad * pred * (1.0 - pred)
+    dw = np.einsum("bo,bk,b->ok", grad, phi, w)
+    db = np.einsum("bo,b->o", grad, w)
+    return values, dw, db
 
 
 def parameter_gradient(model: Model, loss_spec: LossSpec, features, target, weight: float = 1.0):
-    """Gradient of weight * loss(predict(x), y) w.r.t. (W, b) for one sample.
-
-    The weight scaling is the final operation, so the weighted gradient is
-    exactly weight times the unweighted one.
-    """
-    phi = np.atleast_2d(model.expand(np.asarray(features, dtype=np.float64)))
-    target = np.atleast_2d(np.asarray(target, dtype=np.float64))
-    pred = model.predict_batch(features)
-    _, grad_pred = batch_value_grad(loss_spec, pred, target)
-    gz = _grad_wrt_linear_output(model, pred, grad_pred)
-    dw = gz.T @ phi
-    db = gz[0]
-    return weight * dw, weight * db
+    """Gradient of weight * loss(y_hat(x), y) w.r.t. (W, b) for one sample:
+    the step that ``train`` runs, on a batch of one."""
+    phi = np.atleast_2d(model.expand(features))
+    y = np.atleast_2d(np.asarray(target, dtype=np.float64))
+    _, dw, db = _batch_step(model, loss_spec, phi, y, np.array([weight], dtype=np.float64))
+    return dw, db
 
 
 def train(
@@ -149,7 +150,7 @@ def train(
 ) -> tuple[Model, TrainReport]:
     """Mini-batch SGD. The batch parameter gradient is the mean over the
     batch of weight_i times each sample's loss gradient; runs are
-    deterministic given the config seed."""
+    deterministic given the config seed. Weights must be finite and >= 0."""
     n = dataset.n
     if config.batch_size > n:
         raise ValueError("batch_size cannot exceed the dataset size")
@@ -162,6 +163,10 @@ def train(
         w = np.asarray(weights, dtype=np.float64)
     if len(w) != n:
         raise ValueError("weight table not aligned with dataset")
+    bad = np.flatnonzero(~(np.isfinite(w) & (w >= 0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"weight of sample {i} must be finite and non-negative, got {w[i]!r}")
     if model_spec.kind == "logistic" and not np.isin(dataset.targets, (0.0, 1.0)).all():
         raise ValueError("logistic training requires targets in {0, 1}")
 
@@ -179,22 +184,19 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
-            xb, yb, wb = phi[batch], y[batch], w[batch]
-            zb = xb @ model.weights.T + model.bias
-            pb = _sigmoid(zb) if model_spec.kind == "logistic" else zb
-            values, grad_pred = batch_value_grad(loss_spec, pb, yb)
-            batch_loss = float(np.mean(wb * values))
-            if not np.isfinite(batch_loss):
+            B = len(batch)
+            wb = w[batch]
+            values, dw, db = _batch_step(
+                model, loss_spec, np.take(phi, batch, axis=0), np.take(y, batch, axis=0), wb
+            )
+            batch_loss = float((wb * values).sum()) / B
+            if not math.isfinite(batch_loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch starting at {start}"
                 )
-            epoch_loss += batch_loss * len(batch)
-            gz = grad_pred
-            if model_spec.kind == "logistic":
-                gz = gz * pb * (1.0 - pb)
-            gz = gz * wb[:, None]
-            model.weights -= lr * (gz.T @ xb) / len(batch)
-            model.bias -= lr * gz.mean(axis=0)
+            epoch_loss += batch_loss * B
+            model.weights -= lr * dw / B
+            model.bias -= lr * db / B
         report.loss_history.append(epoch_loss / n)
 
     report.wall_time = time.perf_counter() - t0

@@ -28,8 +28,8 @@ from viloss import (
 )
 from viloss.cli import main as cli_main
 from viloss.data import BinarySynthSpec, generate_binary_clusters
-from viloss.losses import base_loss
-from viloss.models import Model, init_model, predict
+from viloss.losses import batch_value_grad
+from viloss.models import Model, init_model
 
 LAMBDA_CANDIDATES = [1, 2, 5, 10, 20, 50, 100]
 
@@ -41,7 +41,8 @@ def _finite_diff_param_grad(model, loss_spec, x, y, weight, h=1e-6):
             flat[: model.weights.size].reshape(model.weights.shape),
             flat[model.weights.size :],
         )
-        return weight * base_loss(loss_spec, predict(probe, x), np.atleast_1d(y)).value
+        values, _ = batch_value_grad(loss_spec, probe.predict_batch(x), np.atleast_2d(y))
+        return weight * values[0]
 
     flat0 = np.concatenate([model.weights.ravel(), model.bias])
     grad = np.zeros_like(flat0)

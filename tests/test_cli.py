@@ -104,6 +104,18 @@ class TestTrainCommand:
         assert not (out_dir / "results.csv").exists()
         assert not (out_dir / "model.txt").exists()
 
+    def test_one_row_csv_fails_without_results(self, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        data.write_text("x1,y\n0.5,1.0\n")
+        out_dir = tmp_path / "run"
+        code = run([
+            "train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
+            "--epochs", 1, "--out-dir", out_dir,
+        ])
+        assert code == 1
+        assert "n=1" in capsys.readouterr().err
+        assert not (out_dir / "results.csv").exists()
+
     def test_config_file_overrides_flags(self, tmp_path):
         data = tmp_path / "s.csv"
         run(["gen", "--out", data])

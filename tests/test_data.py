@@ -227,6 +227,14 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(ds, 1.0, seed=0)
 
+    def test_empty_side_rejected(self):
+        ds = Dataset(np.zeros((1, 1)), np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="n=1 .* sizes 1 and 0"):
+            split(ds, 0.7, seed=0)
+        ds = Dataset(np.zeros((2, 1)), np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="n=2 .* sizes 0 and 2"):
+            split(ds, 0.2, seed=0)
+
 
 class TestDataset:
     def test_row_mismatch_rejected(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from viloss import LossEval, LossSpec, base_loss, weighted_loss
+from viloss import LossSpec, batch_value_grad
 
 
 def finite_diff_grad(spec, y_hat, y, h=1e-6):
@@ -13,49 +13,50 @@ def finite_diff_grad(spec, y_hat, y, h=1e-6):
         up, down = y_hat.copy(), y_hat.copy()
         up[i] += h
         down[i] -= h
-        grad[i] = (base_loss(spec, up, y).value - base_loss(spec, down, y).value) / (2 * h)
+        values, _ = batch_value_grad(spec, np.stack([up, down]), np.stack([y, y]))
+        grad[i] = (values[0] - values[1]) / (2 * h)
     return grad
 
 
 class TestBaseLossValues:
     def test_mse_zero_residual(self):
-        out = base_loss(LossSpec("mse"), [1.0, 2.0], [1.0, 2.0])
-        assert out.value == 0.0
-        np.testing.assert_array_equal(out.grad, 0.0)
+        values, grads = batch_value_grad(LossSpec("mse"), [[1.0, 2.0]], [[1.0, 2.0]])
+        assert values[0] == 0.0
+        np.testing.assert_array_equal(grads[0], 0.0)
 
     def test_mse_hand_value(self):
-        out = base_loss(LossSpec("mse"), [3.0, 0.0], [1.0, 0.0])
-        assert out.value == pytest.approx(2.0)  # (4 + 0) / 2
+        values, _ = batch_value_grad(LossSpec("mse"), [[3.0, 0.0]], [[1.0, 0.0]])
+        assert values[0] == pytest.approx(2.0)  # (4 + 0) / 2
 
     def test_huber_linear_branch(self):
-        out = base_loss(LossSpec("huber", delta=1.0), [2.0], [0.0])
-        assert out.value == pytest.approx(1.5)
+        values, _ = batch_value_grad(LossSpec("huber", delta=1.0), [[2.0]], [[0.0]])
+        assert values[0] == pytest.approx(1.5)
 
     def test_huber_quadratic_branch(self):
-        out = base_loss(LossSpec("huber", delta=1.0), [0.5], [0.0])
-        assert out.value == pytest.approx(0.125)
+        values, _ = batch_value_grad(LossSpec("huber", delta=1.0), [[0.5]], [[0.0]])
+        assert values[0] == pytest.approx(0.125)
 
     def test_bce_half(self):
-        out = base_loss(LossSpec("bce"), [0.5], [1.0])
-        assert out.value == pytest.approx(math.log(2))
+        values, _ = batch_value_grad(LossSpec("bce"), [[0.5]], [[1.0]])
+        assert values[0] == pytest.approx(math.log(2))
 
     def test_lqr_quartic(self):
-        out = base_loss(LossSpec("lqr"), [2.0], [0.0])
-        assert out.value == pytest.approx(16.0)
+        values, _ = batch_value_grad(LossSpec("lqr"), [[2.0]], [[0.0]])
+        assert values[0] == pytest.approx(16.0)
 
     def test_bce_clamps_extreme_predictions(self):
         for p, y in [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, 1.0)]:
-            out = base_loss(LossSpec("bce"), [p], [y])
-            assert np.isfinite(out.value)
-            assert np.isfinite(out.grad).all()
+            values, grads = batch_value_grad(LossSpec("bce"), [[p]], [[y]])
+            assert np.isfinite(values[0])
+            assert np.isfinite(grads[0]).all()
 
     def test_bce_requires_scalar_output(self):
         with pytest.raises(ValueError):
-            base_loss(LossSpec("bce"), [0.3, 0.4], [1.0, 0.0])
+            batch_value_grad(LossSpec("bce"), [[0.3, 0.4]], [[1.0, 0.0]])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            base_loss(LossSpec("mse"), [0.3, 0.4], [1.0])
+            batch_value_grad(LossSpec("mse"), [[0.3, 0.4]], [[1.0]])
 
 
 class TestGradients:
@@ -67,9 +68,9 @@ class TestGradients:
             v = rng.integers(1, 5)
             y_hat = rng.normal(size=v)
             y = rng.normal(size=v)
-            out = base_loss(spec, y_hat, y)
+            _, grads = batch_value_grad(spec, y_hat[None], y[None])
             fd = finite_diff_grad(spec, y_hat, y)
-            np.testing.assert_allclose(out.grad, fd, rtol=1e-4, atol=1e-6)
+            np.testing.assert_allclose(grads[0], fd, rtol=1e-4, atol=1e-6)
 
     def test_bce_matches_finite_differences(self):
         rng = np.random.default_rng(18)
@@ -77,54 +78,17 @@ class TestGradients:
         for _ in range(20):
             y_hat = rng.uniform(0.05, 0.95, size=1)
             y = np.array([float(rng.integers(0, 2))])
-            out = base_loss(spec, y_hat, y)
+            _, grads = batch_value_grad(spec, y_hat[None], y[None])
             fd = finite_diff_grad(spec, y_hat, y)
-            np.testing.assert_allclose(out.grad, fd, rtol=1e-4, atol=1e-6)
+            np.testing.assert_allclose(grads[0], fd, rtol=1e-4, atol=1e-6)
 
     def test_huber_continuity_at_delta(self):
         delta = 1.3
         spec = LossSpec("huber", delta=delta)
-        below = base_loss(spec, [delta - 1e-9], [0.0])
-        above = base_loss(spec, [delta + 1e-9], [0.0])
-        assert below.value == pytest.approx(above.value, abs=1e-8)
-        assert below.grad[0] == pytest.approx(above.grad[0], abs=1e-8)
-
-
-class TestWeightedLoss:
-    def test_unit_weight_is_identity(self):
-        base = base_loss(LossSpec("mse"), [1.5, -0.5], [1.0, 0.0])
-        out = weighted_loss(1.0, base)
-        assert out.value == base.value
-        np.testing.assert_array_equal(out.grad, base.grad)
-
-    def test_mu_two_gamma_one(self):
-        # mu / (1 + gamma) = 2 / 2 = 1 applied to base value 0.5
-        base = LossEval(0.5, np.array([1.0]))
-        out = weighted_loss(2.0 / (1.0 + 1.0), base)
-        assert out.value == pytest.approx(0.5)
-
-    def test_zero_weight_annihilates(self):
-        base = base_loss(LossSpec("lqr"), [2.0], [0.0])
-        out = weighted_loss(0.0, base)
-        assert out.value == 0.0
-        np.testing.assert_array_equal(out.grad, 0.0)
-
-    def test_gradient_scales_bit_for_bit(self):
-        rng = np.random.default_rng(19)
-        for base_kind in ("mse", "huber", "lqr"):
-            y_hat, y = rng.normal(size=3), rng.normal(size=3)
-            base = base_loss(LossSpec(base_kind), y_hat, y)
-            w = float(rng.uniform(0.1, 5.0))
-            out = weighted_loss(w, base)
-            np.testing.assert_array_equal(out.grad, w * base.grad)
-            assert out.value == w * base.value
-
-    def test_invalid_weight_rejected(self):
-        base = LossEval(1.0, np.array([1.0]))
-        with pytest.raises(ValueError):
-            weighted_loss(-0.5, base)
-        with pytest.raises(ValueError):
-            weighted_loss(float("nan"), base)
+        (below, above), grads = batch_value_grad(spec, [[delta - 1e-9], [delta + 1e-9]],
+                                                 [[0.0], [0.0]])
+        assert below == pytest.approx(above, abs=1e-8)
+        assert grads[0, 0] == pytest.approx(grads[1, 0], abs=1e-8)
 
 
 class TestOrdering:
@@ -133,11 +97,11 @@ class TestOrdering:
         for _ in range(20):
             big = rng.uniform(1.0, 4.0, size=3) * rng.choice([-1, 1], size=3)
             small = rng.uniform(0.0, 1.0, size=3) * rng.choice([-1, 1], size=3)
-            zeros = np.zeros(3)
-            assert base_loss(LossSpec("lqr"), big, zeros).value >= \
-                base_loss(LossSpec("mse"), big, zeros).value
-            assert base_loss(LossSpec("lqr"), small, zeros).value <= \
-                base_loss(LossSpec("mse"), small, zeros).value
+            rows, zeros = np.stack([big, small]), np.zeros((2, 3))
+            lqr, _ = batch_value_grad(LossSpec("lqr"), rows, zeros)
+            mse, _ = batch_value_grad(LossSpec("mse"), rows, zeros)
+            assert lqr[0] >= mse[0]
+            assert lqr[1] <= mse[1]
 
 
 class TestLossSpec:

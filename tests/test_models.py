@@ -6,10 +6,10 @@ from viloss import (
     LossSpec,
     ModelSpec,
     TrainConfig,
+    batch_value_grad,
     expand_polynomial,
     load_model,
     parameter_gradient,
-    predict,
     save_model,
     train,
 )
@@ -41,27 +41,27 @@ class TestExpandPolynomial:
 class TestPredict:
     def test_zero_linear_model(self):
         model = init_model(ModelSpec("linear", input_dim=3, output_dim=2))
-        np.testing.assert_array_equal(predict(model, [1.0, 2.0, 3.0]), [0.0, 0.0])
+        np.testing.assert_array_equal(model.predict_batch([1.0, 2.0, 3.0])[0], [0.0, 0.0])
 
     def test_zero_logistic_model(self):
         model = init_model(ModelSpec("logistic", input_dim=2))
-        assert predict(model, [5.0, -1.0])[0] == pytest.approx(0.5)
+        assert model.predict_batch([5.0, -1.0])[0, 0] == pytest.approx(0.5)
 
     def test_hand_set_linear(self):
         model = init_model(ModelSpec("linear", input_dim=1))
         model.weights[0, 0] = 2.0
         model.bias[0] = 1.0
-        assert predict(model, [3.0])[0] == pytest.approx(7.0)
+        assert model.predict_batch([3.0])[0, 0] == pytest.approx(7.0)
 
     def test_dimension_mismatch_rejected(self):
         model = init_model(ModelSpec("linear", input_dim=2))
         with pytest.raises(ValueError):
-            predict(model, [1.0, 2.0, 3.0])
+            model.predict_batch([1.0, 2.0, 3.0])
 
     def test_logistic_output_in_unit_interval(self):
         model = init_model(ModelSpec("logistic", input_dim=1))
         model.weights[0, 0] = 3.0
-        p = predict(model, [5.0])[0]
+        p = model.predict_batch([5.0])[0, 0]
         assert 0.0 < p < 1.0
 
 
@@ -73,12 +73,11 @@ def _random_model(spec: ModelSpec, rng) -> Model:
 
 
 def _fd_parameter_gradient(model, loss_spec, x, y, weight, h=1e-6):
-    from viloss.losses import base_loss
-
     def value(w_flat):
         probe = Model(model.spec, w_flat[: model.weights.size].reshape(model.weights.shape),
                       w_flat[model.weights.size:])
-        return weight * base_loss(loss_spec, predict(probe, x), np.atleast_1d(y)).value
+        values, _ = batch_value_grad(loss_spec, probe.predict_batch(x), np.atleast_2d(y))
+        return weight * values[0]
 
     w0 = np.concatenate([model.weights.ravel(), model.bias])
     grad = np.zeros_like(w0)
@@ -115,11 +114,15 @@ class TestParameterGradient:
         rng = np.random.default_rng(33)
         model = _random_model(ModelSpec("linear", input_dim=3, output_dim=2), rng)
         x, y = rng.normal(size=3), rng.normal(size=2)
-        base_dw, base_db = parameter_gradient(model, LossSpec("mse"), x, y, weight=1.0)
-        w = 2.7182818
-        dw, db = parameter_gradient(model, LossSpec("mse"), x, y, weight=w)
-        np.testing.assert_array_equal(dw, w * base_dw)
-        np.testing.assert_array_equal(db, w * base_db)
+        for loss in ("mse", "huber", "lqr"):
+            base_dw, base_db = parameter_gradient(model, LossSpec(loss), x, y, weight=1.0)
+            w = 2.7182818
+            dw, db = parameter_gradient(model, LossSpec(loss), x, y, weight=w)
+            np.testing.assert_array_equal(dw, w * base_dw)
+            np.testing.assert_array_equal(db, w * base_db)
+            dw, db = parameter_gradient(model, LossSpec(loss), x, y, weight=0.0)
+            np.testing.assert_array_equal(dw, 0.0)
+            np.testing.assert_array_equal(db, 0.0)
 
 
 def _linear_1d_dataset(n=50, noise=0.0, seed=0):
@@ -203,6 +206,62 @@ class TestTrain:
             for i in [0, 1, 2, 2, 2]
         )
         assert weighted_sum == pytest.approx(dup_sum)
+
+    def test_one_step_matches_parameter_gradient(self):
+        # one unshuffled step on one row from the zero init moves the
+        # parameters by exactly -lr times the single-sample gradient
+        rng = np.random.default_rng(41)
+        combos = [("linear", "mse"), ("linear", "huber"), ("polynomial", "lqr"),
+                  ("polynomial", "mse"), ("logistic", "bce")]
+        cfg = TrainConfig(epochs=1, batch_size=1, learning_rate=0.3, shuffle=False)
+        for trial in range(100):
+            kind, loss = combos[trial % len(combos)]
+            spec = ModelSpec(kind, degree=3, input_dim=2)
+            x = rng.uniform(-1, 1, size=(1, 2))
+            y = (rng.integers(0, 2, size=(1, 1)).astype(float) if loss == "bce"
+                 else rng.normal(size=(1, 1)))
+            w = float(rng.uniform(0.1, 4.0))
+            model, report = train(spec, Dataset(x, y), LossSpec(loss), cfg, weights=np.array([w]))
+            dw, db = parameter_gradient(init_model(spec), LossSpec(loss), x[0], y[0], weight=w)
+            np.testing.assert_array_equal(model.weights, -cfg.learning_rate * dw)
+            np.testing.assert_array_equal(model.bias, -cfg.learning_rate * db)
+            values, _ = batch_value_grad(LossSpec(loss), init_model(spec).predict_batch(x), y)
+            assert report.loss_history == [w * values[0]]
+
+    def test_duplication_equals_weighting_through_train(self):
+        # full-batch, unshuffled: integer weights k_i train like the data with
+        # row i repeated k_i times, once lr is scaled by N / n to undo the
+        # batch mean's denominator
+        rng = np.random.default_rng(43)
+        combos = [("linear", "mse"), ("polynomial", "huber"), ("polynomial", "lqr"),
+                  ("logistic", "bce")]
+        for trial in range(40):
+            kind, loss = combos[trial % len(combos)]
+            spec = ModelSpec(kind, degree=3, input_dim=2)
+            n = int(rng.integers(2, 9))
+            x = rng.uniform(-1, 1, size=(n, 2))
+            y = (rng.integers(0, 2, size=(n, 1)).astype(float) if loss == "bce"
+                 else rng.normal(size=(n, 1)))
+            k = rng.integers(1, 5, size=n)
+            rows = np.repeat(np.arange(n), k)
+            big_n = len(rows)
+            cfg = TrainConfig(epochs=5, batch_size=n, learning_rate=0.1, shuffle=False)
+            dup_cfg = TrainConfig(epochs=5, batch_size=big_n, learning_rate=0.1 * big_n / n,
+                                  shuffle=False)
+            m1, _ = train(spec, Dataset(x, y), LossSpec(loss), cfg, weights=k.astype(float))
+            m2, _ = train(spec, Dataset(x[rows], y[rows]), LossSpec(loss), dup_cfg)
+            np.testing.assert_allclose(m1.weights, m2.weights, rtol=1e-12)
+            np.testing.assert_allclose(m1.bias, m2.bias, rtol=1e-12)
+
+    def test_invalid_weight_rejected(self):
+        ds = _linear_1d_dataset(n=5)
+        cfg = TrainConfig(epochs=1, batch_size=2)
+        for bad, index in [(-0.5, 3), (float("nan"), 1)]:
+            weights = np.ones(5)
+            weights[index] = bad
+            weights[4] = -1.0  # a later bad weight is not the one named
+            with pytest.raises(ValueError, match=f"sample {index} "):
+                train(ModelSpec("linear", input_dim=1), ds, LossSpec("mse"), cfg, weights)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_diverging_run_aborts_with_location(self):
