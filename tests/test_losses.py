@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from viloss import LossSpec, batch_value_grad
+from viloss import Dataset, LossSpec, ModelSpec, TrainConfig, batch_value_grad, train
 
 
 def finite_diff_grad(spec, y_hat, y, h=1e-6):
@@ -89,6 +89,49 @@ class TestGradients:
                                                  [[0.0], [0.0]])
         assert below == pytest.approx(above, abs=1e-8)
         assert grads[0, 0] == pytest.approx(grads[1, 0], abs=1e-8)
+
+
+def weighted_step(spec, y_hat, y, weight):
+    """Weighted loss value and its gradient w.r.t. the prediction, as one
+    step of ``train`` forms them: one row, feature 1, learning rate 1. The
+    zero-initialised model predicts 0, so the target is shifted by -y_hat to
+    keep the residual y_hat - y bit for bit."""
+    y_hat = np.asarray(y_hat, dtype=float)
+    y = np.asarray(y, dtype=float)
+    data = Dataset(np.ones((1, 1)), (y - y_hat)[None])
+    cfg = TrainConfig(epochs=1, batch_size=1, learning_rate=1.0, shuffle=False)
+    model, report = train(ModelSpec("linear", input_dim=1, output_dim=y.size), data, spec,
+                          cfg, weights=np.array([weight]))
+    return report.loss_history[0], -model.bias
+
+
+class TestWeightedLoss:
+    def test_unit_weight_is_identity(self):
+        spec = LossSpec("mse")
+        values, grads = batch_value_grad(spec, [[1.5, -0.5]], [[1.0, 0.0]])
+        value, grad = weighted_step(spec, [1.5, -0.5], [1.0, 0.0], 1.0)
+        assert value == values[0]
+        np.testing.assert_array_equal(grad, grads[0])
+
+    def test_mu_two_gamma_one(self):
+        # mu / (1 + gamma) = 2 / 2 = 1 applied to base value 0.5
+        value, _ = weighted_step(LossSpec("mse"), [1.0, 0.0], [0.0, 0.0], 2.0 / (1.0 + 1.0))
+        assert value == pytest.approx(0.5)
+
+    def test_zero_weight_annihilates(self):
+        value, grad = weighted_step(LossSpec("lqr"), [2.0], [0.0], 0.0)
+        assert value == 0.0
+        np.testing.assert_array_equal(grad, 0.0)
+
+    def test_gradient_scales_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        for base_kind in ("mse", "huber", "lqr"):
+            y_hat, y = rng.normal(size=3), rng.normal(size=3)
+            values, grads = batch_value_grad(LossSpec(base_kind), y_hat[None], y[None])
+            w = float(rng.uniform(0.1, 5.0))
+            value, grad = weighted_step(LossSpec(base_kind), y_hat, y, w)
+            np.testing.assert_array_equal(grad, w * grads[0])
+            assert value == w * values[0]
 
 
 class TestOrdering:
