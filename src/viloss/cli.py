@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -137,36 +138,44 @@ def cmd_weigh(args) -> None:
     print(f"wrote {len(table)} weights to {args.out}")
 
 
-def _run_experiment(dataset, name, model_spec, loss_spec, lam, subset, cfg, mu_floor=0.0):
-    """Split, normalize, weight, train and evaluate one configuration.
+def _run_experiment(dataset, name, model_spec, loss_specs, lam, subset, cfg, mu_floor=0.0):
+    """Split, normalize, weight, train and evaluate every loss spec on one
+    split: the grid is fitted once, each gamma norm's weights are computed
+    once, and all specs train in lockstep in one ``train`` call.
 
-    Returns one result row in the harness schema.
+    Returns one (result row, model) per loss spec, in order.
     """
     train_set, test_set = split(dataset, 0.7, cfg.seed)
     train_norm = normalize_minmax(train_set)
     record = train_norm.normalization
 
-    weights = None
-    if loss_spec.weighted:
+    tables = {}
+    norms = list(dict.fromkeys(spec.norm_kind for spec in loss_specs if spec.weighted))
+    if norms:
         grid = fit_grid(train_norm, lam, subset, mu_floor=mu_floor)
-        weights = compute_weights(grid, train_norm, loss_spec.norm_kind)
+        tables = {norm: compute_weights(grid, train_norm, norm) for norm in norms}
+    runs = [(spec, tables[spec.norm_kind] if spec.weighted else None) for spec in loss_specs]
+    trained = train(model_spec, train_norm, runs, cfg)
 
-    model, _ = train(model_spec, train_norm, loss_spec, cfg, weights)
     test_x = record.apply_features(test_set.features)
+    results = []
+    for spec, (model, _) in zip(loss_specs, trained):
+        lam_name = lam if spec.weighted else "none"
+        row = f"{name},{_model_name(model_spec)},{spec.label},{lam_name},{cfg.seed}"
+        if model_spec.kind == "logistic":
+            prob = model.predict_batch(test_x)
+            reg = regression_metrics(prob, test_set.targets)
+            cls = classification_metrics(prob, test_set.targets)
+            row += f",{reg.as_row()},{cls.as_row()}"
+        else:
+            pred = record.invert_targets(model.predict_batch(test_x))
+            row += f",{regression_metrics(pred, test_set.targets).as_row()}"
+        results.append((row, model))
+    return results
 
-    loss_name = f"viloss_{loss_spec.base}" if loss_spec.weighted else loss_spec.base
-    norm_name = loss_spec.norm_kind if loss_spec.weighted else "none"
-    lam_name = lam if loss_spec.weighted else "none"
-    prefix = f"{name},{_model_name(model_spec)},{loss_name},{norm_name},{lam_name},{cfg.seed}"
 
-    if model_spec.kind == "logistic":
-        prob = model.predict_batch(test_x)
-        reg = regression_metrics(prob, test_set.targets)
-        cls = classification_metrics(prob, test_set.targets)
-        return f"{prefix},{reg.as_row()},{cls.as_row()}", model
-    pred = record.invert_targets(model.predict_batch(test_x))
-    reg = regression_metrics(pred, test_set.targets)
-    return f"{prefix},{reg.as_row()}", model
+def _result_header(spec: ModelSpec) -> str:
+    return RESULT_HEADER_CLS if spec.kind == "logistic" else RESULT_HEADER
 
 
 def _model_name(spec: ModelSpec) -> str:
@@ -201,12 +210,11 @@ def cmd_train(args) -> None:
             shuffle=not args.no_shuffle,
         )
         subset = _parse_int_list(args.feature_subset) if args.feature_subset else None
-        row, model = _run_experiment(
-            dataset, Path(args.data).stem, model_spec, loss_spec,
+        [(row, model)] = _run_experiment(
+            dataset, Path(args.data).stem, model_spec, [loss_spec],
             args.grid_lambda, subset, cfg, args.mu_floor,
         )
-        header = RESULT_HEADER_CLS if model_spec.kind == "logistic" else RESULT_HEADER
-        (out_dir / "results.csv").write_text(header + "\n" + row + "\n")
+        (out_dir / "results.csv").write_text(_result_header(model_spec) + "\n" + row + "\n")
         save_model(model, out_dir / "model.txt")
         _write_manifest(out_dir, args)
         print(row)
@@ -230,44 +238,56 @@ def cmd_eval(args) -> None:
         print(reg.as_row())
 
 
-REPRO_NAMES = ("synth-1d", "synth-2d", "logistic-synth")
+@dataclass(frozen=True)
+class ReproExperiment:
+    """A named experiment: every base loss trains unweighted and with L1
+    and L2 gamma weights on each seed's split."""
+
+    model_spec: ModelSpec
+    bases: tuple[str, ...]
+    lam: int
+    batch_size: int
+    learning_rate: float
+
+    def loss_specs(self) -> list[LossSpec]:
+        return [
+            LossSpec(base, weighted=weighted, norm_kind=norm)
+            for base in self.bases
+            for weighted, norm in ((False, "l2"), (True, "l1"), (True, "l2"))
+        ]
+
+
+REPRO_EXPERIMENTS = {
+    "synth-1d": ReproExperiment(
+        ModelSpec("polynomial", 6, 1, 1), ("mse", "huber", "lqr"), 2, 1, 0.1
+    ),
+    "synth-2d": ReproExperiment(
+        ModelSpec("polynomial", 6, 2, 1), ("mse", "huber", "lqr"), 10, 5, 0.1
+    ),
+    # imbalanced binary task with a logistic model
+    "logistic-synth": ReproExperiment(
+        ModelSpec("logistic", 1, 2, 1), ("bce",), 5, 5, 0.5
+    ),
+}
+REPRO_NAMES = tuple(REPRO_EXPERIMENTS)
+
+
+def _repro_dataset(name: str, seed: int) -> Dataset:
+    if name == "logistic-synth":
+        return generate_binary_clusters(BinarySynthSpec(seed=seed))
+    return generate_synth(SynthSpec(variant=name, seed=seed))
 
 
 def _repro_rows(name: str, seeds: list[int], epochs: int | None) -> tuple[str, list[str]]:
+    exp = REPRO_EXPERIMENTS[name]
     rows = []
-    if name in ("synth-1d", "synth-2d"):
-        one_d = name == "synth-1d"
-        model_spec = ModelSpec("polynomial", 6, 1 if one_d else 2, 1)
-        lam = 2 if one_d else 10
-        cfg_kw = dict(
-            epochs=epochs or 150,
-            batch_size=1 if one_d else 5,
-            learning_rate=0.1,
-        )
-        for seed in seeds:
-            dataset = generate_synth(SynthSpec(variant=name, seed=seed))
-            for base in ("mse", "huber", "lqr"):
-                variants = [LossSpec(base, weighted=False)] + [
-                    LossSpec(base, weighted=True, norm_kind=nk) for nk in ("l1", "l2")
-                ]
-                for loss_spec in variants:
-                    cfg = TrainConfig(seed=seed, **cfg_kw)
-                    row, _ = _run_experiment(dataset, name, model_spec, loss_spec, lam, None, cfg)
-                    rows.append(row)
-        return RESULT_HEADER, rows
-
-    # logistic-synth: imbalanced binary task with a logistic model
-    model_spec = ModelSpec("logistic", 1, 2, 1)
     for seed in seeds:
-        dataset = generate_binary_clusters(BinarySynthSpec(seed=seed))
-        variants = [LossSpec("bce", weighted=False)] + [
-            LossSpec("bce", weighted=True, norm_kind=nk) for nk in ("l1", "l2")
-        ]
-        for loss_spec in variants:
-            cfg = TrainConfig(epochs=epochs or 150, batch_size=5, learning_rate=0.5, seed=seed)
-            row, _ = _run_experiment(dataset, name, model_spec, loss_spec, 5, None, cfg)
-            rows.append(row)
-    return RESULT_HEADER_CLS, rows
+        cfg = TrainConfig(epochs=epochs or 150, batch_size=exp.batch_size,
+                          learning_rate=exp.learning_rate, seed=seed)
+        results = _run_experiment(_repro_dataset(name, seed), name, exp.model_spec,
+                                  exp.loss_specs(), exp.lam, None, cfg)
+        rows += [row for row, _ in results]
+    return _result_header(exp.model_spec), rows
 
 
 def cmd_repro(args) -> None:

@@ -236,8 +236,8 @@ def _resolve_columns(columns, header_names):
 def load_csv(path, feature_columns, target_columns, header: bool = True):
     """Load a CSV into a Dataset, selecting columns by name or index.
 
-    Returns (dataset, report); rows with unparseable cells are listed in
-    the report with their 1-based line numbers.
+    Returns (dataset, report); rows with unparseable or non-finite cells
+    are skipped and listed in the report with their 1-based line numbers.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -256,26 +256,36 @@ def load_csv(path, feature_columns, target_columns, header: bool = True):
     targ_idx = _resolve_columns(target_columns, header_names)
 
     report = CsvReport()
-    feats, targs = [], []
+    feats, targs, skipped = [], [], []
     for offset, row in enumerate(rows):
-        line_no = start_line + offset
         if not row or all(not c.strip() for c in row):
+            skipped.append(offset)
             continue
         report.n_rows += 1
         try:
             feats.append([float(row[j]) for j in feat_idx])
             targs.append([float(row[j]) for j in targ_idx])
         except (ValueError, IndexError) as exc:
-            report.rejected.append((line_no, str(exc)))
-            continue
-    report.n_used = len(feats)
+            report.rejected.append((start_line + offset, str(exc)))
+            skipped.append(offset)
+
+    # float() parses "nan" and "inf"; such rows are rejected too
+    features = np.array(feats).reshape(len(feats), len(feat_idx))
+    targets = np.array(targs).reshape(len(targs), len(targ_idx))
+    finite = np.isfinite(features).all(axis=1) & np.isfinite(targets).all(axis=1)
+    if not finite.all():
+        lines = start_line + np.delete(np.arange(len(rows)), skipped)  # of the parsed rows
+        report.rejected += [(int(lines[i]), "non-finite value") for i in np.flatnonzero(~finite)]
+        report.rejected.sort()
+        features, targets = features[finite], targets[finite]
+    report.n_used = len(features)
     if report.n_used == 0:
         raise ValueError(f"{path}: no usable rows")
 
     names = None
     if header_names is not None:
         names = [header_names[j] for j in feat_idx]
-    return Dataset(np.array(feats), np.array(targs), feature_names=names), report
+    return Dataset(features, targets, feature_names=names), report
 
 
 def normalize_minmax(dataset: Dataset, fit_on: np.ndarray | None = None):

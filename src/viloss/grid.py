@@ -82,6 +82,14 @@ def _cell_moments(values: np.ndarray, cell_of: np.ndarray, count: np.ndarray):
     return mean, np.sqrt(np.bincount(cell_of, sq_dist, k) / count)
 
 
+def _constant_cells(values: np.ndarray, cell_of: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the cells whose rows of ``values`` are all equal."""
+    member = np.empty(k, dtype=np.intp)
+    member[cell_of] = np.arange(len(cell_of))  # any one row of each cell
+    differs = (values != values[member].take(cell_of, axis=0)).any(axis=1)
+    return np.bincount(cell_of, differs, k) == 0
+
+
 def fit_grid(
     dataset: Dataset,
     lam: int,
@@ -113,6 +121,9 @@ def fit_grid(
     count = np.bincount(cell_of)
     x_mean, sigma_x = _cell_moments(sub, cell_of, count)
     y_mean, sigma_y = _cell_moments(dataset.targets, cell_of, count)
+    # equal targets must give sigma_y 0, and so gamma 0, exactly; their
+    # rounded mean need not equal them (three 0.1 sum to 0.30000000000000004)
+    sigma_y[_constant_cells(dataset.targets, cell_of, len(count))] = 0.0
 
     sigma_x_bar = float(sigma_x.mean())
     if sigma_x_bar > 0:

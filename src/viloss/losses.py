@@ -32,34 +32,43 @@ class LossSpec:
         if self.norm_kind.lower() not in ("l1", "l2"):
             raise ValueError(f"norm_kind must be 'l1' or 'l2', got {self.norm_kind!r}")
 
+    @property
+    def label(self) -> str:
+        """The loss and gamma_norm columns of a results row."""
+        if self.weighted:
+            return f"viloss_{self.base},{self.norm_kind}"
+        return f"{self.base},none"
+
 
 def batch_value_grad(spec: LossSpec, y_hat: np.ndarray, y: np.ndarray):
-    """Vectorized loss over a batch: y_hat, y are (B, v). Returns per-sample
-    values (B,) and gradients w.r.t. predictions (B, v)."""
+    """Vectorized loss over a batch: y_hat and y are (B, v), or (R, B, v)
+    for R stacked runs. Returns per-sample values (y_hat.shape[:-1]) and
+    gradients w.r.t. the predictions (y_hat.shape)."""
     y_hat = np.asarray(y_hat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if y_hat.shape != y.shape:
         raise ValueError(f"shape mismatch: {y_hat.shape} vs {y.shape}")
-    v = y.shape[1]
+    v = y.shape[-1]
     r = y_hat - y
 
     if spec.base == "mse":
-        return (r**2).sum(axis=1) / v, 2.0 * r / v
-
-    if spec.base == "lqr":
-        return (r**4).sum(axis=1) / v, 4.0 * r**3 / v
-
-    if spec.base == "huber":
+        value, grad = r**2, 2.0 * r
+    elif spec.base == "lqr":
+        value, grad = r**4, 4.0 * r**3
+    elif spec.base == "huber":
         d = spec.delta
-        small = np.abs(r) < d
-        z = np.where(small, 0.5 * r**2, d * np.abs(r) - 0.5 * d**2)
-        dz = np.where(small, r, d * np.sign(r))
-        return z.sum(axis=1) / v, dz / v
+        size = np.abs(r)
+        value = np.where(size < d, 0.5 * r**2, d * size - 0.5 * d**2)
+        grad = np.minimum(np.maximum(r, -d), d)  # r inside the threshold, else d * sign(r)
+    else:
+        # bce: scalar probability target in {0, 1}
+        if v != 1:
+            raise ValueError("BCE requires a single output dimension")
+        p = np.minimum(np.maximum(y_hat, BCE_EPS), 1.0 - BCE_EPS)  # np.clip, at half the call cost
+        q = 1.0 - p
+        value = -(y * np.log(p) + (1.0 - y) * np.log(q))
+        return value[..., 0], (p - y) / (p * q)
 
-    # bce: scalar probability target in {0, 1}
-    if v != 1:
-        raise ValueError("BCE requires a single output dimension")
-    p = np.clip(y_hat, BCE_EPS, 1.0 - BCE_EPS)
-    value = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-    grad = (p - y) / (p * (1.0 - p))
-    return value[:, 0], grad
+    if v == 1:  # the mean over one output is that output: skip the sum and the divisions
+        return value[..., 0], grad
+    return value.sum(axis=-1) / v, grad / v

@@ -3,9 +3,8 @@ mini-batch SGD trainer that consumes per-sample weights."""
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -48,8 +47,8 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    loss_history: list[float] = field(default_factory=list)
-    wall_time: float = 0.0
+    loss_history: list[float]  # weighted mean loss per epoch
+    wall_time: float
 
 
 def monomial_exponents(n_features: int, degree: int):
@@ -113,94 +112,155 @@ def init_model(spec: ModelSpec) -> Model:
     return Model(spec, np.zeros((spec.output_dim, basis_dim)), np.zeros(spec.output_dim))
 
 
-def _batch_step(model: Model, loss_spec: LossSpec, phi: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """Forward and backward pass over one batch of expanded features.
+Run = tuple[LossSpec, WeightTable | np.ndarray | None]
 
-    Returns the unweighted per-sample loss values (B,) and the weighted
-    gradient sums over the batch w.r.t. W (out, basis) and b (out,). Each
-    sample's gradient is formed first and its weight multiplies it last, so
-    a weighted sample's gradient is exactly w_i times its unweighted one.
+
+def _loss_groups(specs: list[LossSpec]) -> tuple[list[int], list[tuple[LossSpec, slice]]]:
+    """Sort the runs by (base, delta) loss. Returns the sorted run order and,
+    for each distinct loss, its spec and its runs' slice of that order."""
+    rows: dict = {}
+    for r, spec in enumerate(specs):
+        rows.setdefault((spec.base, spec.delta), (spec, []))[1].append(r)
+    order, groups = [], []
+    for spec, idx in rows.values():
+        groups.append((spec, slice(len(order), len(order) + len(idx))))
+        order += idx
+    return order, groups
+
+
+def _batch_step(logistic: bool, groups, weights, bias, phi, y, w):
+    """Forward and backward pass of R stacked runs over one shared batch.
+
+    ``weights`` (R, out, basis) and ``bias`` (R, out) are the runs'
+    parameters, ``phi`` (B, basis) the batch's features, ``y`` (R, B, out)
+    its targets repeated per run, ``w`` (R, B) each run's sample weights and
+    ``groups`` the slice of runs of each base loss (see ``_loss_groups``). Returns
+    the unweighted per-sample loss values (R, B) and the weighted gradient
+    sums over the batch w.r.t. the weights (R, out, basis) and the biases
+    (R, out). Each sample's gradient is formed first and its weight
+    multiplies it last, so a weighted sample's gradient is exactly w_i times
+    its unweighted one. Runs never mix: a non-finite value in one run leaves
+    the others' results unchanged.
     """
-    z = phi @ model.weights.T + model.bias
-    logistic = model.spec.kind == "logistic"
+    z = np.matmul(phi, weights.transpose(0, 2, 1)) + bias[:, None, :]
     pred = _sigmoid(z) if logistic else z
-    values, grad = batch_value_grad(loss_spec, pred, y)
+    values, grad = np.empty(pred.shape[:2]), np.empty_like(pred)
+    for spec, runs in groups:
+        values[runs], grad[runs] = batch_value_grad(spec, pred[runs], y[runs])
     if logistic:
         grad = grad * pred * (1.0 - pred)
-    dw = np.einsum("bo,bk,b->ok", grad, phi, w)
-    db = np.einsum("bo,b->o", grad, w)
+    dw = np.einsum("rbo,bk,rb->rok", grad, phi, w)
+    db = np.einsum("rbo,rb->ro", grad, w)
     return values, dw, db
 
 
 def parameter_gradient(model: Model, loss_spec: LossSpec, features, target, weight: float = 1.0):
     """Gradient of weight * loss(y_hat(x), y) w.r.t. (W, b) for one sample:
-    the step that ``train`` runs, on a batch of one."""
+    the step that ``train`` runs, for one run on a batch of one."""
     phi = np.atleast_2d(model.expand(features))
-    y = np.atleast_2d(np.asarray(target, dtype=np.float64))
-    _, dw, db = _batch_step(model, loss_spec, phi, y, np.array([weight], dtype=np.float64))
-    return dw, db
+    y = np.atleast_2d(np.asarray(target, dtype=np.float64))[None]
+    _, dw, db = _batch_step(
+        model.spec.kind == "logistic", _loss_groups([loss_spec])[1],
+        model.weights[None], model.bias[None], phi, y, np.array([[weight]], dtype=np.float64),
+    )
+    return dw[0], db[0]
+
+
+def _run_weights(weights, n: int) -> np.ndarray:
+    if isinstance(weights, WeightTable):
+        weights = weights.weight
+    elif weights is None:
+        return np.ones(n)
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise ValueError("weight table not aligned with dataset")
+    return w
 
 
 def train(
     model_spec: ModelSpec,
     dataset: Dataset,
-    loss_spec: LossSpec,
+    runs: list[Run],
     config: TrainConfig,
-    weights: WeightTable | np.ndarray | None = None,
-) -> tuple[Model, TrainReport]:
-    """Mini-batch SGD. The batch parameter gradient is the mean over the
-    batch of weight_i times each sample's loss gradient; runs are
-    deterministic given the config seed. Weights must be finite and >= 0."""
+) -> list[tuple[Model, TrainReport]]:
+    """Mini-batch SGD of every run in ``runs`` in lockstep.
+
+    A run is a ``(LossSpec, weights)`` pair; ``weights`` is a WeightTable,
+    an (n,) array of finite weights >= 0, or None for unit weights. All runs
+    share the model spec, the data, the config and so the shuffle order, and
+    each run's result equals a ``train`` of that run alone. The batch
+    parameter gradient is the mean over the batch of weight_i times each
+    sample's loss gradient. Returns one (model, report) per run, in order;
+    the reports share the wall time of the whole stack.
+    """
     n = dataset.n
     if config.batch_size > n:
         raise ValueError("batch_size cannot exceed the dataset size")
-
-    if isinstance(weights, WeightTable):
-        w = np.asarray(weights.weight, dtype=np.float64)
-    elif weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-    if len(w) != n:
-        raise ValueError("weight table not aligned with dataset")
-    bad = np.flatnonzero(~(np.isfinite(w) & (w >= 0)))
+    specs = [spec for spec, _ in runs]
+    if not specs:
+        raise ValueError("train needs at least one run")
+    w = np.stack([_run_weights(weights, n) for _, weights in runs])
+    bad = np.argwhere(~(np.isfinite(w) & (w >= 0)))
     if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"weight of sample {i} must be finite and non-negative, got {w[i]!r}")
-    if model_spec.kind == "logistic" and not np.isin(dataset.targets, (0.0, 1.0)).all():
+        r, i = (int(v) for v in bad[0])
+        raise ValueError(
+            f"run {r}: weight of sample {i} must be finite and non-negative, got {w[r, i]!r}"
+        )
+    # the runs of one loss sit side by side, so its loss sees a slice of the stack
+    run_order, groups = _loss_groups(specs)
+    w = w[run_order]
+    logistic = model_spec.kind == "logistic"
+    if logistic and not np.isin(dataset.targets, (0.0, 1.0)).all():
         raise ValueError("logistic training requires targets in {0, 1}")
 
-    model = init_model(model_spec)
-    phi = np.atleast_2d(model.expand(dataset.features))
-    y = dataset.targets
+    template = init_model(model_spec)
+    phi = np.atleast_2d(template.expand(dataset.features))
+    R = len(specs)
+    # the targets once per run (a view when there is one run), so the loss
+    # sees operands of one shape and takes numpy's fast non-broadcast path
+    y = np.ascontiguousarray(np.broadcast_to(dataset.targets, (R,) + dataset.targets.shape))
+    weights = np.zeros((R,) + template.weights.shape)
+    bias = np.zeros((R,) + template.bias.shape)
 
+    starts = range(0, n, config.batch_size)
+    batch_loss = np.empty((R, len(starts)))  # weighted loss sum per run and batch
+    history = np.empty((R, config.epochs))
     rng = np.random.default_rng(config.seed)
-    report = TrainReport()
-    t0 = time.perf_counter()
     lr = config.learning_rate
+    t0 = time.perf_counter()
 
-    for epoch in range(config.epochs):
-        order = rng.permutation(n) if config.shuffle else np.arange(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            B = len(batch)
-            wb = w[batch]
-            values, dw, db = _batch_step(
-                model, loss_spec, np.take(phi, batch, axis=0), np.take(y, batch, axis=0), wb
-            )
-            batch_loss = float((wb * values).sum()) / B
-            if not math.isfinite(batch_loss):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, batch starting at {start}"
+    # a diverging run keeps stepping on non-finite values until the epoch
+    # ends and the check below names it, so numpy's warnings are noise here
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(n) if config.shuffle else np.arange(n)
+            for j, start in enumerate(starts):
+                batch = order[start : start + config.batch_size]
+                B = len(batch)
+                wb = w.take(batch, axis=1)
+                values, dw, db = _batch_step(
+                    logistic, groups, weights, bias,
+                    phi.take(batch, axis=0), y.take(batch, axis=1), wb,
                 )
-            epoch_loss += batch_loss * B
-            model.weights -= lr * dw / B
-            model.bias -= lr * db / B
-        report.loss_history.append(epoch_loss / n)
+                batch_loss[:, j] = (wb * values).sum(axis=1)
+                weights -= lr * dw / B
+                bias -= lr * db / B
+            bad = ~np.isfinite(batch_loss)
+            if bad.any():
+                j = int(bad.any(axis=0).argmax())
+                r = min(run_order[k] for k in np.flatnonzero(bad[:, j]))
+                raise TrainingDiverged(
+                    f"run {r} ({specs[r].label}): non-finite loss at epoch {epoch}, "
+                    f"batch starting at {starts[j]}"
+                )
+            history[:, epoch] = batch_loss.sum(axis=1) / n
 
-    report.wall_time = time.perf_counter() - t0
-    return model, report
+    wall_time = time.perf_counter() - t0
+    return [
+        (Model(model_spec, weights[k].copy(), bias[k].copy()),
+         TrainReport(history[k].tolist(), wall_time))
+        for k in np.argsort(run_order)
+    ]
 
 
 def save_model(model: Model, path) -> None:

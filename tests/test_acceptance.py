@@ -179,31 +179,33 @@ def test_criterion_3_ld_shape():
     print("\nPASS criterion 3: LD curve unimodal with interior maximum (5 seeds)")
 
 
-def _regression_mape(variant, seed, weighted, lam, batch_size, epochs=150, lr=0.1):
+def _regression_mapes(variant, seed, lam, batch_size, epochs=150, lr=0.1):
+    """Test MAPE of unweighted and of weighted (L2) MSE, trained in lockstep
+    on one split."""
     ds = generate_synth(SynthSpec(variant=variant, seed=seed))
     train_set, test_set = split(ds, 0.7, seed)
     train_norm = normalize_minmax(train_set)
     record = train_norm.normalization
 
-    weights = None
-    if weighted:
-        grid = fit_grid(train_norm, lam)
-        weights = compute_weights(grid, train_norm, "l2")
+    grid = fit_grid(train_norm, lam)
+    weights = compute_weights(grid, train_norm, "l2")
 
     model_spec = ModelSpec("polynomial", 6, ds.feature_dim, 1)
     cfg = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=lr, seed=seed)
-    model, _ = train(model_spec, train_norm, LossSpec("mse"), cfg, weights)
-
-    pred = record.invert_targets(model.predict_batch(record.apply_features(test_set.features)))
-    return regression_metrics(pred, test_set.targets).mape
+    runs = [(LossSpec("mse"), None), (LossSpec("mse"), weights)]
+    test_x = record.apply_features(test_set.features)
+    return tuple(
+        regression_metrics(record.invert_targets(model.predict_batch(test_x)),
+                           test_set.targets).mape
+        for model, _ in train(model_spec, train_norm, runs, cfg)
+    )
 
 
 def test_criterion_4_synth_1d_improvement():
     """Poly-6, lambda=2, batch 1: weighted MSE (L2) test MAPE at least 15%
     relatively below the unweighted baseline, median over 5 seeds; < 2 min."""
     t0 = time.perf_counter()
-    base = [_regression_mape("synth-1d", s, False, 2, 1) for s in range(5)]
-    vi = [_regression_mape("synth-1d", s, True, 2, 1) for s in range(5)]
+    base, vi = zip(*(_regression_mapes("synth-1d", s, 2, 1) for s in range(5)))
     elapsed = time.perf_counter() - t0
     reduction = 1.0 - np.median(vi) / np.median(base)
     assert reduction >= 0.15, f"relative reduction {reduction:.3f} < 0.15"
@@ -218,8 +220,7 @@ def test_criterion_5_synth_2d_improvement():
     """Poly-6, lambda=10, batch 5: weighted MSE (L2) test MAPE at least 20%
     relatively below the unweighted baseline, median over 5 seeds; < 5 min."""
     t0 = time.perf_counter()
-    base = [_regression_mape("synth-2d", s, False, 10, 5) for s in range(5)]
-    vi = [_regression_mape("synth-2d", s, True, 10, 5) for s in range(5)]
+    base, vi = zip(*(_regression_mapes("synth-2d", s, 10, 5) for s in range(5)))
     elapsed = time.perf_counter() - t0
     reduction = 1.0 - np.median(vi) / np.median(base)
     assert reduction >= 0.20, f"relative reduction {reduction:.3f} < 0.20"
@@ -242,24 +243,26 @@ def test_criterion_6_lambda_sweep_avoids_degenerate_grid():
     print("\nPASS criterion 6: selected lambda never 1 on synth-2d (5 seeds)")
 
 
-def _logistic_run(seed, weighted):
+def _logistic_runs(seed):
+    """Test metrics of unweighted and of weighted (L2) BCE, trained in
+    lockstep on one split."""
     ds = generate_binary_clusters(BinarySynthSpec(seed=seed))
     train_set, test_set = split(ds, 0.7, seed)
-    weights = None
-    if weighted:
-        grid = fit_grid(train_set, 5)
-        weights = compute_weights(grid, train_set, "l2")
+    grid = fit_grid(train_set, 5)
+    weights = compute_weights(grid, train_set, "l2")
     cfg = TrainConfig(epochs=150, batch_size=5, learning_rate=0.5, seed=seed)
-    model, _ = train(ModelSpec("logistic", 1, 2, 1), train_set, LossSpec("bce"), cfg, weights)
-    return classification_metrics(model.predict_batch(test_set.features), test_set.targets)
+    runs = [(LossSpec("bce"), None), (LossSpec("bce"), weights)]
+    return tuple(
+        classification_metrics(model.predict_batch(test_set.features), test_set.targets)
+        for model, _ in train(ModelSpec("logistic", 1, 2, 1), train_set, runs, cfg)
+    )
 
 
 def test_criterion_7_logistic_path():
     """On the imbalanced two-cluster binary task, weighted BCE keeps F1 within
     0.01 of the baseline in median and strictly improves precision on at
     least 3 of 5 seeds."""
-    base = [_logistic_run(s, False) for s in range(5)]
-    vi = [_logistic_run(s, True) for s in range(5)]
+    base, vi = zip(*(_logistic_runs(s) for s in range(5)))
     f1_base = np.median([r.f1 for r in base])
     f1_vi = np.median([r.f1 for r in vi])
     assert f1_vi >= f1_base - 0.01, f"median F1 {f1_vi:.3f} < {f1_base:.3f} - 0.01"

@@ -116,6 +116,22 @@ class TestTrainCommand:
         assert "n=1" in capsys.readouterr().err
         assert not (out_dir / "results.csv").exists()
 
+    def test_nan_target_row_skipped_with_warning(self, tmp_path, capsys):
+        data = tmp_path / "s.csv"
+        run(["gen", "--out", data])
+        lines = data.read_text().splitlines()
+        lines[40] = lines[40].rsplit(",", 1)[0] + ",nan"  # line 41 of the file
+        data.write_text("\n".join(lines) + "\n")
+        out_dir = tmp_path / "run"
+        code = run([
+            "train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
+            "--epochs", 3, "--lr", 0.1, "--out-dir", out_dir,
+        ])
+        assert code == 0
+        assert "skipped line 41" in capsys.readouterr().err
+        row = (out_dir / "results.csv").read_text().splitlines()[1]
+        assert np.isfinite([float(v) for v in row.split(",")[6:]]).all()
+
     def test_config_file_overrides_flags(self, tmp_path):
         data = tmp_path / "s.csv"
         run(["gen", "--out", data])
@@ -191,6 +207,17 @@ class TestRepro:
              "--epochs", 2, "--out-dir", out_dir])
         header = (out_dir / "results.csv").read_text().splitlines()[0]
         assert header.endswith("acc,prec,rec,f1")
+
+    def test_divergence_names_run_and_location(self, tmp_path, capsys):
+        # data seed 11 is known to diverge: the unweighted quartic run goes
+        # non-finite in epoch 10, in the batch that starts at row 111
+        out_dir = tmp_path / "r"
+        code = run(["repro", "--name", "synth-1d", "--seeds", 11,
+                    "--epochs", 20, "--out-dir", out_dir])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "run 6 (lqr,none): non-finite loss at epoch 10, batch starting at 111" in err
+        assert not (out_dir / "results.csv").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

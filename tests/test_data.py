@@ -100,6 +100,19 @@ class TestLoadCsv:
         assert ds.n == 9
         assert [line for line, _ in report.rejected] == [6]
 
+    def test_non_finite_rows_reported_with_line_numbers(self, tmp_path):
+        rows = ["x,y"] + [f"{i},{i * 2}" for i in range(10)]
+        rows[2] = "inf,3"  # line 3
+        rows[5] = "oops,3"  # line 6
+        rows[8] = "7,nan"  # line 9
+        rows[9] = "8,-inf"  # line 10
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(rows) + "\n")
+        ds, report = load_csv(path, ["x"], ["y"])
+        assert ds.n == report.n_used == 6
+        assert np.isfinite(ds.features).all() and np.isfinite(ds.targets).all()
+        assert [line for line, _ in report.rejected] == [3, 6, 9, 10]
+
     def test_column_by_index_without_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,2,3\n4,5,6\n")

@@ -93,6 +93,15 @@ class TestFitGrid:
         grid = fit_grid(ds, 4)
         assert all(grid.keys[:, 0] == 0)
 
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_equal_targets_have_zero_spread(self, norm):
+        # the mean of three 0.1 rounds to 0.10000000000000002, which left
+        # sigma_y ~1e-17 and gamma 1 where equal targets must give 0
+        ds = Dataset([[0.1], [0.2], [0.3]], [[0.1], [0.1], [0.1]])
+        grid = fit_grid(ds, 1)
+        assert grid.sigma_y[0] == 0.0
+        np.testing.assert_array_equal(compute_weights(grid, ds, norm).gamma, 0.0)
+
     def test_empty_dataset_rejected(self):
         ds = Dataset(np.empty((0, 1)), np.empty((0, 1)))
         with pytest.raises(ValueError):

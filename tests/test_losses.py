@@ -100,8 +100,8 @@ def weighted_step(spec, y_hat, y, weight):
     y = np.asarray(y, dtype=float)
     data = Dataset(np.ones((1, 1)), (y - y_hat)[None])
     cfg = TrainConfig(epochs=1, batch_size=1, learning_rate=1.0, shuffle=False)
-    model, report = train(ModelSpec("linear", input_dim=1, output_dim=y.size), data, spec,
-                          cfg, weights=np.array([weight]))
+    [(model, report)] = train(ModelSpec("linear", input_dim=1, output_dim=y.size), data,
+                              [(spec, np.array([weight]))], cfg)
     return report.loss_history[0], -model.bias
 
 

@@ -7,10 +7,16 @@ from viloss import (
     ModelSpec,
     TrainConfig,
     batch_value_grad,
+    cli,
+    compute_weights,
     expand_polynomial,
+    fit_grid,
     load_model,
+    models,
+    normalize_minmax,
     parameter_gradient,
     save_model,
+    split,
     train,
 )
 from viloss.models import Model, TrainingDiverged, init_model
@@ -141,7 +147,8 @@ class TestTrain:
         assert oracle[0, 0] == pytest.approx(2.0, abs=1e-9)
 
         cfg = TrainConfig(epochs=300, batch_size=10, learning_rate=0.2, seed=1)
-        model, report = train(ModelSpec("linear", input_dim=1), ds, LossSpec("mse"), cfg)
+        [(model, report)] = train(ModelSpec("linear", input_dim=1), ds,
+                                  [(LossSpec("mse"), None)], cfg)
         assert model.weights[0, 0] == pytest.approx(2.0, abs=1e-3)
         assert model.bias[0] == pytest.approx(1.0, abs=1e-3)
         assert len(report.loss_history) == 300
@@ -149,9 +156,9 @@ class TestTrain:
     def test_unit_weights_match_unweighted_bitwise(self):
         ds = _linear_1d_dataset(noise=0.1)
         cfg = TrainConfig(epochs=5, batch_size=7, learning_rate=0.05, seed=3)
-        m1, r1 = train(ModelSpec("linear", input_dim=1), ds, LossSpec("mse"), cfg)
-        m2, r2 = train(ModelSpec("linear", input_dim=1), ds, LossSpec("mse"), cfg,
-                       weights=np.ones(ds.n))
+        [(m1, r1)] = train(ModelSpec("linear", input_dim=1), ds, [(LossSpec("mse"), None)], cfg)
+        [(m2, r2)] = train(ModelSpec("linear", input_dim=1), ds,
+                           [(LossSpec("mse"), np.ones(ds.n))], cfg)
         np.testing.assert_array_equal(m1.weights, m2.weights)
         np.testing.assert_array_equal(m1.bias, m2.bias)
         assert r1.loss_history == r2.loss_history
@@ -159,8 +166,8 @@ class TestTrain:
     def test_determinism(self):
         ds = _linear_1d_dataset(noise=0.3, seed=5)
         cfg = TrainConfig(epochs=10, batch_size=5, learning_rate=0.05, seed=11)
-        m1, r1 = train(ModelSpec("linear", input_dim=1), ds, LossSpec("mse"), cfg)
-        m2, r2 = train(ModelSpec("linear", input_dim=1), ds, LossSpec("mse"), cfg)
+        [(m1, r1)] = train(ModelSpec("linear", input_dim=1), ds, [(LossSpec("mse"), None)], cfg)
+        [(m2, r2)] = train(ModelSpec("linear", input_dim=1), ds, [(LossSpec("mse"), None)], cfg)
         np.testing.assert_array_equal(m1.weights, m2.weights)
         assert r1.loss_history == r2.loss_history
 
@@ -172,13 +179,14 @@ class TestTrain:
         weights = np.ones(10)
         weights[4] = 0.0
         cfg = TrainConfig(epochs=20, batch_size=10, learning_rate=0.1, seed=0, shuffle=False)
-        m1, _ = train(ModelSpec("linear", input_dim=1), ds, LossSpec("mse"), cfg, weights)
+        [(m1, _)] = train(ModelSpec("linear", input_dim=1), ds, [(LossSpec("mse"), weights)], cfg)
 
         keep = np.array([i for i in range(10) if i != 4])
         reduced = ds.subset(keep)
         cfg2 = TrainConfig(epochs=20, batch_size=9, learning_rate=0.1 * 9 / 10,
                            seed=0, shuffle=False)
-        m2, _ = train(ModelSpec("linear", input_dim=1), reduced, LossSpec("mse"), cfg2)
+        [(m2, _)] = train(ModelSpec("linear", input_dim=1), reduced,
+                          [(LossSpec("mse"), None)], cfg2)
         np.testing.assert_allclose(m1.weights, m2.weights, rtol=1e-12)
         np.testing.assert_allclose(m1.bias, m2.bias, rtol=1e-12)
 
@@ -221,7 +229,7 @@ class TestTrain:
             y = (rng.integers(0, 2, size=(1, 1)).astype(float) if loss == "bce"
                  else rng.normal(size=(1, 1)))
             w = float(rng.uniform(0.1, 4.0))
-            model, report = train(spec, Dataset(x, y), LossSpec(loss), cfg, weights=np.array([w]))
+            [(model, report)] = train(spec, Dataset(x, y), [(LossSpec(loss), np.array([w]))], cfg)
             dw, db = parameter_gradient(init_model(spec), LossSpec(loss), x[0], y[0], weight=w)
             np.testing.assert_array_equal(model.weights, -cfg.learning_rate * dw)
             np.testing.assert_array_equal(model.bias, -cfg.learning_rate * db)
@@ -248,8 +256,8 @@ class TestTrain:
             cfg = TrainConfig(epochs=5, batch_size=n, learning_rate=0.1, shuffle=False)
             dup_cfg = TrainConfig(epochs=5, batch_size=big_n, learning_rate=0.1 * big_n / n,
                                   shuffle=False)
-            m1, _ = train(spec, Dataset(x, y), LossSpec(loss), cfg, weights=k.astype(float))
-            m2, _ = train(spec, Dataset(x[rows], y[rows]), LossSpec(loss), dup_cfg)
+            [(m1, _)] = train(spec, Dataset(x, y), [(LossSpec(loss), k.astype(float))], cfg)
+            [(m2, _)] = train(spec, Dataset(x[rows], y[rows]), [(LossSpec(loss), None)], dup_cfg)
             np.testing.assert_allclose(m1.weights, m2.weights, rtol=1e-12)
             np.testing.assert_allclose(m1.bias, m2.bias, rtol=1e-12)
 
@@ -261,33 +269,101 @@ class TestTrain:
             weights[index] = bad
             weights[4] = -1.0  # a later bad weight is not the one named
             with pytest.raises(ValueError, match=f"sample {index} "):
-                train(ModelSpec("linear", input_dim=1), ds, LossSpec("mse"), cfg, weights)
+                train(ModelSpec("linear", input_dim=1), ds, [(LossSpec("mse"), weights)], cfg)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_diverging_run_aborts_with_location(self):
         ds = _linear_1d_dataset(n=20, seed=2)
         cfg = TrainConfig(epochs=50, batch_size=1, learning_rate=1e6, seed=0)
         with pytest.raises(TrainingDiverged, match="epoch"):
-            train(ModelSpec("linear", input_dim=1), ds, LossSpec("mse"), cfg)
+            train(ModelSpec("linear", input_dim=1), ds, [(LossSpec("mse"), None)], cfg)
 
     def test_logistic_requires_binary_targets(self):
         ds = _linear_1d_dataset()
         cfg = TrainConfig(epochs=1, batch_size=5)
         with pytest.raises(ValueError, match="\\{0, 1\\}"):
-            train(ModelSpec("logistic", input_dim=1), ds, LossSpec("bce"), cfg)
+            train(ModelSpec("logistic", input_dim=1), ds, [(LossSpec("bce"), None)], cfg)
 
     def test_batch_size_bounded_by_n(self):
         ds = _linear_1d_dataset(n=5)
         cfg = TrainConfig(epochs=1, batch_size=6)
         with pytest.raises(ValueError):
-            train(ModelSpec("linear", input_dim=1), ds, LossSpec("mse"), cfg)
+            train(ModelSpec("linear", input_dim=1), ds, [(LossSpec("mse"), None)], cfg)
 
     def test_misaligned_weights_rejected(self):
         ds = _linear_1d_dataset(n=5)
         cfg = TrainConfig(epochs=1, batch_size=2)
         with pytest.raises(ValueError, match="aligned"):
-            train(ModelSpec("linear", input_dim=1), ds, LossSpec("mse"), cfg,
-                  weights=np.ones(4))
+            train(ModelSpec("linear", input_dim=1), ds, [(LossSpec("mse"), np.ones(4))], cfg)
+
+
+def _repro_split(name, seed):
+    """The normalized training split and the l1/l2 weight tables that
+    ``viloss repro`` trains one seed of ``name`` on."""
+    exp = cli.REPRO_EXPERIMENTS[name]
+    train_norm = normalize_minmax(split(cli._repro_dataset(name, seed), 0.7, seed)[0])
+    grid = fit_grid(train_norm, exp.lam)
+    return train_norm, {norm: compute_weights(grid, train_norm, norm) for norm in ("l1", "l2")}
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("name", ["synth-1d", "synth-2d", "logistic-synth"])
+    def test_stack_matches_solo_runs(self, name):
+        # every variant of a repro seed trained in one stack, in the repro
+        # order and interleaved (so a base loss's runs are not adjacent),
+        # equals each variant trained alone
+        exp = cli.REPRO_EXPERIMENTS[name]
+        ds, tables = _repro_split(name, 0)
+        specs = exp.loss_specs()
+        runs = [(spec, tables[spec.norm_kind] if spec.weighted else None) for spec in specs]
+        cfg = TrainConfig(epochs=3, batch_size=exp.batch_size,
+                          learning_rate=exp.learning_rate, seed=0)
+        solo = [train(exp.model_spec, ds, [run], cfg)[0] for run in runs]
+        interleaved = list(range(0, len(runs), 2)) + list(range(1, len(runs), 2))
+        stacked = train(exp.model_spec, ds, runs, cfg)
+        restacked = train(exp.model_spec, ds, [runs[i] for i in interleaved], cfg)
+        for trained in (stacked, [restacked[interleaved.index(i)] for i in range(len(runs))]):
+            for (model, report), (want, want_report) in zip(trained, solo):
+                if exp.batch_size == 1:
+                    np.testing.assert_array_equal(model.weights, want.weights)
+                    np.testing.assert_array_equal(model.bias, want.bias)
+                    assert report.loss_history == want_report.loss_history
+                else:
+                    np.testing.assert_allclose(model.weights, want.weights, rtol=1e-12, atol=0)
+                    np.testing.assert_allclose(model.bias, want.bias, rtol=1e-12, atol=0)
+                    np.testing.assert_allclose(report.loss_history, want_report.loss_history,
+                                               rtol=1e-12, atol=0)
+
+    def test_diverging_run_leaves_the_others_alone(self, monkeypatch):
+        # on synth-1d data seed 11 the unweighted quartic run goes non-finite
+        # in epoch 10; until the end of that epoch, when the check raises, the
+        # runs stacked with it take exactly the steps they take without it
+        seen = []
+        step = models._batch_step
+
+        def recording(logistic, groups, weights, bias, *batch):
+            seen.append((weights.copy(), bias.copy()))
+            return step(logistic, groups, weights, bias, *batch)
+
+        monkeypatch.setattr(models, "_batch_step", recording)
+        exp = cli.REPRO_EXPERIMENTS["synth-1d"]
+        ds, _ = _repro_split("synth-1d", 11)
+        cfg = TrainConfig(epochs=20, batch_size=1, learning_rate=exp.learning_rate, seed=11)
+        mse, lqr, huber = (LossSpec(base, weighted=False) for base in ("mse", "lqr", "huber"))
+        with pytest.raises(TrainingDiverged, match=r"run 1 \(lqr,none\): non-finite loss "
+                                                   r"at epoch 10, batch starting at 111$"):
+            train(exp.model_spec, ds, [(mse, None), (lqr, None), (huber, None)], cfg)
+        with_lqr, seen[:] = seen[:], []
+        train(exp.model_spec, ds, [(mse, None), (huber, None)], cfg)
+        assert len(with_lqr) == 11 * ds.n
+        assert not np.isfinite(with_lqr[-1][0][1]).all()
+        for (weights, bias), (want_weights, want_bias) in zip(with_lqr, seen):
+            np.testing.assert_array_equal(weights[[0, 2]], want_weights)
+            np.testing.assert_array_equal(bias[[0, 2]], want_bias)
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(ValueError, match="at least one run"):
+            train(ModelSpec("linear", input_dim=1), _linear_1d_dataset(), [], TrainConfig())
 
 
 class TestModelSpec:
