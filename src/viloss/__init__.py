@@ -16,7 +16,6 @@ from .grid import (
     compute_weights,
     fit_grid,
     localized_deviation,
-    locate_cell,
     select_lambda,
 )
 from .losses import LossSpec, batch_value_grad

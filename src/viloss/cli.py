@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    SYNTH_DEFAULT_N,
     BinarySynthSpec,
     Dataset,
     SynthSpec,
@@ -26,10 +27,10 @@ from .data import (
     save_csv,
     split,
 )
-from .grid import compute_weights, fit_grid, select_lambda, write_sweep_report
-from .losses import LossSpec
+from .grid import NORM_KINDS, compute_weights, fit_grid, select_lambda
+from .losses import BASE_KINDS, LossSpec
 from .metrics import classification_metrics, regression_metrics
-from .models import ModelSpec, TrainConfig, load_model, save_model, train
+from .models import MODEL_KINDS, ModelSpec, TrainConfig, load_model, save_model, train
 
 LAMBDA_CANDIDATES = [1, 2, 5, 10, 20, 50, 100]
 
@@ -121,12 +122,12 @@ def cmd_ld_sweep(args) -> None:
     dataset = _load_dataset(args)
     subset = _parse_int_list(args.feature_subset) if args.feature_subset else None
     lam_star, report = select_lambda(dataset, _parse_int_list(args.candidates), subset)
-    print("lambda,ld,nonempty_cells")
-    for entry in report:
-        print(f"{entry.lam},{entry.ld!r},{entry.n_cells}")
-    print(f"selected lambda = {lam_star}")
+    table = "lambda,ld,nonempty_cells\n" + "".join(
+        f"{entry.lam},{entry.ld!r},{entry.n_cells}\n" for entry in report
+    )
+    print(table + f"selected lambda = {lam_star}")
     if args.out:
-        write_sweep_report(report, args.out)
+        Path(args.out).write_text(table)
 
 
 def cmd_weigh(args) -> None:
@@ -138,12 +139,23 @@ def cmd_weigh(args) -> None:
     print(f"wrote {len(table)} weights to {args.out}")
 
 
+def _predict(model, record, features):
+    """Predictions of ``model`` on raw ``features``: the features pass
+    through the training normalization ``record``, and regression outputs
+    are mapped back to the targets' original units."""
+    pred = model.predict_batch(record.apply_features(features))
+    if model.spec.kind == "logistic":
+        return pred
+    return record.invert_targets(pred)
+
+
 def _run_experiment(dataset, name, model_spec, loss_specs, lam, subset, cfg, mu_floor=0.0):
     """Split, normalize, weight, train and evaluate every loss spec on one
     split: the grid is fitted once, each gamma norm's weights are computed
     once, and all specs train in lockstep in one ``train`` call.
 
-    Returns one (result row, model) per loss spec, in order.
+    Returns the training split's normalization record and one (result row,
+    model) per loss spec, in order.
     """
     train_set, test_set = split(dataset, 0.7, cfg.seed)
     train_norm = normalize_minmax(train_set)
@@ -157,21 +169,16 @@ def _run_experiment(dataset, name, model_spec, loss_specs, lam, subset, cfg, mu_
     runs = [(spec, tables[spec.norm_kind] if spec.weighted else None) for spec in loss_specs]
     trained = train(model_spec, train_norm, runs, cfg)
 
-    test_x = record.apply_features(test_set.features)
     results = []
     for spec, (model, _) in zip(loss_specs, trained):
         lam_name = lam if spec.weighted else "none"
         row = f"{name},{_model_name(model_spec)},{spec.label},{lam_name},{cfg.seed}"
+        pred = _predict(model, record, test_set.features)
+        row += f",{regression_metrics(pred, test_set.targets).as_row()}"
         if model_spec.kind == "logistic":
-            prob = model.predict_batch(test_x)
-            reg = regression_metrics(prob, test_set.targets)
-            cls = classification_metrics(prob, test_set.targets)
-            row += f",{reg.as_row()},{cls.as_row()}"
-        else:
-            pred = record.invert_targets(model.predict_batch(test_x))
-            row += f",{regression_metrics(pred, test_set.targets).as_row()}"
+            row += f",{classification_metrics(pred, test_set.targets).as_row()}"
         results.append((row, model))
-    return results
+    return record, results
 
 
 def _result_header(spec: ModelSpec) -> str:
@@ -184,11 +191,34 @@ def _model_name(spec: ModelSpec) -> str:
     return spec.kind
 
 
-def cmd_train(args) -> None:
+def _write_run(args, run) -> None:
+    """Write what ``run()`` computes into ``--out-dir`` and print its rows.
+
+    ``run`` returns (results header, rows, model, normalization record);
+    model and record are None when there is no model to save. results.csv,
+    model.txt and manifest.txt are all removed if anything fails, so a
+    failed run leaves neither stale nor partial outputs.
+    """
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    created = [out_dir / "results.csv", out_dir / "model.txt", out_dir / "manifest.txt"]
+    results, model_file = out_dir / "results.csv", out_dir / "model.txt"
+    created = [results, model_file, out_dir / "manifest.txt"]
     try:
+        header, rows, model, record = run()
+        results.write_text(header + "\n" + "\n".join(rows) + "\n")
+        if model is not None:
+            save_model(model, record, model_file)
+        _write_manifest(out_dir, args)
+    except Exception:
+        for path in created:
+            path.unlink(missing_ok=True)
+        raise
+    for row in rows:
+        print(row)
+
+
+def cmd_train(args) -> None:
+    def run():
         dataset = _load_dataset(args)
         model_spec = ModelSpec(
             kind=args.model,
@@ -210,32 +240,28 @@ def cmd_train(args) -> None:
             shuffle=not args.no_shuffle,
         )
         subset = _parse_int_list(args.feature_subset) if args.feature_subset else None
-        [(row, model)] = _run_experiment(
+        record, [(row, model)] = _run_experiment(
             dataset, Path(args.data).stem, model_spec, [loss_spec],
             args.grid_lambda, subset, cfg, args.mu_floor,
         )
-        (out_dir / "results.csv").write_text(_result_header(model_spec) + "\n" + row + "\n")
-        save_model(model, out_dir / "model.txt")
-        _write_manifest(out_dir, args)
-        print(row)
-    except Exception:
-        for path in created:
-            path.unlink(missing_ok=True)
-        raise
+        return _result_header(model_spec), [row], model, record
+
+    _write_run(args, run)
 
 
 def cmd_eval(args) -> None:
     dataset = _load_dataset(args)
-    model = load_model(args.model)
-    pred = model.predict_batch(dataset.features)
+    model, record = load_model(args.model)
+    if dataset.feature_dim != model.spec.input_dim:
+        raise ValueError(f"{args.model} was trained on {model.spec.input_dim} features, "
+                         f"--feature-cols selects {dataset.feature_dim}")
+    pred = _predict(model, record, dataset.features)
     if model.spec.kind == "logistic":
-        cls = classification_metrics(pred, dataset.targets)
         print("acc,prec,rec,f1")
-        print(cls.as_row())
+        print(classification_metrics(pred, dataset.targets).as_row())
     else:
-        reg = regression_metrics(pred, dataset.targets)
         print("mape,mae")
-        print(reg.as_row())
+        print(regression_metrics(pred, dataset.targets).as_row())
 
 
 @dataclass(frozen=True)
@@ -284,27 +310,18 @@ def _repro_rows(name: str, seeds: list[int], epochs: int | None) -> tuple[str, l
     for seed in seeds:
         cfg = TrainConfig(epochs=epochs or 150, batch_size=exp.batch_size,
                           learning_rate=exp.learning_rate, seed=seed)
-        results = _run_experiment(_repro_dataset(name, seed), name, exp.model_spec,
-                                  exp.loss_specs(), exp.lam, None, cfg)
+        _, results = _run_experiment(_repro_dataset(name, seed), name, exp.model_spec,
+                                     exp.loss_specs(), exp.lam, None, cfg)
         rows += [row for row, _ in results]
     return _result_header(exp.model_spec), rows
 
 
 def cmd_repro(args) -> None:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    created = [out_dir / "results.csv", out_dir / "manifest.txt"]
-    try:
-        seeds = _parse_int_list(args.seeds)
-        header, rows = _repro_rows(args.name, seeds, args.epochs)
-        (out_dir / "results.csv").write_text(header + "\n" + "\n".join(rows) + "\n")
-        _write_manifest(out_dir, args)
-        for row in rows:
-            print(row)
-    except Exception:
-        for path in created:
-            path.unlink(missing_ok=True)
-        raise
+    def run():
+        header, rows = _repro_rows(args.name, _parse_int_list(args.seeds), args.epochs)
+        return header, rows, None, None
+
+    _write_run(args, run)
 
 
 def _add_data_args(p) -> None:
@@ -323,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic skewed dataset")
-    p.add_argument("--variant", choices=("synth-1d", "synth-2d"), default="synth-1d")
+    p.add_argument("--variant", choices=tuple(SYNTH_DEFAULT_N), default="synth-1d")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--noise-sigma", type=float, default=0.05)
     p.add_argument("--corrupt-fraction", type=float, default=0.05)
@@ -345,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weigh", help="export the per-sample weight table")
     _add_data_args(p)
     p.add_argument("--lambda", dest="grid_lambda", type=int, required=True)
-    p.add_argument("--gamma-norm", choices=("l1", "l2"), default="l2")
+    p.add_argument("--gamma-norm", choices=NORM_KINDS, default="l2")
     p.add_argument("--mu-floor", type=float, default=0.0)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
@@ -353,12 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train and evaluate one configuration")
     _add_data_args(p)
-    p.add_argument("--model", choices=("linear", "polynomial", "logistic"), default="linear")
+    p.add_argument("--model", choices=MODEL_KINDS, default="linear")
     p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--loss", choices=("mse", "huber", "lqr", "bce"), default="mse")
+    p.add_argument("--loss", choices=BASE_KINDS, default="mse")
     p.add_argument("--huber-delta", type=float, default=1.0)
     p.add_argument("--weighted", choices=("on", "off"), default="on")
-    p.add_argument("--gamma-norm", choices=("l1", "l2"), default="l2")
+    p.add_argument("--gamma-norm", choices=NORM_KINDS, default="l2")
     p.add_argument("--lambda", dest="grid_lambda", type=int, default=2)
     p.add_argument("--mu-floor", type=float, default=0.0)
     p.add_argument("--epochs", type=int, default=100)

@@ -61,6 +61,9 @@ class Dataset:
                 f"feature rows ({self.features.shape[0]}) != target rows "
                 f"({self.targets.shape[0]})"
             )
+        finite = np.isfinite(self.features).all(axis=1) & np.isfinite(self.targets).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite feature or target value in row {int(finite.argmin())}")
 
     @property
     def n(self) -> int:
@@ -213,7 +216,6 @@ def generate_binary_clusters(spec: BinarySynthSpec) -> Dataset:
 class CsvReport:
     """Row-level ingestion outcome; bad rows are skipped, not fatal."""
 
-    n_rows: int = 0
     n_used: int = 0
     rejected: list[tuple[int, str]] = field(default_factory=list)
 
@@ -261,7 +263,6 @@ def load_csv(path, feature_columns, target_columns, header: bool = True):
         if not row or all(not c.strip() for c in row):
             skipped.append(offset)
             continue
-        report.n_rows += 1
         try:
             feats.append([float(row[j]) for j in feat_idx])
             targs.append([float(row[j]) for j in targ_idx])
@@ -288,22 +289,16 @@ def load_csv(path, feature_columns, target_columns, header: bool = True):
     return Dataset(features, targets, feature_names=names), report
 
 
-def normalize_minmax(dataset: Dataset, fit_on: np.ndarray | None = None):
-    """Min-max normalize features and targets using statistics from the
-    ``fit_on`` rows only (defaults to all rows). Returns the normalized
-    dataset; its ``normalization`` record supports the inverse transform."""
-    if fit_on is None:
-        fit_on = np.arange(dataset.n)
-    fit_on = np.asarray(fit_on)
-    if fit_on.size == 0:
-        raise ValueError("fit_on must be non-empty")
-
-    fx, fy = dataset.features[fit_on], dataset.targets[fit_on]
+def normalize_minmax(dataset: Dataset) -> Dataset:
+    """Min-max normalize features and targets using statistics from all of
+    ``dataset``'s rows (pass the training split only). Returns the
+    normalized dataset; its ``normalization`` record supports the inverse
+    transform."""
     record = NormalizationRecord(
-        feature_min=fx.min(axis=0),
-        feature_max=fx.max(axis=0),
-        target_min=fy.min(axis=0),
-        target_max=fy.max(axis=0),
+        feature_min=dataset.features.min(axis=0),
+        feature_max=dataset.features.max(axis=0),
+        target_min=dataset.targets.min(axis=0),
+        target_max=dataset.targets.max(axis=0),
     )
     return Dataset(
         record.apply_features(dataset.features),
@@ -313,13 +308,11 @@ def normalize_minmax(dataset: Dataset, fit_on: np.ndarray | None = None):
     )
 
 
-def split(dataset: Dataset, train_fraction: float, seed: int, shuffle: bool = True):
+def split(dataset: Dataset, train_fraction: float, seed: int):
     """Seeded shuffle then prefix split into (train, test), both non-empty."""
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must be in (0, 1)")
-    order = np.arange(dataset.n)
-    if shuffle:
-        order = np.random.default_rng(seed).permutation(dataset.n)
+    order = np.random.default_rng(seed).permutation(dataset.n)
     n_train = round(train_fraction * dataset.n)
     if not 0 < n_train < dataset.n:
         raise ValueError(

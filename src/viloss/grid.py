@@ -17,15 +17,14 @@ import numpy as np
 
 from .data import Dataset
 
+NORM_KINDS = ("l1", "l2")  # gamma: L1 or squared-L2 target deviation
+
 
 @dataclass
 class CellGrid:
     """Per-cell statistics as arrays, one row per non-empty cell in sorted
     key order, plus the cell row of every sample the grid was fitted on."""
 
-    lam: int
-    feature_subset: list[int]
-    bounds: list[tuple[float, float]]  # per selected dimension
     keys: np.ndarray  # (k, d) bin index per selected dimension
     count: np.ndarray  # (k,)
     x_mean: np.ndarray  # (k, d)
@@ -52,19 +51,11 @@ def dataset_fingerprint(dataset: Dataset) -> str:
     return h.hexdigest()
 
 
-def _check_finite(features: np.ndarray) -> None:
-    bad = ~np.isfinite(features)
-    if bad.any():
-        i = int(np.argwhere(bad.any(axis=1))[0, 0])
-        raise ValueError(f"non-finite feature value at sample index {i}")
-
-
-def _bin_indices(sub: np.ndarray, bounds, lam: int) -> np.ndarray:
-    """Equal-width half-open bins; the upper bound folds into the last bin.
-    Out-of-range coordinates clamp to the edge bins."""
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    width = hi - lo
+def _bin_indices(sub: np.ndarray, lam: int) -> np.ndarray:
+    """Equal-width half-open bins over each column's range; the maximum
+    folds into the last bin."""
+    lo = sub.min(axis=0)
+    width = sub.max(axis=0) - lo
     idx = np.zeros(sub.shape, dtype=np.int64)
     live = width > 0  # zero-range dimensions collapse to a single bin
     if live.any():
@@ -113,10 +104,9 @@ def fit_grid(
     if any(j < 0 or j >= dataset.feature_dim for j in feature_subset):
         raise ValueError("feature_subset index out of range")
 
-    _check_finite(dataset.features)
+    # Dataset guarantees finite values, so every sample lands in a bin
     sub = dataset.features[:, feature_subset]
-    bounds = [(float(c.min()), float(c.max())) for c in sub.T]
-    keys, cell_of = np.unique(_bin_indices(sub, bounds, lam), axis=0, return_inverse=True)
+    keys, cell_of = np.unique(_bin_indices(sub, lam), axis=0, return_inverse=True)
     cell_of = cell_of.reshape(-1)  # some numpy releases keep a trailing axis here
     count = np.bincount(cell_of)
     x_mean, sigma_x = _cell_moments(sub, cell_of, count)
@@ -132,9 +122,6 @@ def fit_grid(
         mu = np.ones(len(count))  # no variation anywhere: degrade to uniform weighting
 
     return CellGrid(
-        lam=lam,
-        feature_subset=list(feature_subset),
-        bounds=bounds,
         keys=keys,
         count=count,
         x_mean=x_mean,
@@ -148,16 +135,6 @@ def fit_grid(
     )
 
 
-def locate_cell(grid: CellGrid, features: np.ndarray) -> tuple[int, ...]:
-    """Cell index of a single feature vector; out-of-bounds coordinates
-    clamp to the nearest edge bin."""
-    features = np.asarray(features, dtype=np.float64)
-    if not np.isfinite(features).all():
-        raise ValueError("non-finite coordinate")
-    sub = features[grid.feature_subset][None, :]
-    return tuple(_bin_indices(sub, grid.bounds, grid.lam)[0])
-
-
 @dataclass(frozen=True)
 class WeightTable:
     """Per-sample (mu, gamma, weight), fixed before training starts and
@@ -166,8 +143,6 @@ class WeightTable:
     mu: np.ndarray
     gamma: np.ndarray
     weight: np.ndarray
-    norm_kind: str
-    fingerprint: str
 
     def __len__(self) -> int:
         return len(self.weight)
@@ -187,8 +162,8 @@ def compute_weights(grid: CellGrid, dataset: Dataset, norm_kind: str = "l2") -> 
     target deviation assign gamma = 0 to all their samples.
     """
     norm_kind = norm_kind.lower()
-    if norm_kind not in ("l1", "l2"):
-        raise ValueError(f"norm_kind must be 'l1' or 'l2', got {norm_kind!r}")
+    if norm_kind not in NORM_KINDS:
+        raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {norm_kind!r}")
     if dataset_fingerprint(dataset) != grid.fingerprint:
         raise ValueError("dataset does not match the one the grid was fitted on")
 
@@ -206,7 +181,7 @@ def compute_weights(grid: CellGrid, dataset: Dataset, norm_kind: str = "l2") -> 
     weight = mu / (1.0 + gamma)
     for arr in (mu, gamma, weight):
         arr.setflags(write=False)
-    return WeightTable(mu, gamma, weight, norm_kind, grid.fingerprint)
+    return WeightTable(mu, gamma, weight)
 
 
 def localized_deviation(grid: CellGrid) -> float:
@@ -236,10 +211,3 @@ def select_lambda(
         report.append(SweepEntry(lam, localized_deviation(grid), grid.n_cells))
     best = max(report, key=lambda e: (e.ld, -e.lam))
     return best.lam, report
-
-
-def write_sweep_report(report: list[SweepEntry], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("lambda,ld,nonempty_cells\n")
-        for e in report:
-            fh.write(f"{e.lam},{e.ld!r},{e.n_cells}\n")

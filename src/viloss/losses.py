@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import NORM_KINDS
+
 BCE_EPS = 1e-12
 
 BASE_KINDS = ("mse", "huber", "lqr", "bce")
@@ -29,8 +31,8 @@ class LossSpec:
             raise ValueError(f"unknown base loss {self.base!r}")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
-        if self.norm_kind.lower() not in ("l1", "l2"):
-            raise ValueError(f"norm_kind must be 'l1' or 'l2', got {self.norm_kind!r}")
+        if self.norm_kind.lower() not in NORM_KINDS:
+            raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {self.norm_kind!r}")
 
     @property
     def label(self) -> str:

@@ -47,13 +47,12 @@ def regression_metrics(y_hat: np.ndarray, y: np.ndarray) -> RegressionReport:
     return RegressionReport(mape, mae, y.shape[0])
 
 
-def classification_metrics(prob: np.ndarray, y: np.ndarray, threshold: float = 0.5):
-    """Confusion-matrix metrics with class 1 as the positive class."""
-    if not 0 < threshold < 1:
-        raise ValueError("threshold must be in (0, 1)")
+def classification_metrics(prob: np.ndarray, y: np.ndarray) -> ClassificationReport:
+    """Confusion-matrix metrics with class 1 as the positive class, predicted
+    where the probability is at least 0.5."""
     prob = np.asarray(prob, dtype=np.float64).ravel()
     y = np.asarray(y).ravel().astype(int)
-    pred = (prob >= threshold).astype(int)
+    pred = (prob >= 0.5).astype(int)
 
     tp = int(np.sum((pred == 1) & (y == 1)))
     fp = int(np.sum((pred == 1) & (y == 0)))

@@ -3,13 +3,12 @@ mini-batch SGD trainer that consumes per-sample weights."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, NormalizationRecord
 from .grid import WeightTable
 from .losses import LossSpec, batch_value_grad
 
@@ -48,7 +47,6 @@ class TrainConfig:
 @dataclass
 class TrainReport:
     loss_history: list[float]  # weighted mean loss per epoch
-    wall_time: float
 
 
 def monomial_exponents(n_features: int, degree: int):
@@ -190,8 +188,7 @@ def train(
     share the model spec, the data, the config and so the shuffle order, and
     each run's result equals a ``train`` of that run alone. The batch
     parameter gradient is the mean over the batch of weight_i times each
-    sample's loss gradient. Returns one (model, report) per run, in order;
-    the reports share the wall time of the whole stack.
+    sample's loss gradient. Returns one (model, report) per run, in order.
     """
     n = dataset.n
     if config.batch_size > n:
@@ -227,7 +224,6 @@ def train(
     history = np.empty((R, config.epochs))
     rng = np.random.default_rng(config.seed)
     lr = config.learning_rate
-    t0 = time.perf_counter()
 
     # a diverging run keeps stepping on non-finite values until the epoch
     # ends and the check below names it, so numpy's warnings are noise here
@@ -255,31 +251,46 @@ def train(
                 )
             history[:, epoch] = batch_loss.sum(axis=1) / n
 
-    wall_time = time.perf_counter() - t0
     return [
-        (Model(model_spec, weights[k].copy(), bias[k].copy()),
-         TrainReport(history[k].tolist(), wall_time))
+        (Model(model_spec, weights[k].copy(), bias[k].copy()), TrainReport(history[k].tolist()))
         for k in np.argsort(run_order)
     ]
 
 
-def save_model(model: Model, path) -> None:
+_RECORD_FIELDS = tuple(f.name for f in fields(NormalizationRecord))
+
+
+def save_model(model: Model, record: NormalizationRecord, path) -> None:
+    """Write the model with the normalization its training data had, so a
+    loaded model predicts on raw features in the targets' original units."""
     spec = model.spec
     with open(path, "w") as fh:
         fh.write(f"{spec.kind},{spec.degree},{spec.input_dim},{spec.output_dim}\n")
+        for name in _RECORD_FIELDS:
+            fh.write(f"{name}=" + ",".join(repr(float(v)) for v in getattr(record, name)) + "\n")
         for value in np.concatenate([model.weights.ravel(), model.bias]):
             fh.write(f"{float(value)!r}\n")
 
 
-def load_model(path) -> Model:
+def load_model(path) -> tuple[Model, NormalizationRecord]:
+    """Read a file written by ``save_model``: the model and the normalization
+    record it predicts through. A file without the record is rejected."""
     with open(path) as fh:
         kind, degree, input_dim, output_dim = fh.readline().strip().split(",")
-        params = np.array([float(line) for line in fh if line.strip()])
+        lines = [line.strip() for line in fh if line.strip()]
     spec = ModelSpec(kind, int(degree), int(input_dim), int(output_dim))
+    record_lines, param_lines = lines[: len(_RECORD_FIELDS)], lines[len(_RECORD_FIELDS) :]
+    if [line.partition("=")[0] for line in record_lines] != list(_RECORD_FIELDS):
+        raise ValueError(f"{path}: no normalization record")
+    columns = [np.array([float(v) for v in line.partition("=")[2].split(",")])
+               for line in record_lines]
+    if [c.size for c in columns] != [spec.input_dim] * 2 + [spec.output_dim] * 2:
+        raise ValueError(f"{path}: normalization record does not match the model's dimensions")
     model = init_model(spec)
+    params = np.array([float(line) for line in param_lines])
     expected = model.weights.size + model.bias.size
     if params.size != expected:
-        raise ValueError(f"expected {expected} parameters, found {params.size}")
+        raise ValueError(f"{path}: expected {expected} parameters, found {params.size}")
     model.weights = params[: model.weights.size].reshape(model.weights.shape)
     model.bias = params[model.weights.size :]
-    return model
+    return model, NormalizationRecord(*columns)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from viloss import SynthSpec, generate_synth, ground_truth, load_csv, save_csv
+from viloss import Dataset, ground_truth, load_csv, save_csv, split
 from viloss.cli import main
 
 
@@ -158,6 +158,28 @@ class TestTrainCommand:
         ])
         assert code == 1
 
+    def test_test_rows_do_not_change_the_model(self, tmp_path):
+        # normalization and grid are fitted on the training rows only: moving
+        # every test-split row's feature by 100 leaves model.txt unchanged
+        data = tmp_path / "s.csv"
+        run(["gen", "--out", data])
+        lines = data.read_text().splitlines()
+        n = len(lines) - 1
+        _, test_rows = split(Dataset(np.arange(n)[:, None], np.zeros(n)), 0.7, seed=0)
+        for i in test_rows.features[:, 0].astype(int):
+            x, y = lines[i + 1].split(",")
+            lines[i + 1] = f"{float(x) + 100.0!r},{y}"
+        shifted = tmp_path / "shifted.csv"
+        shifted.write_text("\n".join(lines) + "\n")
+        saved = []
+        for path in (data, shifted):
+            out_dir = tmp_path / path.stem
+            assert run(["train", "--data", path, "--feature-cols", "x1", "--target-cols", "y",
+                        "--epochs", 3, "--lr", 0.1, "--out-dir", out_dir]) == 0
+            saved.append((out_dir / "model.txt").read_bytes())
+        assert b"feature_max=" in saved[0]
+        assert saved[0] == saved[1]
+
 
 class TestEval:
     def test_eval_saved_model(self, tmp_path, capsys):
@@ -172,6 +194,33 @@ class TestEval:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("mape,mae")
+
+    def test_eval_on_test_split_reproduces_train_metrics(self, tmp_path, capsys):
+        data = tmp_path / "s.csv"
+        run(["gen", "--out", data])
+        out_dir = tmp_path / "run"
+        assert run(["train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
+                    "--model", "polynomial", "--degree", 6, "--lambda", 2, "--epochs", 20,
+                    "--lr", 0.1, "--out-dir", out_dir]) == 0
+        row = (out_dir / "results.csv").read_text().splitlines()[1]
+        _, test_set = split(load_csv(data, ["x1"], ["y"])[0], 0.7, seed=0)
+        test_csv = tmp_path / "test.csv"
+        save_csv(test_set, test_csv)
+        capsys.readouterr()
+        assert run(["eval", "--data", test_csv, "--feature-cols", "x1", "--target-cols", "y",
+                    "--model", out_dir / "model.txt"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["mape,mae", ",".join(row.split(",")[6:8])]
+
+    def test_feature_count_mismatch_names_model(self, tmp_path, capsys):
+        data = tmp_path / "s.csv"
+        run(["gen", "--variant", "synth-2d", "--n", 50, "--out", data])
+        out_dir = tmp_path / "run"
+        run(["train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
+             "--epochs", 1, "--out-dir", out_dir])
+        capsys.readouterr()
+        assert run(["eval", "--data", data, "--feature-cols", "x1,x2", "--target-cols", "y",
+                    "--model", out_dir / "model.txt"]) == 1
+        assert f"{out_dir / 'model.txt'} was trained on 1 features" in capsys.readouterr().err
 
 
 class TestRepro:

@@ -8,7 +8,6 @@ from viloss import (
     fit_grid,
     generate_synth,
     localized_deviation,
-    locate_cell,
     select_lambda,
 )
 from viloss.grid import dataset_fingerprint
@@ -107,11 +106,6 @@ class TestFitGrid:
         with pytest.raises(ValueError):
             fit_grid(ds, 2)
 
-    def test_non_finite_feature_names_sample(self):
-        ds = make_1d([0.1, np.nan, 0.8])
-        with pytest.raises(ValueError, match="index 1"):
-            fit_grid(ds, 2)
-
     def test_bad_feature_subset(self):
         ds = make_1d([0.1, 0.8])
         with pytest.raises(ValueError):
@@ -148,29 +142,6 @@ class TestFitGrid:
                 cy = targets[rows]
                 sigma_y = np.sqrt(np.mean(np.sum((cy - cy.mean(0)) ** 2, axis=1)))
                 assert grid.sigma_y[row] == pytest.approx(sigma_y, rel=1e-9, abs=1e-12)
-
-
-class TestLocateCell:
-    @pytest.fixture
-    def grid01(self):
-        return fit_grid(make_1d([0.0, 1.0]), 2)
-
-    def test_below_midpoint(self, grid01):
-        assert locate_cell(grid01, [0.3]) == (0,)
-
-    def test_boundary_goes_up(self, grid01):
-        assert locate_cell(grid01, [0.5]) == (1,)
-
-    def test_max_maps_to_last_bin(self, grid01):
-        assert locate_cell(grid01, [1.0]) == (1,)
-
-    def test_out_of_bounds_clamps(self, grid01):
-        assert locate_cell(grid01, [-3.0]) == (0,)
-        assert locate_cell(grid01, [42.0]) == (1,)
-
-    def test_non_finite_rejected(self, grid01):
-        with pytest.raises(ValueError):
-            locate_cell(grid01, [np.inf])
 
 
 class TestComputeWeights:

@@ -66,13 +66,3 @@ class TestClassificationMetrics:
         assert report.recall == pytest.approx(0.75)
         assert report.f1 == pytest.approx(0.75)
         assert report.accuracy == pytest.approx(0.8)
-
-    def test_threshold(self):
-        prob = np.array([0.4, 0.6])
-        y = np.array([0, 1])
-        assert classification_metrics(prob, y, threshold=0.3).recall == 1.0
-        assert classification_metrics(prob, y, threshold=0.7).recall == 0.0
-
-    def test_bad_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            classification_metrics(np.array([0.5]), np.array([1]), threshold=1.5)

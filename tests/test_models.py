@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -380,15 +382,27 @@ class TestSaveLoad:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(21)
         model = _random_model(ModelSpec("polynomial", degree=4, input_dim=2), rng)
+        norm = normalize_minmax(Dataset(rng.random((10, 2)), rng.normal(size=10)))
         path = tmp_path / "model.txt"
-        save_model(model, path)
-        loaded = load_model(path)
+        save_model(model, norm.normalization, path)
+        loaded, record = load_model(path)
         assert loaded.spec == model.spec
         np.testing.assert_array_equal(loaded.weights, model.weights)
         np.testing.assert_array_equal(loaded.bias, model.bias)
+        for name in ("feature_min", "feature_max", "target_min", "target_max"):
+            np.testing.assert_array_equal(getattr(record, name),
+                                          getattr(norm.normalization, name))
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
-        path.write_text("linear,1,2,1\n0.5\n")
-        with pytest.raises(ValueError):
+        path.write_text("linear,1,2,1\nfeature_min=0.0,0.0\nfeature_max=1.0,1.0\n"
+                        "target_min=0.0\ntarget_max=1.0\n0.5\n")
+        with pytest.raises(ValueError, match="expected 3 parameters, found 1"):
+            load_model(path)
+
+    def test_file_without_normalization_rejected(self, tmp_path):
+        # a model file without the record cannot reproduce the training metric
+        path = tmp_path / "model.txt"
+        path.write_text("linear,1,2,1\n0.5\n0.25\n0.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no normalization record")):
             load_model(path)
