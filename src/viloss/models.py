@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import Dataset, NormalizationRecord
 from .grid import WeightTable
-from .losses import LossSpec, batch_value_grad
+from .losses import LossSpec, batch_value_grad, sigmoid
 
 MODEL_KINDS = ("linear", "polynomial", "logistic")
 
@@ -93,12 +93,8 @@ class Model:
             raise ValueError(f"expected basis dim {self.basis_dim}, got {phi.shape[1]}")
         z = phi @ self.weights.T + self.bias
         if self.spec.kind == "logistic":
-            return _sigmoid(z)
+            return sigmoid(z)
         return z
-
-
-def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def init_model(spec: ModelSpec) -> Model:
@@ -113,11 +109,15 @@ def init_model(spec: ModelSpec) -> Model:
 Run = tuple[LossSpec, WeightTable | np.ndarray | None]
 
 
-def _loss_groups(specs: list[LossSpec]) -> tuple[list[int], list[tuple[LossSpec, slice]]]:
+def _loss_groups(kind, specs: list[LossSpec]) -> tuple[list[int], list[tuple[LossSpec, slice]]]:
     """Sort the runs by (base, delta) loss. Returns the sorted run order and,
-    for each distinct loss, its spec and its runs' slice of that order."""
+    for each distinct loss, its spec and its runs' slice of that order.
+    Logistic models and bce, the loss of a logit, only go with each other."""
     rows: dict = {}
     for r, spec in enumerate(specs):
+        if (kind == "logistic") != (spec.base == "bce"):
+            raise ValueError(f"run {r}: a {kind} model cannot train with the {spec.base} loss; "
+                             f"logistic models and the bce loss go together")
         rows.setdefault((spec.base, spec.delta), (spec, []))[1].append(r)
     order, groups = [], []
     for spec, idx in rows.values():
@@ -126,7 +126,7 @@ def _loss_groups(specs: list[LossSpec]) -> tuple[list[int], list[tuple[LossSpec,
     return order, groups
 
 
-def _batch_step(logistic: bool, groups, weights, bias, phi, y, w):
+def _batch_step(groups, weights, bias, phi, y, w):
     """Forward and backward pass of R stacked runs over one shared batch.
 
     ``weights`` (R, out, basis) and ``bias`` (R, out) are the runs'
@@ -141,12 +141,9 @@ def _batch_step(logistic: bool, groups, weights, bias, phi, y, w):
     the others' results unchanged.
     """
     z = np.matmul(phi, weights.transpose(0, 2, 1)) + bias[:, None, :]
-    pred = _sigmoid(z) if logistic else z
-    values, grad = np.empty(pred.shape[:2]), np.empty_like(pred)
+    values, grad = np.empty(z.shape[:2]), np.empty_like(z)
     for spec, runs in groups:
-        values[runs], grad[runs] = batch_value_grad(spec, pred[runs], y[runs])
-    if logistic:
-        grad = grad * pred * (1.0 - pred)
+        values[runs], grad[runs] = batch_value_grad(spec, z[runs], y[runs])
     dw = np.einsum("rbo,bk,rb->rok", grad, phi, w)
     db = np.einsum("rbo,rb->ro", grad, w)
     return values, dw, db
@@ -157,10 +154,9 @@ def parameter_gradient(model: Model, loss_spec: LossSpec, features, target, weig
     the step that ``train`` runs, for one run on a batch of one."""
     phi = np.atleast_2d(model.expand(features))
     y = np.atleast_2d(np.asarray(target, dtype=np.float64))[None]
-    _, dw, db = _batch_step(
-        model.spec.kind == "logistic", _loss_groups([loss_spec])[1],
-        model.weights[None], model.bias[None], phi, y, np.array([[weight]], dtype=np.float64),
-    )
+    groups = _loss_groups(model.spec.kind, [loss_spec])[1]
+    w = np.array([[weight]], dtype=np.float64)
+    _, dw, db = _batch_step(groups, model.weights[None], model.bias[None], phi, y, w)
     return dw[0], db[0]
 
 
@@ -204,10 +200,9 @@ def train(
             f"run {r}: weight of sample {i} must be finite and non-negative, got {w[r, i]!r}"
         )
     # the runs of one loss sit side by side, so its loss sees a slice of the stack
-    run_order, groups = _loss_groups(specs)
+    run_order, groups = _loss_groups(model_spec.kind, specs)
     w = w[run_order]
-    logistic = model_spec.kind == "logistic"
-    if logistic and not np.isin(dataset.targets, (0.0, 1.0)).all():
+    if model_spec.kind == "logistic" and not np.isin(dataset.targets, (0.0, 1.0)).all():
         raise ValueError("logistic training requires targets in {0, 1}")
 
     template = init_model(model_spec)
@@ -235,8 +230,7 @@ def train(
                 B = len(batch)
                 wb = w.take(batch, axis=1)
                 values, dw, db = _batch_step(
-                    logistic, groups, weights, bias,
-                    phi.take(batch, axis=0), y.take(batch, axis=1), wb,
+                    groups, weights, bias, phi.take(batch, axis=0), y.take(batch, axis=1), wb
                 )
                 batch_loss[:, j] = (wb * values).sum(axis=1)
                 weights -= lr * dw / B

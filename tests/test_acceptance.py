@@ -41,7 +41,12 @@ def _finite_diff_param_grad(model, loss_spec, x, y, weight, h=1e-6):
             flat[: model.weights.size].reshape(model.weights.shape),
             flat[model.weights.size :],
         )
-        values, _ = batch_value_grad(loss_spec, probe.predict_batch(x), np.atleast_2d(y))
+        pred = probe.predict_batch(x)[0]
+        if loss_spec.base == "bce":
+            # BCE of the predicted probability, independent of the library's
+            # loss of the logit
+            return weight * -(y[0] * np.log(pred[0]) + (1 - y[0]) * np.log(1 - pred[0]))
+        values, _ = batch_value_grad(loss_spec, pred[None], np.atleast_2d(y))
         return weight * values[0]
 
     flat0 = np.concatenate([model.weights.ravel(), model.bias])

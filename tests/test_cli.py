@@ -116,6 +116,19 @@ class TestTrainCommand:
         assert "n=1" in capsys.readouterr().err
         assert not (out_dir / "results.csv").exists()
 
+    def test_linear_bce_rejected_without_outputs(self, tmp_path, capsys):
+        data = tmp_path / "bin.csv"
+        data.write_text("x1,y\n" + "".join(f"{i / 10},{i % 2}.0\n" for i in range(10)))
+        out_dir = tmp_path / "run"
+        code = run([
+            "train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
+            "--model", "linear", "--loss", "bce", "--epochs", 1, "--out-dir", out_dir,
+        ])
+        assert code == 1
+        assert "a linear model cannot train with the bce loss" in capsys.readouterr().err
+        for name in ("results.csv", "model.txt", "manifest.txt"):
+            assert not (out_dir / name).exists()
+
     def test_nan_target_row_skipped_with_warning(self, tmp_path, capsys):
         data = tmp_path / "s.csv"
         run(["gen", "--out", data])

@@ -46,3 +46,21 @@ def test_row_permutation_permutes_weights(case):
     for name in ("mu", "gamma", "weight"):
         np.testing.assert_allclose(getattr(permuted, name), getattr(table, name)[perm],
                                    rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cases)
+def test_equal_cell_spread_gives_unit_mu(case):
+    # every occupied cell of a unit lattice holds one translate of the same
+    # point pattern, which spans less than a cell; with the first and last
+    # lattice cell occupied, the fitted bins put each translate in its own cell
+    rng = np.random.default_rng(case["seed"])
+    m, lam = case["m"], case["lam"]
+    pattern = rng.random((int(rng.integers(2, 7)), m)) / 2
+    pattern -= pattern.min(axis=0)
+    corners = np.stack([np.zeros(m), np.full(m, lam - 1.0)])
+    cells = np.unique(np.vstack([corners, rng.integers(0, lam, size=(case["n"] // 4, m))]), axis=0)
+    features = (cells[:, None, :] + pattern).reshape(-1, m)
+    grid, table = weigh(features, rng.normal(size=(len(features), 1)), lam, case["norm"])
+    np.testing.assert_array_equal(grid.keys, cells)
+    np.testing.assert_allclose(table.mu, 1.0, rtol=0, atol=1e-12)

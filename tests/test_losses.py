@@ -37,18 +37,24 @@ class TestBaseLossValues:
         assert values[0] == pytest.approx(0.125)
 
     def test_bce_half(self):
-        values, _ = batch_value_grad(LossSpec("bce"), [[0.5]], [[1.0]])
+        # logit 0 is probability 0.5
+        values, _ = batch_value_grad(LossSpec("bce"), [[0.0]], [[1.0]])
         assert values[0] == pytest.approx(math.log(2))
 
     def test_lqr_quartic(self):
         values, _ = batch_value_grad(LossSpec("lqr"), [[2.0]], [[0.0]])
         assert values[0] == pytest.approx(16.0)
 
-    def test_bce_clamps_extreme_predictions(self):
-        for p, y in [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, 1.0)]:
-            values, grads = batch_value_grad(LossSpec("bce"), [[p]], [[y]])
-            assert np.isfinite(values[0])
-            assert np.isfinite(grads[0]).all()
+    def test_bce_extreme_logits(self):
+        # no clip: a confident right answer costs exactly 0, a confident
+        # wrong one its full logit, and nothing under- or overflows
+        with np.errstate(all="raise"):
+            values, grads = batch_value_grad(
+                LossSpec("bce"), [[1000.0], [-1000.0], [1000.0], [-1000.0]],
+                [[1.0], [0.0], [0.0], [1.0]],
+            )
+        np.testing.assert_array_equal(values, [0.0, 0.0, 1000.0, 1000.0])
+        np.testing.assert_array_equal(grads[:, 0], [0.0, 0.0, 1.0, -1.0])
 
     def test_bce_requires_scalar_output(self):
         with pytest.raises(ValueError):
@@ -76,7 +82,7 @@ class TestGradients:
         rng = np.random.default_rng(18)
         spec = LossSpec("bce")
         for _ in range(20):
-            y_hat = rng.uniform(0.05, 0.95, size=1)
+            y_hat = rng.uniform(-6.0, 6.0, size=1)  # a logit
             y = np.array([float(rng.integers(0, 2))])
             _, grads = batch_value_grad(spec, y_hat[None], y[None])
             fd = finite_diff_grad(spec, y_hat, y)

@@ -19,6 +19,23 @@ def test_tracer_finds_every_wrapped_name(monkeypatch):
     assert tracer.Tracer(viloss).missing == []
 
 
+def test_traced_names_see_every_step(monkeypatch, tmp_path):
+    # the training step must call the loss through the name the tracer wraps,
+    # or the losses.* metrics would read nothing instead of failing
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent))
+    tracer = importlib.import_module("perfbench.tracer").Tracer(viloss)
+    tracer.install()
+    try:
+        code = viloss.cli.main(["repro", "--name", "logistic-synth", "--seeds", "0",
+                                "--epochs", "1", "--out-dir", str(tmp_path)])
+    finally:
+        tracer.remove()
+    assert code == 0
+    names = [span[0] for span in tracer.spans]
+    assert names.count("models.train") == 1
+    assert names.count("losses.value_grad") == 280  # one loss group, ceil(1400 / 5) steps
+
+
 def test_workloads_find_every_cli_name():
     names = set(re.findall(r"\bcli\.([A-Za-z_]\w*)", (PERFBENCH / "workloads.py").read_text()))
     assert {"Dataset", "LAMBDA_CANDIDATES", "split"} <= names  # the regex still sees the calls
