@@ -30,7 +30,15 @@ from .data import (
 from .grid import NORM_KINDS, compute_weights, fit_grid, select_lambda
 from .losses import BASE_KINDS, LossSpec
 from .metrics import classification_metrics, regression_metrics
-from .models import MODEL_KINDS, ModelSpec, TrainConfig, load_model, save_model, train
+from .models import (
+    MODEL_KINDS,
+    ModelSpec,
+    TrainConfig,
+    check_loss_pairing,
+    load_model,
+    save_model,
+    train,
+)
 
 LAMBDA_CANDIDATES = [1, 2, 5, 10, 20, 50, 100]
 
@@ -219,18 +227,19 @@ def _write_run(args, run) -> None:
 
 def cmd_train(args) -> None:
     def run():
+        loss_spec = LossSpec(
+            base=args.loss,
+            delta=args.huber_delta,
+            weighted=args.weighted == "on",
+            norm_kind=args.gamma_norm,
+        )
+        check_loss_pairing(args.model, [loss_spec])  # before the data are read
         dataset = _load_dataset(args)
         model_spec = ModelSpec(
             kind=args.model,
             degree=args.degree,
             input_dim=dataset.feature_dim,
             output_dim=dataset.target_dim,
-        )
-        loss_spec = LossSpec(
-            base=args.loss,
-            delta=args.huber_delta,
-            weighted=args.weighted == "on",
-            norm_kind=args.gamma_norm,
         )
         cfg = TrainConfig(
             epochs=args.epochs,

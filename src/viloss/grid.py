@@ -18,6 +18,7 @@ import numpy as np
 from .data import Dataset
 
 NORM_KINDS = ("l1", "l2")  # gamma: L1 or squared-L2 target deviation
+_KEY_MAX = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -73,12 +74,30 @@ def _cell_moments(values: np.ndarray, cell_of: np.ndarray, count: np.ndarray):
     return mean, np.sqrt(np.bincount(cell_of, sq_dist, k) / count)
 
 
-def _constant_cells(values: np.ndarray, cell_of: np.ndarray, k: int) -> np.ndarray:
-    """Mask of the cells whose rows of ``values`` are all equal."""
-    member = np.empty(k, dtype=np.intp)
-    member[cell_of] = np.arange(len(cell_of))  # any one row of each cell
+def _assign_cells(idx: np.ndarray, lam: int) -> np.ndarray:
+    """Cell row of each sample, for bin indices ``idx`` (n, d) in [0, lam),
+    with the cells in lexicographic order of their bin indices.
+
+    Each sample's bins become one mixed-radix int64 key, built column by
+    column. Before a multiply could overflow, the key is replaced by its rank
+    among the distinct keys, which lies in [0, n) and keeps the order; so
+    ``lam ** d`` may exceed int64 as long as ``lam * n`` does not.
+    """
+    key, bound = idx[:, 0], lam  # every key lies in [0, bound)
+    for col in idx.T[1:]:
+        if bound > _KEY_MAX // lam:
+            distinct, key = np.unique(key, return_inverse=True)
+            bound = len(distinct)
+        key = key * lam + col
+        bound *= lam
+    return np.unique(key, return_inverse=True)[1]
+
+
+def _constant_cells(values: np.ndarray, cell_of: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Mask of the cells whose rows of ``values`` are all equal; ``member``
+    holds one row of each cell."""
     differs = (values != values[member].take(cell_of, axis=0)).any(axis=1)
-    return np.bincount(cell_of, differs, k) == 0
+    return np.bincount(cell_of, differs, len(member)) == 0
 
 
 def fit_grid(
@@ -89,16 +108,23 @@ def fit_grid(
 ) -> CellGrid:
     """Partition the fitting data into cells and compute all cell statistics.
 
-    One ``np.unique`` assigns samples to cells; per-cell means and standard
-    deviations over the selected feature dimensions and over the targets are
-    then accumulated by cell row.
+    Each sample's bin indices over the selected feature dimensions fold into
+    one int64 cell key, and one 1-D ``np.unique`` of the keys gives every
+    sample its cell row, in lexicographic order of the cells' bin indices.
+    Per-cell means and standard deviations over the selected dimensions and
+    over the targets are then accumulated by cell row.
     """
     if dataset.n == 0:
         raise ValueError("cannot fit a grid on an empty dataset")
     if lam < 1:
         raise ValueError("lam must be a positive integer")
+    if lam > _KEY_MAX // dataset.n:
+        raise ValueError(f"lam={lam} is too large for {dataset.n} samples: "
+                         f"lam * n must stay below 2**63")
     if feature_subset is None:
         feature_subset = list(range(dataset.feature_dim))
+    if len(feature_subset) == 0:
+        raise ValueError("feature_subset must name at least one feature")
     if len(set(feature_subset)) != len(feature_subset):
         raise ValueError("feature_subset indices must be distinct")
     if any(j < 0 or j >= dataset.feature_dim for j in feature_subset):
@@ -106,14 +132,16 @@ def fit_grid(
 
     # Dataset guarantees finite values, so every sample lands in a bin
     sub = dataset.features[:, feature_subset]
-    keys, cell_of = np.unique(_bin_indices(sub, lam), axis=0, return_inverse=True)
-    cell_of = cell_of.reshape(-1)  # some numpy releases keep a trailing axis here
+    idx = _bin_indices(sub, lam)
+    cell_of = _assign_cells(idx, lam)
     count = np.bincount(cell_of)
+    member = np.empty(len(count), dtype=np.intp)
+    member[cell_of] = np.arange(dataset.n)  # any one row of each cell
     x_mean, sigma_x = _cell_moments(sub, cell_of, count)
     y_mean, sigma_y = _cell_moments(dataset.targets, cell_of, count)
     # equal targets must give sigma_y 0, and so gamma 0, exactly; their
     # rounded mean need not equal them (three 0.1 sum to 0.30000000000000004)
-    sigma_y[_constant_cells(dataset.targets, cell_of, len(count))] = 0.0
+    sigma_y[_constant_cells(dataset.targets, cell_of, member)] = 0.0
 
     sigma_x_bar = float(sigma_x.mean())
     if sigma_x_bar > 0:
@@ -122,7 +150,7 @@ def fit_grid(
         mu = np.ones(len(count))  # no variation anywhere: degrade to uniform weighting
 
     return CellGrid(
-        keys=keys,
+        keys=idx[member],
         count=count,
         x_mean=x_mean,
         sigma_x=sigma_x,

@@ -109,15 +109,22 @@ def init_model(spec: ModelSpec) -> Model:
 Run = tuple[LossSpec, WeightTable | np.ndarray | None]
 
 
-def _loss_groups(kind, specs: list[LossSpec]) -> tuple[list[int], list[tuple[LossSpec, slice]]]:
-    """Sort the runs by (base, delta) loss. Returns the sorted run order and,
-    for each distinct loss, its spec and its runs' slice of that order.
-    Logistic models and bce, the loss of a logit, only go with each other."""
-    rows: dict = {}
+def check_loss_pairing(kind: str, specs: list[LossSpec]) -> None:
+    """Reject a run whose loss does not go with a ``kind`` model: logistic
+    models and bce, the loss of a logit, only go with each other."""
     for r, spec in enumerate(specs):
         if (kind == "logistic") != (spec.base == "bce"):
             raise ValueError(f"run {r}: a {kind} model cannot train with the {spec.base} loss; "
                              f"logistic models and the bce loss go together")
+
+
+def _loss_groups(kind, specs: list[LossSpec]) -> tuple[list[int], list[tuple[LossSpec, slice]]]:
+    """Sort the runs by (base, delta) loss, after ``check_loss_pairing``.
+    Returns the sorted run order and, for each distinct loss, its spec and
+    its runs' slice of that order."""
+    check_loss_pairing(kind, specs)
+    rows: dict = {}
+    for r, spec in enumerate(specs):
         rows.setdefault((spec.base, spec.delta), (spec, []))[1].append(r)
     order, groups = [], []
     for spec, idx in rows.values():
@@ -252,6 +259,7 @@ def train(
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(NormalizationRecord))
+MODEL_FILE_VERSION = "1"  # the first line of a model file: viloss_model_version=1
 
 
 def save_model(model: Model, record: NormalizationRecord, path) -> None:
@@ -259,6 +267,7 @@ def save_model(model: Model, record: NormalizationRecord, path) -> None:
     loaded model predicts on raw features in the targets' original units."""
     spec = model.spec
     with open(path, "w") as fh:
+        fh.write(f"viloss_model_version={MODEL_FILE_VERSION}\n")
         fh.write(f"{spec.kind},{spec.degree},{spec.input_dim},{spec.output_dim}\n")
         for name in _RECORD_FIELDS:
             fh.write(f"{name}=" + ",".join(repr(float(v)) for v in getattr(record, name)) + "\n")
@@ -268,8 +277,15 @@ def save_model(model: Model, record: NormalizationRecord, path) -> None:
 
 def load_model(path) -> tuple[Model, NormalizationRecord]:
     """Read a file written by ``save_model``: the model and the normalization
-    record it predicts through. A file without the record is rejected."""
+    record it predicts through. A file without the version line, of another
+    version or without the record is rejected."""
     with open(path) as fh:
+        tag, _, version = fh.readline().strip().partition("=")
+        if tag != "viloss_model_version":
+            raise ValueError(f"{path}: no viloss_model_version line")
+        if version != MODEL_FILE_VERSION:
+            raise ValueError(f"{path}: unknown model file version {version!r}, "
+                             f"expected {MODEL_FILE_VERSION!r}")
         kind, degree, input_dim, output_dim = fh.readline().strip().split(",")
         lines = [line.strip() for line in fh if line.strip()]
     spec = ModelSpec(kind, int(degree), int(input_dim), int(output_dim))

@@ -62,6 +62,13 @@ class TestLdSweep:
         for line in out.splitlines()[1:3]:
             assert float(line.split(",")[1]) == 0.0
 
+    def test_empty_feature_subset_names_it(self, tmp_path, capsys):
+        data = tmp_path / "s.csv"
+        run(["gen", "--out", data])
+        assert run(["ld-sweep", "--data", data, "--feature-cols", "x1",
+                    "--target-cols", "y", "--feature-subset", ","]) == 1
+        assert "feature_subset must name at least one feature" in capsys.readouterr().err
+
 
 class TestWeigh:
     def test_weight_table_format(self, tmp_path):
@@ -128,6 +135,15 @@ class TestTrainCommand:
         assert "a linear model cannot train with the bce loss" in capsys.readouterr().err
         for name in ("results.csv", "model.txt", "manifest.txt"):
             assert not (out_dir / name).exists()
+
+    @pytest.mark.parametrize("model,loss", [("linear", "bce"), ("logistic", "mse")])
+    def test_pairing_checked_before_data_read(self, tmp_path, capsys, model, loss):
+        missing = tmp_path / "missing.csv"
+        assert run(["train", "--data", missing, "--feature-cols", "x1", "--target-cols", "y",
+                    "--model", model, "--loss", loss, "--out-dir", tmp_path / "run"]) == 1
+        err = capsys.readouterr().err
+        assert f"a {model} model cannot train with the {loss} loss" in err
+        assert "missing.csv" not in err
 
     def test_nan_target_row_skipped_with_warning(self, tmp_path, capsys):
         data = tmp_path / "s.csv"

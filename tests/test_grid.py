@@ -112,6 +112,8 @@ class TestFitGrid:
             fit_grid(ds, 2, feature_subset=[0, 0])
         with pytest.raises(ValueError):
             fit_grid(ds, 2, feature_subset=[1])
+        with pytest.raises(ValueError, match="feature_subset must name at least one feature"):
+            fit_grid(ds, 2, feature_subset=[])
 
     def test_sigma_x_bar_is_mean_over_cells(self):
         rng = np.random.default_rng(11)

@@ -1,10 +1,12 @@
 """Property tests for fit_grid + compute_weights on random small datasets."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viloss import Dataset, compute_weights, fit_grid
+from viloss.grid import _bin_indices
 
 cases = st.fixed_dictionaries({
     "n": st.integers(1, 60),
@@ -64,3 +66,54 @@ def test_equal_cell_spread_gives_unit_mu(case):
     grid, table = weigh(features, rng.normal(size=(len(features), 1)), lam, case["norm"])
     np.testing.assert_array_equal(grid.keys, cells)
     np.testing.assert_allclose(table.mu, 1.0, rtol=0, atol=1e-12)
+
+
+def assert_matches_row_unique(features, lam, subset):
+    """fit_grid's cells equal a row-wise ``np.unique`` of the bin indices."""
+    idx = _bin_indices(features[:, subset], lam)
+    keys, cell_of, count = np.unique(idx, axis=0, return_inverse=True, return_counts=True)
+    grid = fit_grid(Dataset(features, np.zeros((len(features), 1))), lam, subset)
+    np.testing.assert_array_equal(grid.keys, keys)
+    np.testing.assert_array_equal(grid.cell_of, cell_of.reshape(-1))
+    np.testing.assert_array_equal(grid.count, count)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({
+    "n": st.integers(1, 60),
+    "m": st.integers(1, 8),
+    "lam": st.integers(1, 10**4),
+    "levels": st.integers(1, 6),  # few distinct values per feature, so cells share samples
+    "seed": st.integers(0, 2**32 - 1),
+}))
+def test_flat_key_matches_row_unique(case):
+    # lam ** m passes the int64 maximum from m = 5 at lam = 10**4
+    rng = np.random.default_rng(case["seed"])
+    m = case["m"]
+    features = rng.integers(0, case["levels"], size=(case["n"], m + 1)) * rng.random(m + 1)
+    subset = rng.permutation(m + 1)[:m].tolist()  # any m of the m + 1 columns, in any order
+    assert_matches_row_unique(features, case["lam"], subset)
+
+
+def test_flat_key_reranks_before_int64_overflow(monkeypatch):
+    # 1000 ** 7 > 2 ** 63: the key is re-ranked once before its last column
+    rng = np.random.default_rng(7)
+    features = rng.integers(0, 3, size=(500, 7)) * rng.random(7)
+    calls, unique = [], np.unique
+
+    def counting_unique(a, **kwargs):
+        calls.append(a.shape)
+        return unique(a, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    fit_grid(Dataset(features, np.zeros((500, 1))), 1000)
+    monkeypatch.undo()
+    assert 1000**7 > np.iinfo(np.int64).max
+    assert calls == [(500,), (500,)]
+    assert_matches_row_unique(features, 1000, list(range(7)))
+
+
+def test_lam_times_n_past_int64_rejected():
+    features = np.random.default_rng(0).random((3, 2))
+    with pytest.raises(ValueError, match=r"lam \* n must stay below 2\*\*63"):
+        fit_grid(Dataset(features, np.zeros((3, 1))), 2**62)

@@ -415,14 +415,29 @@ class TestSaveLoad:
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
-        path.write_text("linear,1,2,1\nfeature_min=0.0,0.0\nfeature_max=1.0,1.0\n"
-                        "target_min=0.0\ntarget_max=1.0\n0.5\n")
+        path.write_text("viloss_model_version=1\nlinear,1,2,1\nfeature_min=0.0,0.0\n"
+                        "feature_max=1.0,1.0\ntarget_min=0.0\ntarget_max=1.0\n0.5\n")
         with pytest.raises(ValueError, match="expected 3 parameters, found 1"):
             load_model(path)
 
     def test_file_without_normalization_rejected(self, tmp_path):
         # a model file without the record cannot reproduce the training metric
         path = tmp_path / "model.txt"
-        path.write_text("linear,1,2,1\n0.5\n0.25\n0.0\n")
+        path.write_text("viloss_model_version=1\nlinear,1,2,1\n0.5\n0.25\n0.0\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: no normalization record")):
+            load_model(path)
+
+    @pytest.mark.parametrize("header,message", [
+        ([], "no viloss_model_version line"),
+        (["viloss_model_version=2"], "unknown model file version '2', expected '1'"),
+    ])
+    def test_missing_or_unknown_version_rejected(self, tmp_path, header, message):
+        model = init_model(ModelSpec("linear", input_dim=2))
+        record = normalize_minmax(Dataset(np.eye(2), np.arange(2.0))).normalization
+        path = tmp_path / "model.txt"
+        save_model(model, record, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "viloss_model_version=1"
+        path.write_text("\n".join(header + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             load_model(path)
