@@ -58,10 +58,30 @@ def _parse_columns(text: str) -> list:
     return cols
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Overlay key=value pairs from --config onto the parsed arguments."""
+_TRUE_WORDS, _FALSE_WORDS = ("1", "true", "on", "yes"), ("0", "false", "off", "no")
+
+
+def _config_value(action: argparse.Action, value: str):
+    """``value`` converted as the command line converts it for ``action``:
+    its type and its choices, or a true/false word for a store_true flag."""
+    if action.nargs == 0:  # a store_true flag
+        if value.lower() not in _TRUE_WORDS + _FALSE_WORDS:
+            raise ValueError(f"expected one of {_TRUE_WORDS + _FALSE_WORDS}, got {value!r}")
+        return value.lower() in _TRUE_WORDS
+    if action.type is not None:
+        value = action.type(value)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"expected one of {tuple(action.choices)}, got {value!r}")
+    return value
+
+
+def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Overlay key=value pairs from --config onto the arguments ``parser``
+    parsed, each converted through its subcommand's own action."""
     if not getattr(args, "config", None):
         return
+    sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    actions = {a.dest: a for a in sub._actions if hasattr(args, a.dest)}  # not --help
     for line_no, line in enumerate(Path(args.config).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -70,16 +90,12 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             raise ValueError(f"{args.config}:{line_no}: expected key=value")
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
-        if not hasattr(args, key):
+        if key not in actions:
             raise ValueError(f"{args.config}:{line_no}: unknown key {key!r}")
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            value = value.lower() in ("1", "true", "on", "yes")
-        elif isinstance(current, int):
-            value = int(value)
-        elif isinstance(current, float):
-            value = float(value)
-        setattr(args, key, value)
+        try:
+            setattr(args, key, _config_value(actions[key], value))
+        except ValueError as exc:
+            raise ValueError(f"{args.config}:{line_no}: {key}: {exc}") from None
 
 
 def _load_dataset(args) -> Dataset:
@@ -157,30 +173,36 @@ def _predict(model, record, features):
     return record.invert_targets(pred)
 
 
-def _run_experiment(dataset, name, model_spec, loss_specs, lam, subset, cfg, mu_floor=0.0):
-    """Split, normalize, weight, train and evaluate every loss spec on one
+def _weighting_columns(spec: LossSpec, norm: str | None, lam) -> str:
+    """The loss, gamma_norm and lambda columns of a variant's results row."""
+    return f"viloss_{spec.base},{norm},{lam}" if norm else f"{spec.base},none,none"
+
+
+def _run_experiment(dataset, name, model_spec, variants, lam, subset, cfg, mu_floor=0.0):
+    """Split, normalize, weight, train and evaluate every variant on one
     split: the grid is fitted once, each gamma norm's weights are computed
-    once, and all specs train in lockstep in one ``train`` call.
+    once, and all variants train in lockstep in one ``train`` call. A
+    variant is a (LossSpec, gamma norm) pair, the norm None for a run
+    without weights.
 
     Returns the training split's normalization record and one (result row,
-    model) per loss spec, in order.
+    model) per variant, in order.
     """
     train_set, test_set = split(dataset, 0.7, cfg.seed)
     train_norm = normalize_minmax(train_set)
     record = train_norm.normalization
 
     tables = {}
-    norms = list(dict.fromkeys(spec.norm_kind for spec in loss_specs if spec.weighted))
+    norms = list(dict.fromkeys(norm for _, norm in variants if norm))
     if norms:
         grid = fit_grid(train_norm, lam, subset, mu_floor=mu_floor)
         tables = {norm: compute_weights(grid, train_norm, norm) for norm in norms}
-    runs = [(spec, tables[spec.norm_kind] if spec.weighted else None) for spec in loss_specs]
+    runs = [(spec, tables.get(norm)) for spec, norm in variants]
     trained = train(model_spec, train_norm, runs, cfg)
 
     results = []
-    for spec, (model, _) in zip(loss_specs, trained):
-        lam_name = lam if spec.weighted else "none"
-        row = f"{name},{_model_name(model_spec)},{spec.label},{lam_name},{cfg.seed}"
+    for (spec, norm), (model, _) in zip(variants, trained):
+        row = f"{name},{_model_name(model_spec)},{_weighting_columns(spec, norm, lam)},{cfg.seed}"
         pred = _predict(model, record, test_set.features)
         row += f",{regression_metrics(pred, test_set.targets).as_row()}"
         if model_spec.kind == "logistic":
@@ -227,13 +249,9 @@ def _write_run(args, run) -> None:
 
 def cmd_train(args) -> None:
     def run():
-        loss_spec = LossSpec(
-            base=args.loss,
-            delta=args.huber_delta,
-            weighted=args.weighted == "on",
-            norm_kind=args.gamma_norm,
-        )
+        loss_spec = LossSpec(base=args.loss, delta=args.huber_delta)
         check_loss_pairing(args.model, [loss_spec])  # before the data are read
+        variant = (loss_spec, args.gamma_norm if args.weighted == "on" else None)
         dataset = _load_dataset(args)
         model_spec = ModelSpec(
             kind=args.model,
@@ -250,7 +268,7 @@ def cmd_train(args) -> None:
         )
         subset = _parse_int_list(args.feature_subset) if args.feature_subset else None
         record, [(row, model)] = _run_experiment(
-            dataset, Path(args.data).stem, model_spec, [loss_spec],
+            dataset, Path(args.data).stem, model_spec, [variant],
             args.grid_lambda, subset, cfg, args.mu_floor,
         )
         return _result_header(model_spec), [row], model, record
@@ -284,12 +302,8 @@ class ReproExperiment:
     batch_size: int
     learning_rate: float
 
-    def loss_specs(self) -> list[LossSpec]:
-        return [
-            LossSpec(base, weighted=weighted, norm_kind=norm)
-            for base in self.bases
-            for weighted, norm in ((False, "l2"), (True, "l1"), (True, "l2"))
-        ]
+    def variants(self) -> list[tuple[LossSpec, str | None]]:
+        return [(LossSpec(base), norm) for base in self.bases for norm in (None, "l1", "l2")]
 
 
 REPRO_EXPERIMENTS = {
@@ -320,7 +334,7 @@ def _repro_rows(name: str, seeds: list[int], epochs: int | None) -> tuple[str, l
         cfg = TrainConfig(epochs=epochs or 150, batch_size=exp.batch_size,
                           learning_rate=exp.learning_rate, seed=seed)
         _, results = _run_experiment(_repro_dataset(name, seed), name, exp.model_spec,
-                                     exp.loss_specs(), exp.lam, None, cfg)
+                                     exp.variants(), exp.lam, None, cfg)
         rows += [row for row, _ in results]
     return _result_header(exp.model_spec), rows
 
@@ -414,9 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         args.func(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

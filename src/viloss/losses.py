@@ -1,12 +1,13 @@
 """Base losses (MSE, Huber, quartic, BCE) with analytic gradients.
 
+A ``LossSpec`` is the loss alone: its base and, for Huber, its threshold.
 Every loss reads the model's linear output. BCE reads it as the logit of
 the logistic model, so it needs no clip and is finite for any finite logit.
 
-The per-sample weight is model-independent. It multiplies each sample's
-parameter gradient last, inside the step that ``train`` runs
-(``viloss.models._batch_step``), so the weighted gradient is exactly the
-weight times the base gradient.
+Nothing here weights a sample. The per-sample weight is the weights given
+with a run to ``train``; it multiplies each sample's parameter gradient
+last, inside the step that ``train`` runs (``viloss.models._batch_step``),
+so the weighted gradient is exactly the weight times the base gradient.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import NORM_KINDS
-
 BASE_KINDS = ("mse", "huber", "lqr", "bce")
 
 
@@ -24,23 +23,12 @@ BASE_KINDS = ("mse", "huber", "lqr", "bce")
 class LossSpec:
     base: str = "mse"
     delta: float = 1.0  # Huber threshold
-    weighted: bool = True
-    norm_kind: str = "l2"
 
     def __post_init__(self):
         if self.base not in BASE_KINDS:
             raise ValueError(f"unknown base loss {self.base!r}")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
-        if self.norm_kind.lower() not in NORM_KINDS:
-            raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {self.norm_kind!r}")
-
-    @property
-    def label(self) -> str:
-        """The loss and gamma_norm columns of a results row."""
-        if self.weighted:
-            return f"viloss_{self.base},{self.norm_kind}"
-        return f"{self.base},none"
 
 
 def sigmoid(z):

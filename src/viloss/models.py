@@ -118,19 +118,12 @@ def check_loss_pairing(kind: str, specs: list[LossSpec]) -> None:
                              f"logistic models and the bce loss go together")
 
 
-def _loss_groups(kind, specs: list[LossSpec]) -> tuple[list[int], list[tuple[LossSpec, slice]]]:
-    """Sort the runs by (base, delta) loss, after ``check_loss_pairing``.
-    Returns the sorted run order and, for each distinct loss, its spec and
-    its runs' slice of that order."""
+def _loss_groups(kind, specs: list[LossSpec]) -> list[tuple[LossSpec, slice]]:
+    """Split the stack, after ``check_loss_pairing``, into its runs of
+    consecutive equal loss specs: each one's spec and slice, in order."""
     check_loss_pairing(kind, specs)
-    rows: dict = {}
-    for r, spec in enumerate(specs):
-        rows.setdefault((spec.base, spec.delta), (spec, []))[1].append(r)
-    order, groups = [], []
-    for spec, idx in rows.values():
-        groups.append((spec, slice(len(order), len(order) + len(idx))))
-        order += idx
-    return order, groups
+    starts = [r for r in range(len(specs)) if r == 0 or specs[r] != specs[r - 1]]
+    return [(specs[a], slice(a, b)) for a, b in zip(starts, starts[1:] + [len(specs)])]
 
 
 def _batch_step(groups, weights, bias, phi, y, w):
@@ -139,7 +132,7 @@ def _batch_step(groups, weights, bias, phi, y, w):
     ``weights`` (R, out, basis) and ``bias`` (R, out) are the runs'
     parameters, ``phi`` (B, basis) the batch's features, ``y`` (R, B, out)
     its targets repeated per run, ``w`` (R, B) each run's sample weights and
-    ``groups`` the slice of runs of each base loss (see ``_loss_groups``). Returns
+    ``groups`` the slices of runs that share a loss (see ``_loss_groups``). Returns
     the unweighted per-sample loss values (R, B) and the weighted gradient
     sums over the batch w.r.t. the weights (R, out, basis) and the biases
     (R, out). Each sample's gradient is formed first and its weight
@@ -161,7 +154,7 @@ def parameter_gradient(model: Model, loss_spec: LossSpec, features, target, weig
     the step that ``train`` runs, for one run on a batch of one."""
     phi = np.atleast_2d(model.expand(features))
     y = np.atleast_2d(np.asarray(target, dtype=np.float64))[None]
-    groups = _loss_groups(model.spec.kind, [loss_spec])[1]
+    groups = _loss_groups(model.spec.kind, [loss_spec])
     w = np.array([[weight]], dtype=np.float64)
     _, dw, db = _batch_step(groups, model.weights[None], model.bias[None], phi, y, w)
     return dw[0], db[0]
@@ -187,11 +180,12 @@ def train(
     """Mini-batch SGD of every run in ``runs`` in lockstep.
 
     A run is a ``(LossSpec, weights)`` pair; ``weights`` is a WeightTable,
-    an (n,) array of finite weights >= 0, or None for unit weights. All runs
-    share the model spec, the data, the config and so the shuffle order, and
-    each run's result equals a ``train`` of that run alone. The batch
-    parameter gradient is the mean over the batch of weight_i times each
-    sample's loss gradient. Returns one (model, report) per run, in order.
+    an (n,) array of finite weights >= 0, or None for unit weights; nothing
+    else weights a run. All runs share the model spec, the data, the config
+    and so the shuffle order, and each run's result equals a ``train`` of
+    that run alone. The batch parameter gradient is the mean over the batch
+    of weight_i times each sample's loss gradient. Returns one (model,
+    report) per run, in the order of ``runs``.
     """
     n = dataset.n
     if config.batch_size > n:
@@ -206,9 +200,8 @@ def train(
         raise ValueError(
             f"run {r}: weight of sample {i} must be finite and non-negative, got {w[r, i]!r}"
         )
-    # the runs of one loss sit side by side, so its loss sees a slice of the stack
-    run_order, groups = _loss_groups(model_spec.kind, specs)
-    w = w[run_order]
+    # each loss sees the slice of the stack its consecutive runs fill
+    groups = _loss_groups(model_spec.kind, specs)
     if model_spec.kind == "logistic" and not np.isin(dataset.targets, (0.0, 1.0)).all():
         raise ValueError("logistic training requires targets in {0, 1}")
 
@@ -245,17 +238,13 @@ def train(
             bad = ~np.isfinite(batch_loss)
             if bad.any():
                 j = int(bad.any(axis=0).argmax())
-                r = min(run_order[k] for k in np.flatnonzero(bad[:, j]))
-                raise TrainingDiverged(
-                    f"run {r} ({specs[r].label}): non-finite loss at epoch {epoch}, "
-                    f"batch starting at {starts[j]}"
-                )
+                r = int(bad[:, j].argmax())
+                raise TrainingDiverged(f"run {r} ({specs[r].base}): non-finite loss at epoch "
+                                       f"{epoch}, batch starting at {starts[j]}")
             history[:, epoch] = batch_loss.sum(axis=1) / n
 
-    return [
-        (Model(model_spec, weights[k].copy(), bias[k].copy()), TrainReport(history[k].tolist()))
-        for k in np.argsort(run_order)
-    ]
+    return [(Model(model_spec, weights[r].copy(), bias[r].copy()), TrainReport(history[r].tolist()))
+            for r in range(R)]
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(NormalizationRecord))
@@ -278,7 +267,7 @@ def save_model(model: Model, record: NormalizationRecord, path) -> None:
 def load_model(path) -> tuple[Model, NormalizationRecord]:
     """Read a file written by ``save_model``: the model and the normalization
     record it predicts through. A file without the version line, of another
-    version or without the record is rejected."""
+    version, with a bad model spec line or without the record is rejected."""
     with open(path) as fh:
         tag, _, version = fh.readline().strip().partition("=")
         if tag != "viloss_model_version":
@@ -286,9 +275,14 @@ def load_model(path) -> tuple[Model, NormalizationRecord]:
         if version != MODEL_FILE_VERSION:
             raise ValueError(f"{path}: unknown model file version {version!r}, "
                              f"expected {MODEL_FILE_VERSION!r}")
-        kind, degree, input_dim, output_dim = fh.readline().strip().split(",")
+        spec_line = fh.readline().strip()
         lines = [line.strip() for line in fh if line.strip()]
-    spec = ModelSpec(kind, int(degree), int(input_dim), int(output_dim))
+    try:
+        kind, degree, input_dim, output_dim = spec_line.split(",")
+        spec = ModelSpec(kind, int(degree), int(input_dim), int(output_dim))
+    except ValueError as exc:
+        raise ValueError(f"{path}:2: expected kind,degree,input_dim,output_dim, "
+                         f"got {spec_line!r} ({exc})") from None
     record_lines, param_lines = lines[: len(_RECORD_FIELDS)], lines[len(_RECORD_FIELDS) :]
     if [line.partition("=")[0] for line in record_lines] != list(_RECORD_FIELDS):
         raise ValueError(f"{path}: no normalization record")

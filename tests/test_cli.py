@@ -187,6 +187,20 @@ class TestTrainCommand:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("weighting,columns", [
+        (["--weighted", "off"], ["mse", "none", "none"]),
+        (["--gamma-norm", "l1"], ["viloss_mse", "l1", "2"]),
+    ])
+    def test_weighting_columns(self, tmp_path, weighting, columns):
+        # the loss, gamma_norm and lambda columns name the weights the run trained with
+        data = tmp_path / "s.csv"
+        run(["gen", "--out", data])
+        out_dir = tmp_path / "run"
+        assert run(["train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
+                    "--epochs", 1, "--out-dir", out_dir, *weighting]) == 0
+        row = (out_dir / "results.csv").read_text().splitlines()[1]
+        assert row.split(",")[2:5] == columns
+
     def test_test_rows_do_not_change_the_model(self, tmp_path):
         # normalization and grid are fitted on the training rows only: moving
         # every test-split row's feature by 100 leaves model.txt unchanged
@@ -294,7 +308,7 @@ class TestRepro:
                     "--epochs", 20, "--out-dir", out_dir])
         assert code == 1
         err = capsys.readouterr().err
-        assert "run 6 (lqr,none): non-finite loss at epoch 10, batch starting at 111" in err
+        assert "run 6 (lqr): non-finite loss at epoch 10, batch starting at 111" in err
         assert not (out_dir / "results.csv").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -303,3 +317,65 @@ class TestRepro:
             run(["repro", "--name", "synth-1d", "--seeds", "0",
                  "--epochs", 2, "--out-dir", d])
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
+
+
+class TestConfigFile:
+    """--config values convert through the subcommand's own flags: their
+    type, their choices and, for store_true flags, true/false words."""
+
+    def _train(self, tmp_path, lines):
+        data = tmp_path / "s.csv"
+        run(["gen", "--out", data])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines)
+        out_dir = tmp_path / "run"
+        code = run(["train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
+                    "--epochs", 1, "--out-dir", out_dir, "--config", cfg])
+        return code, cfg, out_dir
+
+    def test_repro_epochs_with_no_default(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=2\n")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["repro", "--name", "synth-1d", "--seeds", "0", "--out-dir", a,
+                    "--config", cfg]) == 0
+        assert run(["repro", "--name", "synth-1d", "--seeds", "0", "--epochs", 2,
+                    "--out-dir", b]) == 0
+        assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
+
+    def test_gen_n_with_no_default(self, tmp_path):
+        cfg, out = tmp_path / "gen.cfg", tmp_path / "s.csv"
+        cfg.write_text("n=50\n")
+        assert run(["gen", "--out", out, "--config", cfg]) == 0
+        assert out.read_text().count("\n") == 51
+
+    def test_choice_outside_choices_rejected(self, tmp_path, capsys):
+        # weighted=yes used to train unweighted without a word
+        code, cfg, out_dir = self._train(tmp_path, "# weighting\nweighted=yes\n")
+        assert code == 1
+        assert f"{cfg}:2: weighted: expected one of ('on', 'off'), got 'yes'" in (
+            capsys.readouterr().err)
+        assert not (out_dir / "results.csv").exists()
+
+    def test_unknown_model_names_line(self, tmp_path, capsys):
+        code, cfg, _ = self._train(tmp_path, "model=bogus\n")
+        assert code == 1
+        assert f"{cfg}:1: model: expected one of ('linear', 'polynomial', 'logistic'), " \
+               f"got 'bogus'" in capsys.readouterr().err
+
+    def test_bad_number_names_line(self, tmp_path, capsys):
+        code, cfg, _ = self._train(tmp_path, "epochs=2\nlr=fast\n")
+        assert code == 1
+        assert f"{cfg}:2: lr: could not convert string to float: 'fast'" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("word,shuffle", [("yes", False), ("off", True)])
+    def test_store_true_words(self, tmp_path, word, shuffle):
+        code, _, out_dir = self._train(tmp_path, f"no-shuffle={word}\n")
+        assert code == 0
+        assert f"no_shuffle={not shuffle}" in (out_dir / "manifest.txt").read_text()
+
+    def test_store_true_rejects_other_words(self, tmp_path, capsys):
+        code, cfg, _ = self._train(tmp_path, "no-shuffle=maybe\n")
+        assert code == 1
+        assert f"{cfg}:1: no_shuffle: expected one of" in capsys.readouterr().err

@@ -162,9 +162,5 @@ class TestLossSpec:
         with pytest.raises(ValueError):
             LossSpec("huber", delta=0.0)
 
-    def test_bad_norm_rejected(self):
-        with pytest.raises(ValueError):
-            LossSpec("mse", norm_kind="linf")
-
     def test_default_delta(self):
         assert LossSpec("huber").delta == 1.0

@@ -336,8 +336,7 @@ class TestLockstep:
         # equals each variant trained alone
         exp = cli.REPRO_EXPERIMENTS[name]
         ds, tables = _repro_split(name, 0)
-        specs = exp.loss_specs()
-        runs = [(spec, tables[spec.norm_kind] if spec.weighted else None) for spec in specs]
+        runs = [(spec, tables.get(norm)) for spec, norm in exp.variants()]
         cfg = TrainConfig(epochs=3, batch_size=exp.batch_size,
                           learning_rate=exp.learning_rate, seed=0)
         solo = [train(exp.model_spec, ds, [run], cfg)[0] for run in runs]
@@ -371,8 +370,8 @@ class TestLockstep:
         exp = cli.REPRO_EXPERIMENTS["synth-1d"]
         ds, _ = _repro_split("synth-1d", 11)
         cfg = TrainConfig(epochs=20, batch_size=1, learning_rate=exp.learning_rate, seed=11)
-        mse, lqr, huber = (LossSpec(base, weighted=False) for base in ("mse", "lqr", "huber"))
-        with pytest.raises(TrainingDiverged, match=r"run 1 \(lqr,none\): non-finite loss "
+        mse, lqr, huber = (LossSpec(base) for base in ("mse", "lqr", "huber"))
+        with pytest.raises(TrainingDiverged, match=r"run 1 \(lqr\): non-finite loss "
                                                    r"at epoch 10, batch starting at 111$"):
             train(exp.model_spec, ds, [(mse, None), (lqr, None), (huber, None)], cfg)
         with_lqr, seen[:] = seen[:], []
@@ -382,6 +381,17 @@ class TestLockstep:
         for (weights, bias), (want_weights, want_bias) in zip(with_lqr, seen):
             np.testing.assert_array_equal(weights[[0, 2]], want_weights)
             np.testing.assert_array_equal(bias[[0, 2]], want_bias)
+
+    def test_interleaved_stack_keeps_caller_order(self):
+        # the two mse runs are not adjacent, so the stack trains as three
+        # groups in caller order and the diverging lqr run keeps its index
+        exp = cli.REPRO_EXPERIMENTS["synth-1d"]
+        ds, _ = _repro_split("synth-1d", 11)
+        cfg = TrainConfig(epochs=20, batch_size=1, learning_rate=exp.learning_rate, seed=11)
+        runs = [(LossSpec("mse"), None), (LossSpec("lqr"), None), (LossSpec("mse"), None)]
+        with pytest.raises(TrainingDiverged, match=r"^run 1 \(lqr\): non-finite loss "
+                                                   r"at epoch 10, batch starting at 111$"):
+            train(exp.model_spec, ds, runs, cfg)
 
     def test_empty_stack_rejected(self):
         with pytest.raises(ValueError, match="at least one run"):
@@ -440,4 +450,13 @@ class TestSaveLoad:
         assert lines[0] == "viloss_model_version=1"
         path.write_text("\n".join(header + lines[1:]) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_model(path)
+
+    @pytest.mark.parametrize("spec_line", ["linear,1,2", "linear,1,2,1,1", "linear,x,1,1",
+                                           "mlp,1,2,1", ""])
+    def test_malformed_spec_line_names_path_and_line(self, tmp_path, spec_line):
+        path = tmp_path / "model.txt"
+        path.write_text(f"viloss_model_version=1\n{spec_line}\n0.5\n0.25\n0.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: expected kind,degree,"
+                                                       f"input_dim,output_dim, got {spec_line!r}")):
             load_model(path)
