@@ -50,14 +50,6 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
 
-def _parse_columns(text: str) -> list:
-    cols = []
-    for t in text.split(","):
-        t = t.strip()
-        cols.append(int(t) if t.lstrip("-").isdigit() else t)
-    return cols
-
-
 _TRUE_WORDS, _FALSE_WORDS = ("1", "true", "on", "yes"), ("0", "false", "off", "no")
 
 
@@ -99,13 +91,13 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
 
 
 def _load_dataset(args) -> Dataset:
-    dataset, report = load_csv(
+    dataset, rejected = load_csv(
         args.data,
-        _parse_columns(args.feature_cols),
-        _parse_columns(args.target_cols),
+        [t.strip() for t in args.feature_cols.split(",")],
+        [t.strip() for t in args.target_cols.split(",")],
         header=not args.no_header,
     )
-    for line_no, reason in report.rejected:
+    for line_no, reason in rejected:
         print(f"warning: skipped line {line_no}: {reason}", file=sys.stderr)
     return dataset
 

@@ -4,7 +4,10 @@ min-max normalization and train/test splitting."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import itertools
+import math
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +51,6 @@ class Dataset:
 
     features: np.ndarray
     targets: np.ndarray
-    feature_names: list[str] | None = None
     normalization: NormalizationRecord | None = None
 
     def __post_init__(self):
@@ -78,12 +80,7 @@ class Dataset:
         return self.targets.shape[1]
 
     def subset(self, rows: np.ndarray) -> "Dataset":
-        return Dataset(
-            self.features[rows],
-            self.targets[rows],
-            feature_names=self.feature_names,
-            normalization=self.normalization,
-        )
+        return Dataset(self.features[rows], self.targets[rows], normalization=self.normalization)
 
 
 @dataclass
@@ -167,8 +164,7 @@ def generate_synth(spec: SynthSpec) -> Dataset:
         idx = rng.choice(n, size=n_corrupt, replace=False)
         targets[idx] = rng.uniform(lo, hi, size=(n_corrupt, targets.shape[1]))
 
-    names = [f"x{j + 1}" for j in range(m)]
-    return Dataset(features, targets, feature_names=names)
+    return Dataset(features, targets)
 
 
 @dataclass
@@ -209,84 +205,61 @@ def generate_binary_clusters(spec: BinarySynthSpec) -> Dataset:
 
     flip = rng.random(n) < spec.label_noise
     y = np.where(flip, 1.0 - y, y)
-    return Dataset(x, y, feature_names=["x1", "x2"])
+    return Dataset(x, y)
 
 
-@dataclass
-class CsvReport:
-    """Row-level ingestion outcome; bad rows are skipped, not fatal."""
-
-    n_used: int = 0
-    rejected: list[tuple[int, str]] = field(default_factory=list)
+_INDEX = re.compile(r"-?[0-9]+")
 
 
-def _resolve_columns(columns, header_names):
+def _resolve_columns(path, columns, header_names):
+    """Indices of ``columns``: an int, or a string of an optional ``-`` and
+    ASCII digits, is an index; any other string names a header column."""
     resolved = []
     for c in columns:
-        if isinstance(c, int):
-            resolved.append(c)
+        if not isinstance(c, str) or _INDEX.fullmatch(c):
+            resolved.append(int(c))
         elif header_names is not None and c in header_names:
             resolved.append(header_names.index(c))
         else:
-            try:
-                resolved.append(int(c))
-            except (TypeError, ValueError):
-                raise KeyError(f"column {c!r} not found in header")
+            where = "" if header_names is None else f" in header {','.join(header_names)}"
+            raise ValueError(f"{path}: column {c!r} not found{where}")
     return resolved
 
 
 def load_csv(path, feature_columns, target_columns, header: bool = True):
     """Load a CSV into a Dataset, selecting columns by name or index.
 
-    Returns (dataset, report); rows with unparseable or non-finite cells
-    are skipped and listed in the report with their 1-based line numbers.
+    Returns (dataset, rejected). A row whose selected cells are missing,
+    unparseable or non-finite is skipped and listed in ``rejected`` as
+    (1-based line, reason), in line order; a blank row is skipped silently.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-
-    header_names = None
-    start_line = 1
-    if header:
-        header_names = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        start_line = 2
-
-    feat_idx = _resolve_columns(feature_columns, header_names)
-    targ_idx = _resolve_columns(target_columns, header_names)
-
-    report = CsvReport()
-    feats, targs, skipped = [], [], []
-    for offset, row in enumerate(rows):
-        if not row or all(not c.strip() for c in row):
-            skipped.append(offset)
-            continue
-        try:
-            feats.append([float(row[j]) for j in feat_idx])
-            targs.append([float(row[j]) for j in targ_idx])
-        except (ValueError, IndexError) as exc:
-            report.rejected.append((start_line + offset, str(exc)))
-            skipped.append(offset)
-
-    # float() parses "nan" and "inf"; such rows are rejected too
-    features = np.array(feats).reshape(len(feats), len(feat_idx))
-    targets = np.array(targs).reshape(len(targs), len(targ_idx))
-    finite = np.isfinite(features).all(axis=1) & np.isfinite(targets).all(axis=1)
-    if not finite.all():
-        lines = start_line + np.delete(np.arange(len(rows)), skipped)  # of the parsed rows
-        report.rejected += [(int(lines[i]), "non-finite value") for i in np.flatnonzero(~finite)]
-        report.rejected.sort()
-        features, targets = features[finite], targets[finite]
-    report.n_used = len(features)
-    if report.n_used == 0:
+        first = next(reader, None)
+        if first is None:
+            raise ValueError(f"{path}: empty file")
+        names = [c.strip() for c in first] if header else None
+        feature_idx = _resolve_columns(path, feature_columns, names)
+        columns = feature_idx + _resolve_columns(path, target_columns, names)
+        kept, rejected = [], []
+        rows = reader if header else itertools.chain([first], reader)
+        for line, row in enumerate(rows, 2 if header else 1):
+            if not any(c.strip() for c in row):
+                continue
+            try:
+                values = [float(row[j]) for j in columns]
+            except (ValueError, IndexError) as exc:
+                rejected.append((line, str(exc)))
+                continue
+            # float() parses "nan" and "inf", and overflows to inf
+            if all(map(math.isfinite, values)):
+                kept.append(values)
+            else:
+                rejected.append((line, "non-finite value"))
+    if not kept:
         raise ValueError(f"{path}: no usable rows")
-
-    names = None
-    if header_names is not None:
-        names = [header_names[j] for j in feat_idx]
-    return Dataset(features, targets, feature_names=names), report
+    table = np.array(kept)
+    return Dataset(table[:, : len(feature_idx)], table[:, len(feature_idx) :]), rejected
 
 
 def normalize_minmax(dataset: Dataset) -> Dataset:
@@ -303,7 +276,6 @@ def normalize_minmax(dataset: Dataset) -> Dataset:
     return Dataset(
         record.apply_features(dataset.features),
         record.apply_targets(dataset.targets),
-        feature_names=dataset.feature_names,
         normalization=record,
     )
 
@@ -323,7 +295,7 @@ def split(dataset: Dataset, train_fraction: float, seed: int):
 
 
 def save_csv(dataset: Dataset, path) -> None:
-    names = dataset.feature_names or [f"x{j + 1}" for j in range(dataset.feature_dim)]
+    names = [f"x{j + 1}" for j in range(dataset.feature_dim)]
     target_names = [f"y{j + 1}" for j in range(dataset.target_dim)]
     if dataset.target_dim == 1:
         target_names = ["y"]

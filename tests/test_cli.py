@@ -83,6 +83,38 @@ class TestWeigh:
         idx, mu, gamma, weight = lines[1].split(",")
         assert float(weight) == pytest.approx(float(mu) / (1 + float(gamma)))
 
+    @pytest.mark.parametrize("target, reason", [
+        (",abc", "could not convert string to float: 'abc'"),
+        ("", "list index out of range"),  # a short row
+    ])
+    def test_bad_target_row_skipped_with_warning(self, tmp_path, capsys, target, reason):
+        # the whole row goes: keeping its features without the target would
+        # leave features and targets with different row counts
+        data = tmp_path / "s.csv"
+        run(["gen", "--variant", "synth-2d", "--n", 50, "--out", data])
+        lines = data.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + target  # line 3 of the file
+        data.write_text("\n".join(lines) + "\n")
+        columns = ["--data", data, "--feature-cols", "x1,x2", "--target-cols", "y"]
+        table, out_dir = tmp_path / "w.csv", tmp_path / "run"
+        capsys.readouterr()
+        for argv in (["weigh", *columns, "--lambda", 2, "--out", table],
+                     ["train", *columns, "--epochs", 1, "--out-dir", out_dir],
+                     ["eval", *columns, "--model", out_dir / "model.txt"]):
+            assert run(argv) == 0
+            assert capsys.readouterr().err == f"warning: skipped line 3: {reason}\n"
+        assert len(table.read_text().splitlines()) == 50  # header + 49 rows
+
+    def test_unknown_column_names_file_and_header(self, tmp_path, capsys):
+        data = tmp_path / "t.csv"
+        data.write_text("x1,y\n0.1,0.2\n0.3,0.4\n")
+        columns = ["--data", data, "--feature-cols", "x9", "--target-cols", "1"]
+        assert run(["weigh", *columns, "--lambda", 2, "--out", tmp_path / "w.csv"]) == 1
+        assert capsys.readouterr().err == f"error: {data}: column 'x9' not found in header x1,y\n"
+        assert run(["weigh", *columns, "--no-header", "--lambda", 2,
+                    "--out", tmp_path / "w.csv"]) == 1
+        assert capsys.readouterr().err == f"error: {data}: column 'x9' not found\n"
+
 
 class TestTrainCommand:
     def test_writes_outputs(self, tmp_path, capsys):

@@ -86,9 +86,9 @@ class TestLoadCsv:
     def test_basic_header_file(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y\n1,2\n3,4\n")
-        ds, report = load_csv(path, ["x"], ["y"])
+        ds, rejected = load_csv(path, ["x"], ["y"])
         assert ds.n == 2
-        assert report.n_used == 2
+        assert rejected == []
         np.testing.assert_array_equal(ds.features, [[1.0], [3.0]])
 
     def test_malformed_row_reported_with_line_number(self, tmp_path):
@@ -96,9 +96,9 @@ class TestLoadCsv:
         rows[5] = "oops,3"  # line 6 in the file
         path = tmp_path / "d.csv"
         path.write_text("\n".join(rows) + "\n")
-        ds, report = load_csv(path, ["x"], ["y"])
+        ds, rejected = load_csv(path, ["x"], ["y"])
         assert ds.n == 9
-        assert [line for line, _ in report.rejected] == [6]
+        assert [line for line, _ in rejected] == [6]
 
     def test_non_finite_rows_reported_with_line_numbers(self, tmp_path):
         rows = ["x,y"] + [f"{i},{i * 2}" for i in range(10)]
@@ -108,10 +108,84 @@ class TestLoadCsv:
         rows[9] = "8,-inf"  # line 10
         path = tmp_path / "d.csv"
         path.write_text("\n".join(rows) + "\n")
-        ds, report = load_csv(path, ["x"], ["y"])
-        assert ds.n == report.n_used == 6
+        ds, rejected = load_csv(path, ["x"], ["y"])
+        assert ds.n == 6
         assert np.isfinite(ds.features).all() and np.isfinite(ds.targets).all()
-        assert [line for line, _ in report.rejected] == [3, 6, 9, 10]
+        assert [line for line, _ in rejected] == [3, 6, 9, 10]
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("x1,x2,y\n0.1,0.2,0.3\n0.2,0.7,abc\n0.4,0.5,0.6\n",
+             "could not convert string to float: 'abc'"),
+            ("x1,x2,y\n0.1,0.2,0.3\n0.2,0.7\n0.4,0.5,0.6\n", "list index out of range"),
+        ],
+    )
+    def test_bad_target_rejected_with_its_row(self, tmp_path, text, reason):
+        # the whole row goes, so the kept features and targets stay paired
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        ds, rejected = load_csv(path, ["x1", "x2"], ["y"])
+        assert rejected == [(3, reason)]
+        np.testing.assert_array_equal(ds.features, [[0.1, 0.2], [0.4, 0.5]])
+        np.testing.assert_array_equal(ds.targets, [[0.3], [0.6]])
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_edge_case_rows(self, tmp_path, header):
+        lines = [
+            "x1,x2,y",  # 1: the header, or an unparseable row
+            "0.1,0.2,0.3",  # 2
+            "",  # 3: blank, skipped silently
+            "   ",  # 4: whitespace only, skipped silently
+            "0.4,0.5",  # 5: short
+            "abc,0.5,0.6",  # 6
+            "inf,0.5,0.6",  # 7
+            "0.7,0.8,nan",  # 8
+            "-1e400,0.1,0.2",  # 9: overflows to -inf
+            "1e308,0.1,0.2",  # 10
+            '"0.9", 1.0 ,1.1',  # 11: quoted
+            "0.5,0.6,0.7",  # 12
+        ]
+        path = tmp_path / "d.csv"
+        path.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+        columns = (["x1", "x2"], ["y"]) if header else ([0, 1], [2])
+        ds, rejected = load_csv(path, *columns, header=header)
+        expected = [
+            (5, "list index out of range"),
+            (6, "could not convert string to float: 'abc'"),
+            (7, "non-finite value"),
+            (8, "non-finite value"),
+            (9, "non-finite value"),
+        ]
+        if not header:
+            expected.insert(0, (1, "could not convert string to float: 'x1'"))
+        assert rejected == expected
+        np.testing.assert_array_equal(ds.features, [[0.1, 0.2], [1e308, 0.1], [0.9, 1.0], [0.5, 0.6]])
+        np.testing.assert_array_equal(ds.targets, [[0.3], [0.2], [1.1], [0.7]])
+
+    @pytest.mark.parametrize(
+        "text, header, message",
+        [
+            ("", True, "empty file"),
+            ("", False, "empty file"),
+            ("x,y\r\n", True, "no usable rows"),
+            ("\r\n \r\n", True, "no usable rows"),
+            ("\r\n \r\n", False, "no usable rows"),
+        ],
+    )
+    def test_file_without_rows_rejected(self, tmp_path, text, header, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text, newline="")
+        with pytest.raises(ValueError, match=f"d.csv: {message}$"):
+            load_csv(path, [0], [1], header=header)
+
+    def test_digit_strings_are_indices(self, tmp_path):
+        # even where a header column has that name: "1" is column 1, not "1"
+        path = tmp_path / "d.csv"
+        path.write_text("1,a,b\n1,2,3\n4,5,6\n")
+        ds, _ = load_csv(path, ["0", "1"], ["-1"])
+        np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [4.0, 5.0]])
+        np.testing.assert_array_equal(ds.targets, [[3.0], [6.0]])
 
     def test_column_by_index_without_header(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -147,8 +221,10 @@ class TestLoadCsv:
     def test_missing_column(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y\n1,2\n")
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"d.csv: column 'z' not found in header x,y$"):
             load_csv(path, ["z"], ["y"])
+        with pytest.raises(ValueError, match=r"d.csv: column 'z' not found$"):
+            load_csv(path, ["z"], [1], header=False)
 
     def test_zero_usable_rows(self, tmp_path):
         path = tmp_path / "d.csv"

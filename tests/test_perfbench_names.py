@@ -7,6 +7,8 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
+
 import viloss
 import viloss.cli  # noqa: F401  (the tracer wraps names in viloss.cli)
 
@@ -35,6 +37,34 @@ def test_traced_names_see_every_step(monkeypatch, tmp_path):
     assert names.count("models.train") == 1
     assert names.count("losses.value_grad") == 280  # one loss group, ceil(1400 / 5) steps
 
+
+
+def test_traced_csv_pipeline_records_rows_and_ess(monkeypatch, tmp_path):
+    # csv-large-batch reads the row count off load_csv's return value and the
+    # ESS off compute_weights'; nothing else in the suite runs those recorders
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent))
+    tracer = importlib.import_module("perfbench.tracer").Tracer(viloss)
+    data, out_dir = tmp_path / "s.csv", tmp_path / "run"
+    columns = ["--data", str(data), "--feature-cols", "x1,x2", "--target-cols", "y"]
+    tracer.install()
+    try:
+        codes = [viloss.cli.main(["gen", "--variant", "synth-2d", "--n", "60",
+                                  "--out", str(data)])]
+        with data.open("a") as fh:
+            fh.write("0.5,abc,0.5\n")  # one bad row: the count is of usable rows
+        codes += [viloss.cli.main(argv) for argv in (
+            ["weigh", *columns, "--lambda", "2", "--out", str(tmp_path / "w.csv")],
+            ["train", *columns, "--epochs", "1", "--out-dir", str(out_dir)],
+            ["eval", *columns, "--model", str(out_dir / "model.txt")],
+        )]
+    finally:
+        tracer.remove()
+    assert codes == [0, 0, 0, 0]
+    values = {}
+    for name, *_, value in tracer.spans:
+        values.setdefault(name, []).append(value)
+    assert values["data.load_csv"] == [60, 60, 60]
+    assert values["grid.compute_weights"] and np.isfinite(values["grid.compute_weights"]).all()
 
 def test_workloads_find_every_cli_name():
     names = set(re.findall(r"\bcli\.([A-Za-z_]\w*)", (PERFBENCH / "workloads.py").read_text()))
