@@ -1,8 +1,8 @@
 """Command-line harness: data generation, lambda sweeps, weighting,
 training and end-to-end experiment reproduction.
 
-Every run directory gets a manifest recording the exact configuration, so
-re-running with the same manifest reproduces the outputs byte-for-byte.
+Every run directory gets a manifest that records the configuration it ran
+with; re-running with those flags reproduces the outputs byte-for-byte.
 """
 
 from __future__ import annotations
@@ -184,12 +184,12 @@ def _run_experiment(dataset, name, model_spec, variants, lam, subset, cfg, mu_fl
     train_norm = normalize_minmax(train_set)
     record = train_norm.normalization
 
-    tables = {}
+    weights = {}
     norms = list(dict.fromkeys(norm for _, norm in variants if norm))
     if norms:
         grid = fit_grid(train_norm, lam, subset, mu_floor=mu_floor)
-        tables = {norm: compute_weights(grid, train_norm, norm) for norm in norms}
-    runs = [(spec, tables.get(norm)) for spec, norm in variants]
+        weights = {norm: compute_weights(grid, train_norm, norm).weight for norm in norms}
+    runs = [(spec, weights.get(norm)) for spec, norm in variants]
     trained = train(model_spec, train_norm, runs, cfg)
 
     results = []
@@ -244,13 +244,8 @@ def cmd_train(args) -> None:
         loss_spec = LossSpec(base=args.loss, delta=args.huber_delta)
         check_loss_pairing(args.model, [loss_spec])  # before the data are read
         variant = (loss_spec, args.gamma_norm if args.weighted == "on" else None)
+        model_spec = ModelSpec(kind=args.model, degree=args.degree)
         dataset = _load_dataset(args)
-        model_spec = ModelSpec(
-            kind=args.model,
-            degree=args.degree,
-            input_dim=dataset.feature_dim,
-            output_dim=dataset.target_dim,
-        )
         cfg = TrainConfig(
             epochs=args.epochs,
             batch_size=args.batch_size,
@@ -271,8 +266,8 @@ def cmd_train(args) -> None:
 def cmd_eval(args) -> None:
     dataset = _load_dataset(args)
     model, record = load_model(args.model)
-    if dataset.feature_dim != model.spec.input_dim:
-        raise ValueError(f"{args.model} was trained on {model.spec.input_dim} features, "
+    if dataset.feature_dim != record.feature_min.size:
+        raise ValueError(f"{args.model} was trained on {record.feature_min.size} features, "
                          f"--feature-cols selects {dataset.feature_dim}")
     pred = _predict(model, record, dataset.features)
     if model.spec.kind == "logistic":
@@ -299,16 +294,10 @@ class ReproExperiment:
 
 
 REPRO_EXPERIMENTS = {
-    "synth-1d": ReproExperiment(
-        ModelSpec("polynomial", 6, 1, 1), ("mse", "huber", "lqr"), 2, 1, 0.1
-    ),
-    "synth-2d": ReproExperiment(
-        ModelSpec("polynomial", 6, 2, 1), ("mse", "huber", "lqr"), 10, 5, 0.1
-    ),
+    "synth-1d": ReproExperiment(ModelSpec("polynomial", 6), ("mse", "huber", "lqr"), 2, 1, 0.1),
+    "synth-2d": ReproExperiment(ModelSpec("polynomial", 6), ("mse", "huber", "lqr"), 10, 5, 0.1),
     # imbalanced binary task with a logistic model
-    "logistic-synth": ReproExperiment(
-        ModelSpec("logistic", 1, 2, 1), ("bce",), 5, 5, 0.5
-    ),
+    "logistic-synth": ReproExperiment(ModelSpec("logistic"), ("bce",), 5, 5, 0.5),
 }
 REPRO_NAMES = tuple(REPRO_EXPERIMENTS)
 
@@ -339,12 +328,13 @@ def cmd_repro(args) -> None:
     _write_run(args, run)
 
 
-def _add_data_args(p) -> None:
+def _add_data_args(p, feature_subset: bool = True) -> None:
     p.add_argument("--data", required=True, help="input CSV path")
     p.add_argument("--feature-cols", required=True, help="comma list of names or indices")
     p.add_argument("--target-cols", required=True, help="comma list of names or indices")
     p.add_argument("--no-header", action="store_true")
-    p.add_argument("--feature-subset", default="", help="feature indices used for weighting")
+    if feature_subset:  # eval weighs nothing
+        p.add_argument("--feature-subset", default="", help="feature indices used for weighting")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a saved model on a CSV dataset")
-    _add_data_args(p)
+    _add_data_args(p, feature_subset=False)
     p.add_argument("--model", required=True, help="saved model path")
     p.add_argument("--config")
     p.set_defaults(func=cmd_eval)

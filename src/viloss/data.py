@@ -232,6 +232,7 @@ def load_csv(path, feature_columns, target_columns, header: bool = True):
     Returns (dataset, rejected). A row whose selected cells are missing,
     unparseable or non-finite is skipped and listed in ``rejected`` as
     (1-based line, reason), in line order; a blank row is skipped silently.
+    A file without a usable row is rejected, naming the first rejection.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -242,8 +243,10 @@ def load_csv(path, feature_columns, target_columns, header: bool = True):
         feature_idx = _resolve_columns(path, feature_columns, names)
         columns = feature_idx + _resolve_columns(path, target_columns, names)
         kept, rejected = [], []
-        rows = reader if header else itertools.chain([first], reader)
-        for line, row in enumerate(rows, 2 if header else 1):
+        # a quoted cell may span lines: a record starts after the last one's end
+        end = reader.line_num if header else 0
+        for row in reader if header else itertools.chain([first], reader):
+            line, end = end + 1, reader.line_num
             if not any(c.strip() for c in row):
                 continue
             try:
@@ -257,7 +260,9 @@ def load_csv(path, feature_columns, target_columns, header: bool = True):
             else:
                 rejected.append((line, "non-finite value"))
     if not kept:
-        raise ValueError(f"{path}: no usable rows")
+        why = (f" ({len(rejected)} rejected; line {rejected[0][0]}: {rejected[0][1]})"
+               if rejected else "")
+        raise ValueError(f"{path}: no usable rows{why}")
     table = np.array(kept)
     return Dataset(table[:, : len(feature_idx)], table[:, len(feature_idx) :]), rejected
 

@@ -9,7 +9,6 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .data import Dataset, NormalizationRecord
-from .grid import WeightTable
 from .losses import LossSpec, batch_value_grad, sigmoid
 
 MODEL_KINDS = ("linear", "polynomial", "logistic")
@@ -21,16 +20,14 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """A model's kind and degree; the data it trains on give its widths."""
+
     kind: str = "linear"
     degree: int = 1  # polynomial only
-    input_dim: int = 1
-    output_dim: int = 1
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == "logistic" and self.output_dim != 1:
-            raise ValueError("logistic models have a single output")
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
 
@@ -97,16 +94,16 @@ class Model:
         return z
 
 
-def init_model(spec: ModelSpec) -> Model:
+def init_model(spec: ModelSpec, input_dim: int, output_dim: int) -> Model:
     # zero init is deterministic and sufficient for the convex losses here
     if spec.kind == "polynomial":
-        basis_dim = len(monomial_exponents(spec.input_dim, spec.degree))
+        basis_dim = len(monomial_exponents(input_dim, spec.degree))
     else:
-        basis_dim = spec.input_dim
-    return Model(spec, np.zeros((spec.output_dim, basis_dim)), np.zeros(spec.output_dim))
+        basis_dim = input_dim
+    return Model(spec, np.zeros((output_dim, basis_dim)), np.zeros(output_dim))
 
 
-Run = tuple[LossSpec, WeightTable | np.ndarray | None]
+Run = tuple[LossSpec, np.ndarray | None]
 
 
 def check_loss_pairing(kind: str, specs: list[LossSpec]) -> None:
@@ -161,9 +158,7 @@ def parameter_gradient(model: Model, loss_spec: LossSpec, features, target, weig
 
 
 def _run_weights(weights, n: int) -> np.ndarray:
-    if isinstance(weights, WeightTable):
-        weights = weights.weight
-    elif weights is None:
+    if weights is None:
         return np.ones(n)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
@@ -179,9 +174,10 @@ def train(
 ) -> list[tuple[Model, TrainReport]]:
     """Mini-batch SGD of every run in ``runs`` in lockstep.
 
-    A run is a ``(LossSpec, weights)`` pair; ``weights`` is a WeightTable,
-    an (n,) array of finite weights >= 0, or None for unit weights; nothing
-    else weights a run. All runs share the model spec, the data, the config
+    A run is a ``(LossSpec, weights)`` pair; ``weights`` is an (n,) array
+    of finite weights >= 0, or None for unit weights; nothing else weights
+    a run. The model's input and output widths are the dataset's feature
+    and target widths. All runs share the model spec, the data, the config
     and so the shuffle order, and each run's result equals a ``train`` of
     that run alone. The batch parameter gradient is the mean over the batch
     of weight_i times each sample's loss gradient. Returns one (model,
@@ -202,10 +198,13 @@ def train(
         )
     # each loss sees the slice of the stack its consecutive runs fill
     groups = _loss_groups(model_spec.kind, specs)
+    if model_spec.kind == "logistic" and dataset.target_dim != 1:
+        raise ValueError(f"logistic models have a single output; the dataset has "
+                         f"{dataset.target_dim} target columns")
     if model_spec.kind == "logistic" and not np.isin(dataset.targets, (0.0, 1.0)).all():
         raise ValueError("logistic training requires targets in {0, 1}")
 
-    template = init_model(model_spec)
+    template = init_model(model_spec, dataset.feature_dim, dataset.target_dim)
     phi = np.atleast_2d(template.expand(dataset.features))
     R = len(specs)
     # the targets once per run (a view when there is one run), so the loss
@@ -253,11 +252,12 @@ MODEL_FILE_VERSION = "1"  # the first line of a model file: viloss_model_version
 
 def save_model(model: Model, record: NormalizationRecord, path) -> None:
     """Write the model with the normalization its training data had, so a
-    loaded model predicts on raw features in the targets' original units."""
+    loaded model predicts on raw features in the targets' original units.
+    The spec line's widths are the record's feature width and the bias size."""
     spec = model.spec
     with open(path, "w") as fh:
         fh.write(f"viloss_model_version={MODEL_FILE_VERSION}\n")
-        fh.write(f"{spec.kind},{spec.degree},{spec.input_dim},{spec.output_dim}\n")
+        fh.write(f"{spec.kind},{spec.degree},{record.feature_min.size},{model.bias.size}\n")
         for name in _RECORD_FIELDS:
             fh.write(f"{name}=" + ",".join(repr(float(v)) for v in getattr(record, name)) + "\n")
         for value in np.concatenate([model.weights.ravel(), model.bias]):
@@ -267,7 +267,8 @@ def save_model(model: Model, record: NormalizationRecord, path) -> None:
 def load_model(path) -> tuple[Model, NormalizationRecord]:
     """Read a file written by ``save_model``: the model and the normalization
     record it predicts through. A file without the version line, of another
-    version, with a bad model spec line or without the record is rejected."""
+    version, with a bad model spec line (a logistic model has one output)
+    or without the record is rejected."""
     with open(path) as fh:
         tag, _, version = fh.readline().strip().partition("=")
         if tag != "viloss_model_version":
@@ -279,7 +280,9 @@ def load_model(path) -> tuple[Model, NormalizationRecord]:
         lines = [line.strip() for line in fh if line.strip()]
     try:
         kind, degree, input_dim, output_dim = spec_line.split(",")
-        spec = ModelSpec(kind, int(degree), int(input_dim), int(output_dim))
+        spec, input_dim, output_dim = ModelSpec(kind, int(degree)), int(input_dim), int(output_dim)
+        if kind == "logistic" and output_dim != 1:
+            raise ValueError("logistic models have a single output")
     except ValueError as exc:
         raise ValueError(f"{path}:2: expected kind,degree,input_dim,output_dim, "
                          f"got {spec_line!r} ({exc})") from None
@@ -288,9 +291,9 @@ def load_model(path) -> tuple[Model, NormalizationRecord]:
         raise ValueError(f"{path}: no normalization record")
     columns = [np.array([float(v) for v in line.partition("=")[2].split(",")])
                for line in record_lines]
-    if [c.size for c in columns] != [spec.input_dim] * 2 + [spec.output_dim] * 2:
+    if [c.size for c in columns] != [input_dim] * 2 + [output_dim] * 2:
         raise ValueError(f"{path}: normalization record does not match the model's dimensions")
-    model = init_model(spec)
+    model = init_model(spec, input_dim, output_dim)
     params = np.array([float(line) for line in param_lines])
     expected = model.weights.size + model.bias.size
     if params.size != expected:

@@ -71,8 +71,8 @@ def test_criterion_1_gradient_identity():
     ]
     for trial in range(100):
         kind, loss = combos[trial % len(combos)]
-        spec = ModelSpec(kind, degree=int(rng.integers(2, 5)), input_dim=2, output_dim=1)
-        model = init_model(spec)
+        spec = ModelSpec(kind, degree=int(rng.integers(2, 5)))
+        model = init_model(spec, 2, 1)
         model.weights = rng.normal(scale=0.5, size=model.weights.shape)
         model.bias = rng.normal(scale=0.5, size=model.bias.shape)
         x = rng.uniform(0, 1, size=2)
@@ -195,9 +195,9 @@ def _regression_mapes(variant, seed, lam, batch_size, epochs=150, lr=0.1):
     grid = fit_grid(train_norm, lam)
     weights = compute_weights(grid, train_norm, "l2")
 
-    model_spec = ModelSpec("polynomial", 6, ds.feature_dim, 1)
+    model_spec = ModelSpec("polynomial", 6)
     cfg = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=lr, seed=seed)
-    runs = [(LossSpec("mse"), None), (LossSpec("mse"), weights)]
+    runs = [(LossSpec("mse"), None), (LossSpec("mse"), weights.weight)]
     test_x = record.apply_features(test_set.features)
     return tuple(
         regression_metrics(record.invert_targets(model.predict_batch(test_x)),
@@ -256,10 +256,10 @@ def _logistic_runs(seed):
     grid = fit_grid(train_set, 5)
     weights = compute_weights(grid, train_set, "l2")
     cfg = TrainConfig(epochs=150, batch_size=5, learning_rate=0.5, seed=seed)
-    runs = [(LossSpec("bce"), None), (LossSpec("bce"), weights)]
+    runs = [(LossSpec("bce"), None), (LossSpec("bce"), weights.weight)]
     return tuple(
         classification_metrics(model.predict_batch(test_set.features), test_set.targets)
-        for model, _ in train(ModelSpec("logistic", 1, 2, 1), train_set, runs, cfg)
+        for model, _ in train(ModelSpec("logistic"), train_set, runs, cfg)
     )
 
 

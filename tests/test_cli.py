@@ -115,6 +115,14 @@ class TestWeigh:
                     "--out", tmp_path / "w.csv"]) == 1
         assert capsys.readouterr().err == f"error: {data}: column 'x9' not found\n"
 
+    def test_no_usable_rows_names_first_rejection(self, tmp_path, capsys):
+        data = tmp_path / "two.csv"
+        data.write_text("x1,y\n0.1,0.2\n0.3,0.4\n")
+        assert run(["weigh", "--data", data, "--feature-cols", 5, "--target-cols", "y",
+                    "--lambda", 2, "--out", tmp_path / "w.csv"]) == 1
+        assert capsys.readouterr().err == (f"error: {data}: no usable rows "
+                                           f"(2 rejected; line 2: list index out of range)\n")
+
 
 class TestTrainCommand:
     def test_writes_outputs(self, tmp_path, capsys):
@@ -296,6 +304,14 @@ class TestEval:
         assert run(["eval", "--data", data, "--feature-cols", "x1,x2", "--target-cols", "y",
                     "--model", out_dir / "model.txt"]) == 1
         assert f"{out_dir / 'model.txt'} was trained on 1 features" in capsys.readouterr().err
+
+    def test_feature_subset_rejected(self, tmp_path, capsys):
+        # eval weighs nothing, so a weighting flag would be silently ignored
+        with pytest.raises(SystemExit):
+            run(["eval", "--data", tmp_path / "s.csv", "--feature-cols", "x1",
+                 "--target-cols", "y", "--model", tmp_path / "model.txt",
+                 "--feature-subset", 0])
+        assert "unrecognized arguments: --feature-subset 0" in capsys.readouterr().err
 
 
 class TestRepro:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,18 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.targets, [[0.3], [0.6]])
 
     @pytest.mark.parametrize("header", [True, False])
+    def test_quoted_cell_spanning_lines_keeps_file_lines(self, tmp_path, header):
+        # the second record takes lines 2 and 3, so the bad row is on line 4
+        path = tmp_path / "d.csv"
+        path.write_text('x,note,y\n0.1,"two\nlines",0.2\n0.3,ok,abc\n')
+        ds, rejected = load_csv(path, [0], [2], header=header)
+        expected = [(4, "could not convert string to float: 'abc'")]
+        if not header:
+            expected.insert(0, (1, "could not convert string to float: 'x'"))
+        assert rejected == expected
+        np.testing.assert_array_equal(ds.targets, [[0.2]])
+
+    @pytest.mark.parametrize("header", [True, False])
     def test_edge_case_rows(self, tmp_path, header):
         lines = [
             "x1,x2,y",  # 1: the header, or an unparseable row
@@ -228,8 +242,10 @@ class TestLoadCsv:
 
     def test_zero_usable_rows(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("x,y\nfoo,bar\n")
-        with pytest.raises(ValueError, match="no usable rows"):
+        path.write_text("x,y\nfoo,bar\n3,baz\n")
+        with pytest.raises(ValueError, match=re.escape(
+                "d.csv: no usable rows (2 rejected; line 2: could not convert string to "
+                "float: 'foo')")):
             load_csv(path, ["x"], ["y"])
 
     def test_save_round_trip(self, tmp_path):

@@ -21,6 +21,7 @@ from viloss import (
     split,
     train,
 )
+from viloss.data import NormalizationRecord
 from viloss.models import Model, TrainingDiverged, init_model
 
 
@@ -48,33 +49,33 @@ class TestExpandPolynomial:
 
 class TestPredict:
     def test_zero_linear_model(self):
-        model = init_model(ModelSpec("linear", input_dim=3, output_dim=2))
+        model = init_model(ModelSpec("linear"), 3, 2)
         np.testing.assert_array_equal(model.predict_batch([1.0, 2.0, 3.0])[0], [0.0, 0.0])
 
     def test_zero_logistic_model(self):
-        model = init_model(ModelSpec("logistic", input_dim=2))
+        model = init_model(ModelSpec("logistic"), 2, 1)
         assert model.predict_batch([5.0, -1.0])[0, 0] == pytest.approx(0.5)
 
     def test_hand_set_linear(self):
-        model = init_model(ModelSpec("linear", input_dim=1))
+        model = init_model(ModelSpec("linear"), 1, 1)
         model.weights[0, 0] = 2.0
         model.bias[0] = 1.0
         assert model.predict_batch([3.0])[0, 0] == pytest.approx(7.0)
 
     def test_dimension_mismatch_rejected(self):
-        model = init_model(ModelSpec("linear", input_dim=2))
+        model = init_model(ModelSpec("linear"), 2, 1)
         with pytest.raises(ValueError):
             model.predict_batch([1.0, 2.0, 3.0])
 
     def test_logistic_output_in_unit_interval(self):
-        model = init_model(ModelSpec("logistic", input_dim=1))
+        model = init_model(ModelSpec("logistic"), 1, 1)
         model.weights[0, 0] = 3.0
         p = model.predict_batch([5.0])[0, 0]
         assert 0.0 < p < 1.0
 
 
-def _random_model(spec: ModelSpec, rng) -> Model:
-    model = init_model(spec)
+def _random_model(spec: ModelSpec, rng, input_dim: int, output_dim: int = 1) -> Model:
+    model = init_model(spec, input_dim, output_dim)
     model.weights = rng.normal(scale=0.5, size=model.weights.shape)
     model.bias = rng.normal(scale=0.5, size=model.bias.shape)
     return model
@@ -113,8 +114,7 @@ class TestParameterGradient:
     )
     def test_matches_finite_differences(self, kind, loss):
         rng = np.random.default_rng(hash((kind, loss)) % 2**31)
-        spec = ModelSpec(kind, degree=3, input_dim=2, output_dim=1)
-        model = _random_model(spec, rng)
+        model = _random_model(ModelSpec(kind, degree=3), rng, 2)
         x = rng.uniform(0, 1, size=2)
         y = np.array([float(rng.integers(0, 2))]) if loss == "bce" else rng.normal(size=1)
         w = float(rng.uniform(0.2, 3.0))
@@ -125,7 +125,7 @@ class TestParameterGradient:
 
     def test_weight_scaling_is_exact(self):
         rng = np.random.default_rng(33)
-        model = _random_model(ModelSpec("linear", input_dim=3, output_dim=2), rng)
+        model = _random_model(ModelSpec("linear"), rng, 3, 2)
         x, y = rng.normal(size=3), rng.normal(size=2)
         for loss in ("mse", "huber", "lqr"):
             base_dw, base_db = parameter_gradient(model, LossSpec(loss), x, y, weight=1.0)
@@ -154,7 +154,7 @@ class TestTrain:
         assert oracle[0, 0] == pytest.approx(2.0, abs=1e-9)
 
         cfg = TrainConfig(epochs=300, batch_size=10, learning_rate=0.2, seed=1)
-        [(model, report)] = train(ModelSpec("linear", input_dim=1), ds,
+        [(model, report)] = train(ModelSpec("linear"), ds,
                                   [(LossSpec("mse"), None)], cfg)
         assert model.weights[0, 0] == pytest.approx(2.0, abs=1e-3)
         assert model.bias[0] == pytest.approx(1.0, abs=1e-3)
@@ -163,8 +163,8 @@ class TestTrain:
     def test_unit_weights_match_unweighted_bitwise(self):
         ds = _linear_1d_dataset(noise=0.1)
         cfg = TrainConfig(epochs=5, batch_size=7, learning_rate=0.05, seed=3)
-        [(m1, r1)] = train(ModelSpec("linear", input_dim=1), ds, [(LossSpec("mse"), None)], cfg)
-        [(m2, r2)] = train(ModelSpec("linear", input_dim=1), ds,
+        [(m1, r1)] = train(ModelSpec("linear"), ds, [(LossSpec("mse"), None)], cfg)
+        [(m2, r2)] = train(ModelSpec("linear"), ds,
                            [(LossSpec("mse"), np.ones(ds.n))], cfg)
         np.testing.assert_array_equal(m1.weights, m2.weights)
         np.testing.assert_array_equal(m1.bias, m2.bias)
@@ -173,8 +173,8 @@ class TestTrain:
     def test_determinism(self):
         ds = _linear_1d_dataset(noise=0.3, seed=5)
         cfg = TrainConfig(epochs=10, batch_size=5, learning_rate=0.05, seed=11)
-        [(m1, r1)] = train(ModelSpec("linear", input_dim=1), ds, [(LossSpec("mse"), None)], cfg)
-        [(m2, r2)] = train(ModelSpec("linear", input_dim=1), ds, [(LossSpec("mse"), None)], cfg)
+        [(m1, r1)] = train(ModelSpec("linear"), ds, [(LossSpec("mse"), None)], cfg)
+        [(m2, r2)] = train(ModelSpec("linear"), ds, [(LossSpec("mse"), None)], cfg)
         np.testing.assert_array_equal(m1.weights, m2.weights)
         assert r1.loss_history == r2.loss_history
 
@@ -186,13 +186,13 @@ class TestTrain:
         weights = np.ones(10)
         weights[4] = 0.0
         cfg = TrainConfig(epochs=20, batch_size=10, learning_rate=0.1, seed=0, shuffle=False)
-        [(m1, _)] = train(ModelSpec("linear", input_dim=1), ds, [(LossSpec("mse"), weights)], cfg)
+        [(m1, _)] = train(ModelSpec("linear"), ds, [(LossSpec("mse"), weights)], cfg)
 
         keep = np.array([i for i in range(10) if i != 4])
         reduced = ds.subset(keep)
         cfg2 = TrainConfig(epochs=20, batch_size=9, learning_rate=0.1 * 9 / 10,
                            seed=0, shuffle=False)
-        [(m2, _)] = train(ModelSpec("linear", input_dim=1), reduced,
+        [(m2, _)] = train(ModelSpec("linear"), reduced,
                           [(LossSpec("mse"), None)], cfg2)
         np.testing.assert_allclose(m1.weights, m2.weights, rtol=1e-12)
         np.testing.assert_allclose(m1.bias, m2.bias, rtol=1e-12)
@@ -202,7 +202,7 @@ class TestTrain:
         # gives the same full-batch gradient sum as weighting it 3x
         x = np.array([[0.0], [1.0], [2.0]])
         y = np.array([[1.0], [0.0], [3.0]])
-        model = init_model(ModelSpec("linear", input_dim=1))
+        model = init_model(ModelSpec("linear"), 1, 1)
         model.weights[0, 0], model.bias[0] = 1.0, 0.5
 
         # hand-computed MSE gradients at (w=1, b=0.5): residuals -0.5, 1.5, -0.5
@@ -231,16 +231,16 @@ class TestTrain:
         cfg = TrainConfig(epochs=1, batch_size=1, learning_rate=0.3, shuffle=False)
         for trial in range(100):
             kind, loss = combos[trial % len(combos)]
-            spec = ModelSpec(kind, degree=3, input_dim=2)
+            spec = ModelSpec(kind, degree=3)
             x = rng.uniform(-1, 1, size=(1, 2))
             y = (rng.integers(0, 2, size=(1, 1)).astype(float) if loss == "bce"
                  else rng.normal(size=(1, 1)))
             w = float(rng.uniform(0.1, 4.0))
             [(model, report)] = train(spec, Dataset(x, y), [(LossSpec(loss), np.array([w]))], cfg)
-            dw, db = parameter_gradient(init_model(spec), LossSpec(loss), x[0], y[0], weight=w)
+            model0 = init_model(spec, 2, 1)
+            dw, db = parameter_gradient(model0, LossSpec(loss), x[0], y[0], weight=w)
             np.testing.assert_array_equal(model.weights, -cfg.learning_rate * dw)
             np.testing.assert_array_equal(model.bias, -cfg.learning_rate * db)
-            model0 = init_model(spec)
             z = model0.expand(x) @ model0.weights.T + model0.bias  # the logit for bce
             values, _ = batch_value_grad(LossSpec(loss), z, y)
             assert report.loss_history == [w * values[0]]
@@ -254,7 +254,7 @@ class TestTrain:
                   ("logistic", "bce")]
         for trial in range(40):
             kind, loss = combos[trial % len(combos)]
-            spec = ModelSpec(kind, degree=3, input_dim=2)
+            spec = ModelSpec(kind, degree=3)
             n = int(rng.integers(2, 9))
             x = rng.uniform(-1, 1, size=(n, 2))
             y = (rng.integers(0, 2, size=(n, 1)).astype(float) if loss == "bce"
@@ -278,14 +278,14 @@ class TestTrain:
             weights[index] = bad
             weights[4] = -1.0  # a later bad weight is not the one named
             with pytest.raises(ValueError, match=f"sample {index} "):
-                train(ModelSpec("linear", input_dim=1), ds, [(LossSpec("mse"), weights)], cfg)
+                train(ModelSpec("linear"), ds, [(LossSpec("mse"), weights)], cfg)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_diverging_run_aborts_with_location(self):
         ds = _linear_1d_dataset(n=20, seed=2)
         cfg = TrainConfig(epochs=50, batch_size=1, learning_rate=1e6, seed=0)
         with pytest.raises(TrainingDiverged, match="epoch"):
-            train(ModelSpec("linear", input_dim=1), ds, [(LossSpec("mse"), None)], cfg)
+            train(ModelSpec("linear"), ds, [(LossSpec("mse"), None)], cfg)
 
     @pytest.mark.parametrize("kind,loss,legal", [("logistic", "mse", "bce"),
                                                  ("linear", "bce", "mse")])
@@ -298,34 +298,35 @@ class TestTrain:
                                              f"{loss} loss"):
             train(ModelSpec(kind), ds, runs, cfg)
         with pytest.raises(ValueError, match="run 0: "):
-            parameter_gradient(init_model(ModelSpec(kind)), LossSpec(loss), [1.0], [1.0])
+            parameter_gradient(init_model(ModelSpec(kind), 1, 1), LossSpec(loss), [1.0], [1.0])
 
     def test_logistic_requires_binary_targets(self):
         ds = _linear_1d_dataset()
         cfg = TrainConfig(epochs=1, batch_size=5)
         with pytest.raises(ValueError, match="\\{0, 1\\}"):
-            train(ModelSpec("logistic", input_dim=1), ds, [(LossSpec("bce"), None)], cfg)
+            train(ModelSpec("logistic"), ds, [(LossSpec("bce"), None)], cfg)
 
     def test_batch_size_bounded_by_n(self):
         ds = _linear_1d_dataset(n=5)
         cfg = TrainConfig(epochs=1, batch_size=6)
         with pytest.raises(ValueError):
-            train(ModelSpec("linear", input_dim=1), ds, [(LossSpec("mse"), None)], cfg)
+            train(ModelSpec("linear"), ds, [(LossSpec("mse"), None)], cfg)
 
     def test_misaligned_weights_rejected(self):
         ds = _linear_1d_dataset(n=5)
         cfg = TrainConfig(epochs=1, batch_size=2)
         with pytest.raises(ValueError, match="aligned"):
-            train(ModelSpec("linear", input_dim=1), ds, [(LossSpec("mse"), np.ones(4))], cfg)
+            train(ModelSpec("linear"), ds, [(LossSpec("mse"), np.ones(4))], cfg)
 
 
 def _repro_split(name, seed):
-    """The normalized training split and the l1/l2 weight tables that
+    """The normalized training split and the l1/l2 weights that
     ``viloss repro`` trains one seed of ``name`` on."""
     exp = cli.REPRO_EXPERIMENTS[name]
     train_norm = normalize_minmax(split(cli._repro_dataset(name, seed), 0.7, seed)[0])
     grid = fit_grid(train_norm, exp.lam)
-    return train_norm, {norm: compute_weights(grid, train_norm, norm) for norm in ("l1", "l2")}
+    return train_norm, {norm: compute_weights(grid, train_norm, norm).weight
+                        for norm in ("l1", "l2")}
 
 
 class TestLockstep:
@@ -395,13 +396,28 @@ class TestLockstep:
 
     def test_empty_stack_rejected(self):
         with pytest.raises(ValueError, match="at least one run"):
-            train(ModelSpec("linear", input_dim=1), _linear_1d_dataset(), [], TrainConfig())
+            train(ModelSpec("linear"), _linear_1d_dataset(), [], TrainConfig())
 
 
 class TestModelSpec:
-    def test_logistic_single_output(self):
-        with pytest.raises(ValueError):
-            ModelSpec("logistic", output_dim=2)
+    def test_logistic_single_output(self, tmp_path, monkeypatch):
+        # the data give a model its widths, so train checks the rule on its
+        # targets before any step, and load_model on the file's spec line
+        steps = []
+        monkeypatch.setattr(models, "_batch_step", lambda *args: steps.append(args))
+        ds = Dataset(np.array([[0.0], [1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="^logistic models have a single output; "
+                                             "the dataset has 2 target columns$"):
+            train(ModelSpec("logistic"), ds, [(LossSpec("bce"), None)], TrainConfig())
+        assert steps == []
+        path = tmp_path / "model.txt"
+        path.write_text("viloss_model_version=1\nlogistic,1,2,2\nfeature_min=0.0,0.0\n"
+                        "feature_max=1.0,1.0\ntarget_min=0.0,0.0\ntarget_max=1.0,1.0\n"
+                        + "0.0\n" * 6)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:2: expected kind,degree,input_dim,output_dim, got 'logistic,1,2,2' "
+                f"(logistic models have a single output)")):
+            load_model(path)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -411,7 +427,7 @@ class TestModelSpec:
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(21)
-        model = _random_model(ModelSpec("polynomial", degree=4, input_dim=2), rng)
+        model = _random_model(ModelSpec("polynomial", degree=4), rng, 2)
         norm = normalize_minmax(Dataset(rng.random((10, 2)), rng.normal(size=10)))
         path = tmp_path / "model.txt"
         save_model(model, norm.normalization, path)
@@ -422,6 +438,25 @@ class TestSaveLoad:
         for name in ("feature_min", "feature_max", "target_min", "target_max"):
             np.testing.assert_array_equal(getattr(record, name),
                                           getattr(norm.normalization, name))
+
+    def test_golden_file(self, tmp_path):
+        # version 1: the spec line's widths come from the record and the bias
+        model = init_model(ModelSpec("linear"), 2, 2)
+        model.weights[:] = [[0.5, -0.25], [0.1, 3.0]]
+        model.bias[:] = [0.125, -2.0]
+        record = NormalizationRecord(np.array([0.0, 1.0]), np.array([2.0, 3.0]),
+                                     np.array([-1.0, 0.0]), np.array([1.5, 1e-3]))
+        path = tmp_path / "model.txt"
+        save_model(model, record, path)
+        assert path.read_text() == (
+            "viloss_model_version=1\n"
+            "linear,1,2,2\n"
+            "feature_min=0.0,1.0\n"
+            "feature_max=2.0,3.0\n"
+            "target_min=-1.0,0.0\n"
+            "target_max=1.5,0.001\n"
+            "0.5\n-0.25\n0.1\n3.0\n0.125\n-2.0\n"
+        )
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
@@ -442,7 +477,7 @@ class TestSaveLoad:
         (["viloss_model_version=2"], "unknown model file version '2', expected '1'"),
     ])
     def test_missing_or_unknown_version_rejected(self, tmp_path, header, message):
-        model = init_model(ModelSpec("linear", input_dim=2))
+        model = init_model(ModelSpec("linear"), 2, 1)
         record = normalize_minmax(Dataset(np.eye(2), np.arange(2.0))).normalization
         path = tmp_path / "model.txt"
         save_model(model, record, path)
