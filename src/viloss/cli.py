@@ -34,6 +34,7 @@ from .models import (
     MODEL_KINDS,
     ModelSpec,
     TrainConfig,
+    check_binary_targets,
     check_loss_pairing,
     load_model,
     save_model,
@@ -269,6 +270,11 @@ def cmd_eval(args) -> None:
     if dataset.feature_dim != record.feature_min.size:
         raise ValueError(f"{args.model} was trained on {record.feature_min.size} features, "
                          f"--feature-cols selects {dataset.feature_dim}")
+    if dataset.target_dim != record.target_min.size:
+        raise ValueError(f"{args.model} was trained on {record.target_min.size} target columns, "
+                         f"--target-cols selects {dataset.target_dim}")
+    if model.spec.kind == "logistic":
+        check_binary_targets(dataset.targets)
     pred = _predict(model, record, dataset.features)
     if model.spec.kind == "logistic":
         print("acc,prec,rec,f1")

@@ -54,24 +54,29 @@ def dataset_fingerprint(dataset: Dataset) -> str:
 
 def _bin_indices(sub: np.ndarray, lam: int) -> np.ndarray:
     """Equal-width half-open bins over each column's range; the maximum
-    folds into the last bin."""
+    folds into the last bin, and a zero-range column is all bin 0."""
     lo = sub.min(axis=0)
     width = sub.max(axis=0) - lo
-    idx = np.zeros(sub.shape, dtype=np.int64)
-    live = width > 0  # zero-range dimensions collapse to a single bin
-    if live.any():
-        scaled = (sub[:, live] - lo[live]) / width[live] * lam
-        idx[:, live] = np.clip(np.floor(scaled).astype(np.int64), 0, lam - 1)
-    return idx
+    # sub - lo >= 0, so truncation is floor; the clamp runs in place, which
+    # saves an (n, d) temporary
+    idx = ((sub - lo) / np.where(width > 0, width, 1.0) * lam).astype(np.int64)
+    return np.minimum(idx, lam - 1, out=idx)
 
 
 def _cell_moments(values: np.ndarray, cell_of: np.ndarray, count: np.ndarray):
     """Per-cell mean (k, c) of ``values`` (n, c) and the root mean squared
-    distance of the cell's rows from it, taken in two passes."""
+    distance of the cell's rows from it, taken in two passes, one column at
+    a time."""
     k = len(count)
-    mean = np.stack([np.bincount(cell_of, col, k) for col in values.T], axis=1) / count[:, None]
-    sq_dist = np.sum((values - mean[cell_of]) ** 2, axis=1)
-    return mean, np.sqrt(np.bincount(cell_of, sq_dist, k) / count)
+    means, sq_dist = [], np.zeros(len(cell_of))
+    for col in values.T:
+        mean = np.bincount(cell_of, col, k) / count
+        dev = mean[cell_of]
+        dev -= col  # the sign is squared away
+        dev *= dev
+        sq_dist += dev
+        means.append(mean)
+    return np.stack(means, axis=1), np.sqrt(np.bincount(cell_of, sq_dist, k) / count)
 
 
 def _assign_cells(idx: np.ndarray, lam: int) -> np.ndarray:
@@ -81,7 +86,10 @@ def _assign_cells(idx: np.ndarray, lam: int) -> np.ndarray:
     Each sample's bins become one mixed-radix int64 key, built column by
     column. Before a multiply could overflow, the key is replaced by its rank
     among the distinct keys, which lies in [0, n) and keeps the order; so
-    ``lam ** d`` may exceed int64 as long as ``lam * n`` does not.
+    ``lam ** d`` may exceed int64 as long as ``lam * n`` does not. The final
+    keys lie in [0, bound); when ``bound <= n`` they are ranked through a
+    dense presence table of ``bound`` entries, in O(n + bound) and without a
+    sort, and only a wider key range is ranked by ``np.unique``.
     """
     key, bound = idx[:, 0], lam  # every key lies in [0, bound)
     for col in idx.T[1:]:
@@ -90,7 +98,11 @@ def _assign_cells(idx: np.ndarray, lam: int) -> np.ndarray:
             bound = len(distinct)
         key = key * lam + col
         bound *= lam
-    return np.unique(key, return_inverse=True)[1]
+    if bound > len(idx):
+        return np.unique(key, return_inverse=True)[1]
+    present = np.zeros(bound, dtype=np.intp)
+    present[key] = 1
+    return (np.cumsum(present) - 1)[key]
 
 
 def _constant_cells(values: np.ndarray, cell_of: np.ndarray, member: np.ndarray) -> np.ndarray:
@@ -109,10 +121,12 @@ def fit_grid(
     """Partition the fitting data into cells and compute all cell statistics.
 
     Each sample's bin indices over the selected feature dimensions fold into
-    one int64 cell key, and one 1-D ``np.unique`` of the keys gives every
-    sample its cell row, in lexicographic order of the cells' bin indices.
-    Per-cell means and standard deviations over the selected dimensions and
-    over the targets are then accumulated by cell row.
+    one int64 cell key, and ranking the keys gives every sample its cell
+    row, in lexicographic order of the cells' bin indices: through a dense
+    table when the keys' range is at most n, else by one 1-D ``np.unique``
+    (see ``_assign_cells``). Per-cell means and standard deviations over the
+    selected dimensions and over the targets are then accumulated by cell
+    row, one column at a time.
     """
     if dataset.n == 0:
         raise ValueError("cannot fit a grid on an empty dataset")

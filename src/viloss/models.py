@@ -115,6 +115,16 @@ def check_loss_pairing(kind: str, specs: list[LossSpec]) -> None:
                              f"logistic models and the bce loss go together")
 
 
+def check_binary_targets(targets: np.ndarray) -> None:
+    """Reject targets a logistic model can neither train on nor be scored
+    against: it has a single output, and its targets lie in {0, 1}."""
+    if targets.shape[1] != 1:
+        raise ValueError(f"logistic models have a single output; the dataset has "
+                         f"{targets.shape[1]} target columns")
+    if not np.isin(targets, (0.0, 1.0)).all():
+        raise ValueError("logistic models require targets in {0, 1}")
+
+
 def _loss_groups(kind, specs: list[LossSpec]) -> list[tuple[LossSpec, slice]]:
     """Split the stack, after ``check_loss_pairing``, into its runs of
     consecutive equal loss specs: each one's spec and slice, in order."""
@@ -198,11 +208,8 @@ def train(
         )
     # each loss sees the slice of the stack its consecutive runs fill
     groups = _loss_groups(model_spec.kind, specs)
-    if model_spec.kind == "logistic" and dataset.target_dim != 1:
-        raise ValueError(f"logistic models have a single output; the dataset has "
-                         f"{dataset.target_dim} target columns")
-    if model_spec.kind == "logistic" and not np.isin(dataset.targets, (0.0, 1.0)).all():
-        raise ValueError("logistic training requires targets in {0, 1}")
+    if model_spec.kind == "logistic":
+        check_binary_targets(dataset.targets)
 
     template = init_model(model_spec, dataset.feature_dim, dataset.target_dim)
     phi = np.atleast_2d(template.expand(dataset.features))

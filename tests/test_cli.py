@@ -3,6 +3,7 @@ import pytest
 
 from viloss import Dataset, ground_truth, load_csv, save_csv, split
 from viloss.cli import main
+from viloss.data import BinarySynthSpec, generate_binary_clusters
 
 
 def run(argv):
@@ -304,6 +305,35 @@ class TestEval:
         assert run(["eval", "--data", data, "--feature-cols", "x1,x2", "--target-cols", "y",
                     "--model", out_dir / "model.txt"]) == 1
         assert f"{out_dir / 'model.txt'} was trained on 1 features" in capsys.readouterr().err
+
+    def test_target_count_mismatch_names_model(self, tmp_path, capsys):
+        data = tmp_path / "s.csv"
+        run(["gen", "--variant", "synth-2d", "--n", 50, "--out", data])
+        out_dir = tmp_path / "run"
+        run(["train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
+             "--epochs", 1, "--out-dir", out_dir])
+        capsys.readouterr()
+        assert run(["eval", "--data", data, "--feature-cols", "x1", "--target-cols", "y,x2",
+                    "--model", out_dir / "model.txt"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""  # checked before the metrics header is printed
+        assert (f"{out_dir / 'model.txt'} was trained on 1 target columns, "
+                f"--target-cols selects 2") in err
+
+    def test_logistic_model_rejects_non_binary_targets(self, tmp_path, capsys):
+        # train rejects such targets; eval used to score them and exit 0
+        data = tmp_path / "b.csv"
+        save_csv(generate_binary_clusters(BinarySynthSpec(n=100)), data)
+        out_dir = tmp_path / "run"
+        assert run(["train", "--data", data, "--feature-cols", "x1,x2", "--target-cols", "y",
+                    "--model", "logistic", "--loss", "bce", "--epochs", 1,
+                    "--out-dir", out_dir]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--data", data, "--feature-cols", "x1,x2", "--target-cols", "x1",
+                    "--model", out_dir / "model.txt"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "logistic models require targets in {0, 1}" in err
 
     def test_feature_subset_rejected(self, tmp_path, capsys):
         # eval weighs nothing, so a weighting flag would be silently ignored

@@ -240,6 +240,15 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=r"d.csv: column 'z' not found$"):
             load_csv(path, ["z"], [1], header=False)
 
+    def test_empty_column_selection_rejected(self, tmp_path):
+        # with no cell to parse, a blank row would be kept as an empty row
+        path = tmp_path / "d.csv"
+        path.write_text("x,y\n1,2\n\n")
+        for features, targets in (([], ["y"]), (["x"], []), ([], [])):
+            with pytest.raises(ValueError, match="d.csv: select at least one feature and one "
+                                                 "target column"):
+                load_csv(path, features, targets)
+
     def test_zero_usable_rows(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,y\nfoo,bar\n3,baz\n")
@@ -337,3 +346,15 @@ class TestDataset:
         targets[5] = -np.inf
         with pytest.raises(ValueError, match="row 5"):
             Dataset(ds.features, targets)
+
+    def test_subset_takes_rows_in_order(self):
+        ds = Dataset(np.arange(5.0)[:, None], np.arange(5.0) * 10)
+        sub = ds.subset(np.array([3, 0, -1]))
+        np.testing.assert_array_equal(sub.features[:, 0], [3.0, 0.0, 4.0])
+        np.testing.assert_array_equal(sub.targets[:, 0], [30.0, 0.0, 40.0])
+
+    def test_subset_rejects_boolean_mask(self):
+        # take() would read a mask as the row indices 0 and 1
+        ds = Dataset(np.arange(3.0)[:, None], np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="integer row indices, got dtype bool"):
+            ds.subset(np.array([True, False, True]))

@@ -95,10 +95,8 @@ def test_flat_key_matches_row_unique(case):
     assert_matches_row_unique(features, case["lam"], subset)
 
 
-def test_flat_key_reranks_before_int64_overflow(monkeypatch):
-    # 1000 ** 7 > 2 ** 63: the key is re-ranked once before its last column
-    rng = np.random.default_rng(7)
-    features = rng.integers(0, 3, size=(500, 7)) * rng.random(7)
+def count_unique_calls(monkeypatch, features, lam):
+    """Shapes of the ``np.unique`` calls that fitting ``features`` makes."""
     calls, unique = [], np.unique
 
     def counting_unique(a, **kwargs):
@@ -106,11 +104,27 @@ def test_flat_key_reranks_before_int64_overflow(monkeypatch):
         return unique(a, **kwargs)
 
     monkeypatch.setattr(np, "unique", counting_unique)
-    fit_grid(Dataset(features, np.zeros((500, 1))), 1000)
+    fit_grid(Dataset(features, np.zeros((len(features), 1))), lam)
     monkeypatch.undo()
+    return calls
+
+
+def test_flat_key_reranks_before_int64_overflow(monkeypatch):
+    # 1000 ** 7 > 2 ** 63: the key is re-ranked once before its last column
+    rng = np.random.default_rng(7)
+    features = rng.integers(0, 3, size=(500, 7)) * rng.random(7)
     assert 1000**7 > np.iinfo(np.int64).max
-    assert calls == [(500,), (500,)]
+    assert count_unique_calls(monkeypatch, features, 1000) == [(500,), (500,)]
     assert_matches_row_unique(features, 1000, list(range(7)))
+
+
+@pytest.mark.parametrize("n,calls", [(25, []), (24, [(24,)])])
+def test_dense_ranking_up_to_n_keys(monkeypatch, n, calls):
+    # lam ** d = 25 keys: a dense table ranks them when n >= 25, with no
+    # sort, and np.unique when the table would outgrow the n samples
+    features = np.random.default_rng(n).random((n, 2))
+    assert count_unique_calls(monkeypatch, features, 5) == calls
+    assert_matches_row_unique(features, 5, [0, 1])
 
 
 def test_lam_times_n_past_int64_rejected():
