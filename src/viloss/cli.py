@@ -246,7 +246,6 @@ def cmd_train(args) -> None:
         check_loss_pairing(args.model, [loss_spec])  # before the data are read
         variant = (loss_spec, args.gamma_norm if args.weighted == "on" else None)
         model_spec = ModelSpec(kind=args.model, degree=args.degree)
-        dataset = _load_dataset(args)
         cfg = TrainConfig(
             epochs=args.epochs,
             batch_size=args.batch_size,
@@ -254,6 +253,7 @@ def cmd_train(args) -> None:
             seed=args.seed,
             shuffle=not args.no_shuffle,
         )
+        dataset = _load_dataset(args)
         subset = _parse_int_list(args.feature_subset) if args.feature_subset else None
         record, [(row, model)] = _run_experiment(
             dataset, Path(args.data).stem, model_spec, [variant],
@@ -318,7 +318,7 @@ def _repro_rows(name: str, seeds: list[int], epochs: int | None) -> tuple[str, l
     exp = REPRO_EXPERIMENTS[name]
     rows = []
     for seed in seeds:
-        cfg = TrainConfig(epochs=epochs or 150, batch_size=exp.batch_size,
+        cfg = TrainConfig(epochs=150 if epochs is None else epochs, batch_size=exp.batch_size,
                           learning_rate=exp.learning_rate, seed=seed)
         _, results = _run_experiment(_repro_dataset(name, seed), name, exp.model_spec,
                                      exp.variants(), exp.lam, None, cfg)
@@ -328,7 +328,10 @@ def _repro_rows(name: str, seeds: list[int], epochs: int | None) -> tuple[str, l
 
 def cmd_repro(args) -> None:
     def run():
-        header, rows = _repro_rows(args.name, _parse_int_list(args.seeds), args.epochs)
+        seeds = _parse_int_list(args.seeds)
+        if not seeds:
+            raise ValueError("--seeds must name at least one seed")
+        header, rows = _repro_rows(args.name, seeds, args.epochs)
         return header, rows, None, None
 
     _write_run(args, run)

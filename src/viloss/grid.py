@@ -10,7 +10,6 @@ The training weight of a sample is ``mu / (1 + gamma)``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,32 +23,22 @@ _KEY_MAX = np.iinfo(np.int64).max
 @dataclass
 class CellGrid:
     """Per-cell statistics as arrays, one row per non-empty cell in sorted
-    key order, plus the cell row of every sample the grid was fitted on."""
+    key order, plus the fitting ``dataset`` (held, not copied: editing it in
+    place invalidates the grid) and the cell row of each of its samples."""
 
     keys: np.ndarray  # (k, d) bin index per selected dimension
     count: np.ndarray  # (k,)
-    x_mean: np.ndarray  # (k, d)
     sigma_x: np.ndarray  # (k,)
     y_mean: np.ndarray  # (k, v)
     sigma_y: np.ndarray  # (k,)
     mu: np.ndarray  # (k,)
     cell_of: np.ndarray  # (n,) row of each fitting sample
     sigma_x_bar: float
-    fingerprint: str
+    dataset: Dataset  # the fitting rows
 
     @property
     def n_cells(self) -> int:
         return len(self.count)
-
-
-def dataset_fingerprint(dataset: Dataset) -> str:
-    """Hash of the full feature and target contents and their shapes, used
-    to detect grid/dataset mismatch."""
-    h = hashlib.sha256()
-    for values in (dataset.features, dataset.targets):
-        h.update(np.int64(values.shape).tobytes())
-        h.update(np.ascontiguousarray(values))
-    return h.hexdigest()
 
 
 def _bin_indices(sub: np.ndarray, lam: int) -> np.ndarray:
@@ -126,7 +115,7 @@ def fit_grid(
     table when the keys' range is at most n, else by one 1-D ``np.unique``
     (see ``_assign_cells``). Per-cell means and standard deviations over the
     selected dimensions and over the targets are then accumulated by cell
-    row, one column at a time.
+    row, one column at a time. The grid holds ``dataset`` itself, uncopied.
     """
     if dataset.n == 0:
         raise ValueError("cannot fit a grid on an empty dataset")
@@ -151,7 +140,7 @@ def fit_grid(
     count = np.bincount(cell_of)
     member = np.empty(len(count), dtype=np.intp)
     member[cell_of] = np.arange(dataset.n)  # any one row of each cell
-    x_mean, sigma_x = _cell_moments(sub, cell_of, count)
+    _, sigma_x = _cell_moments(sub, cell_of, count)
     y_mean, sigma_y = _cell_moments(dataset.targets, cell_of, count)
     # equal targets must give sigma_y 0, and so gamma 0, exactly; their
     # rounded mean need not equal them (three 0.1 sum to 0.30000000000000004)
@@ -166,14 +155,13 @@ def fit_grid(
     return CellGrid(
         keys=idx[member],
         count=count,
-        x_mean=x_mean,
         sigma_x=sigma_x,
         y_mean=y_mean,
         sigma_y=sigma_y,
         mu=np.maximum(mu, mu_floor),
         cell_of=cell_of,
         sigma_x_bar=sigma_x_bar,
-        fingerprint=dataset_fingerprint(dataset),
+        dataset=dataset,
     )
 
 
@@ -197,7 +185,8 @@ class WeightTable:
 
 
 def compute_weights(grid: CellGrid, dataset: Dataset, norm_kind: str = "l2") -> WeightTable:
-    """Derive the per-sample weight table from a fitted grid.
+    """Derive the per-sample weight table from a grid fitted on this very
+    ``dataset`` object; any other, an equal copy included, is rejected.
 
     gamma is the L1 or squared-L2 deviation of a sample's target from its
     cell mean, normalized by the cell's target deviation; cells with zero
@@ -206,14 +195,12 @@ def compute_weights(grid: CellGrid, dataset: Dataset, norm_kind: str = "l2") -> 
     norm_kind = norm_kind.lower()
     if norm_kind not in NORM_KINDS:
         raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {norm_kind!r}")
-    if dataset_fingerprint(dataset) != grid.fingerprint:
+    if dataset is not grid.dataset:
         raise ValueError("dataset does not match the one the grid was fitted on")
 
-    # the fingerprint covers every feature and target byte, so the stored
-    # cell rows of the fitting samples are this dataset's rows
     mu = grid.mu[grid.cell_of]
     sigma_y = grid.sigma_y[grid.cell_of]
-    dev = dataset.targets - grid.y_mean[grid.cell_of]
+    dev = grid.dataset.targets - grid.y_mean[grid.cell_of]
     if norm_kind == "l1":
         dist, scale = np.sum(np.abs(dev), axis=1), sigma_y
     else:

@@ -40,6 +40,14 @@ class TrainConfig:
     seed: int = 0
     shuffle: bool = True
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
+
 
 @dataclass
 class TrainReport:

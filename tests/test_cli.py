@@ -186,6 +186,19 @@ class TestTrainCommand:
         assert f"a {model} model cannot train with the {loss} loss" in err
         assert "missing.csv" not in err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--epochs", 0, "epochs must be >= 1"),
+        ("--batch-size", -1, "batch_size must be >= 1"),
+        ("--lr", 0, "learning_rate must be finite and positive"),
+    ])
+    def test_config_that_trains_nothing_rejected(self, tmp_path, capsys, flag, value, message):
+        missing = tmp_path / "missing.csv"  # checked before the data are read
+        out_dir = tmp_path / "run"
+        assert run(["train", "--data", missing, "--feature-cols", "x1", "--target-cols", "y",
+                    flag, value, "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out_dir / "results.csv").exists()
+
     def test_nan_target_row_skipped_with_warning(self, tmp_path, capsys):
         data = tmp_path / "s.csv"
         run(["gen", "--out", data])
@@ -388,6 +401,19 @@ class TestRepro:
         err = capsys.readouterr().err
         assert "run 6 (lqr): non-finite loss at epoch 10, batch starting at 111" in err
         assert not (out_dir / "results.csv").exists()
+
+    @pytest.mark.parametrize("seeds", ["", ","])
+    def test_empty_seed_list_rejected(self, tmp_path, capsys, seeds):
+        out_dir = tmp_path / "r"
+        assert run(["repro", "--name", "synth-1d", "--seeds", seeds, "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err == "error: --seeds must name at least one seed\n"
+        assert not (out_dir / "results.csv").exists()
+
+    def test_epochs_zero_rejected(self, tmp_path, capsys):
+        # 0 is not "no override": it would train nothing
+        assert run(["repro", "--name", "synth-1d", "--seeds", "0", "--epochs", 0,
+                    "--out-dir", tmp_path / "r"]) == 1
+        assert capsys.readouterr().err == "error: epochs must be >= 1\n"
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -399,6 +399,22 @@ class TestLockstep:
             train(ModelSpec("linear"), _linear_1d_dataset(), [], TrainConfig())
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value,message", [
+        ("epochs", 0, "epochs must be >= 1"),
+        ("epochs", -1, "epochs must be >= 1"),
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("batch_size", -1, "batch_size must be >= 1"),
+        ("learning_rate", 0.0, "learning_rate must be finite and positive"),
+        ("learning_rate", -0.1, "learning_rate must be finite and positive"),
+        ("learning_rate", float("nan"), "learning_rate must be finite and positive"),
+        ("learning_rate", float("inf"), "learning_rate must be finite and positive"),
+    ])
+    def test_values_that_train_nothing_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainConfig(**{field: value})
+
+
 class TestModelSpec:
     def test_logistic_single_output(self, tmp_path, monkeypatch):
         # the data give a model its widths, so train checks the rule on its
