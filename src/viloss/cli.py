@@ -47,8 +47,22 @@ RESULT_HEADER = "dataset,model,loss,gamma_norm,lambda,seed,mape,mae"
 RESULT_HEADER_CLS = RESULT_HEADER + ",acc,prec,rec,f1"
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+def _parse_int_list(text: str, flag: str) -> list[int]:
+    """The distinct integers of a comma list given with ``flag``."""
+    values = []
+    for token in filter(None, (t.strip() for t in text.split(","))):
+        try:
+            value = int(token)
+        except ValueError:
+            raise ValueError(f"{flag}: {token!r} is not an integer") from None
+        if value in values:
+            raise ValueError(f"{flag}: {value} is listed twice")
+        values.append(value)
+    return values
+
+
+def _feature_subset(args) -> list[int] | None:
+    return _parse_int_list(args.feature_subset, "--feature-subset") if args.feature_subset else None
 
 
 _TRUE_WORDS, _FALSE_WORDS = ("1", "true", "on", "yes"), ("0", "false", "off", "no")
@@ -137,8 +151,8 @@ def cmd_gen(args) -> None:
 
 def cmd_ld_sweep(args) -> None:
     dataset = _load_dataset(args)
-    subset = _parse_int_list(args.feature_subset) if args.feature_subset else None
-    lam_star, report = select_lambda(dataset, _parse_int_list(args.candidates), subset)
+    candidates = _parse_int_list(args.candidates, "--candidates")
+    lam_star, report = select_lambda(dataset, candidates, _feature_subset(args))
     table = "lambda,ld,nonempty_cells\n" + "".join(
         f"{entry.lam},{entry.ld!r},{entry.n_cells}\n" for entry in report
     )
@@ -149,8 +163,7 @@ def cmd_ld_sweep(args) -> None:
 
 def cmd_weigh(args) -> None:
     dataset = _load_dataset(args)
-    subset = _parse_int_list(args.feature_subset) if args.feature_subset else None
-    grid = fit_grid(dataset, args.grid_lambda, subset, mu_floor=args.mu_floor)
+    grid = fit_grid(dataset, args.grid_lambda, _feature_subset(args), mu_floor=args.mu_floor)
     table = compute_weights(grid, dataset, args.gamma_norm)
     table.export(args.out)
     print(f"wrote {len(table)} weights to {args.out}")
@@ -254,10 +267,9 @@ def cmd_train(args) -> None:
             shuffle=not args.no_shuffle,
         )
         dataset = _load_dataset(args)
-        subset = _parse_int_list(args.feature_subset) if args.feature_subset else None
         record, [(row, model)] = _run_experiment(
             dataset, Path(args.data).stem, model_spec, [variant],
-            args.grid_lambda, subset, cfg, args.mu_floor,
+            args.grid_lambda, _feature_subset(args), cfg, args.mu_floor,
         )
         return _result_header(model_spec), [row], model, record
 
@@ -328,7 +340,7 @@ def _repro_rows(name: str, seeds: list[int], epochs: int | None) -> tuple[str, l
 
 def cmd_repro(args) -> None:
     def run():
-        seeds = _parse_int_list(args.seeds)
+        seeds = _parse_int_list(args.seeds, "--seeds")
         if not seeds:
             raise ValueError("--seeds must name at least one seed")
         header, rows = _repro_rows(args.name, seeds, args.epochs)

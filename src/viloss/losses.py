@@ -6,8 +6,10 @@ the logistic model, so it needs no clip and is finite for any finite logit.
 
 Nothing here weights a sample. The per-sample weight is the weights given
 with a run to ``train``; it multiplies each sample's parameter gradient
-last, inside the step that ``train`` runs (``viloss.models._batch_step``),
-so the weighted gradient is exactly the weight times the base gradient.
+last, inside the SGD step (``viloss.models._batch_step``), so the weighted
+gradient is exactly the weight times the base gradient. The weight never
+reads a loss value, so the step calls only ``loss_grad``; ``train`` calls
+``batch_value_grad`` once per epoch for the loss history.
 """
 
 from __future__ import annotations
@@ -36,6 +38,25 @@ def sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
+def loss_grad(spec: LossSpec, y_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample gradient w.r.t. y_hat, unchecked: y_hat and y are float
+    arrays of one shape (..., v), and for BCE y_hat is the logit and v is 1.
+    Every gradient formula lives here; ``batch_value_grad`` checks its
+    operands and calls this."""
+    if spec.base == "bce":
+        return sigmoid(y_hat) - y
+    r = y_hat - y
+    if spec.base == "mse":
+        grad = 2.0 * r
+    elif spec.base == "lqr":
+        grad = 4.0 * r**3
+    else:
+        d = spec.delta
+        grad = np.minimum(np.maximum(r, -d), d)  # r inside the threshold, else d * sign(r)
+    v = y.shape[-1]
+    return grad if v == 1 else grad / v  # the mean over one output is that output
+
+
 def batch_value_grad(spec: LossSpec, y_hat: np.ndarray, y: np.ndarray):
     """Vectorized loss over a batch: y_hat and y are (B, v), or (R, B, v)
     for R stacked runs; for BCE y_hat is the logit. Returns per-sample
@@ -51,19 +72,12 @@ def batch_value_grad(spec: LossSpec, y_hat: np.ndarray, y: np.ndarray):
             raise ValueError("BCE requires a single output dimension")
         with np.errstate(under="ignore"):  # for |z| > ~745, exp(-|z|) rounds to its limit, 0
             value = np.maximum(y_hat, 0.0) - y * y_hat + np.log1p(np.exp(-np.abs(y_hat)))
-        return value[..., 0], sigmoid(y_hat) - y
-
-    r = y_hat - y
-    if spec.base == "mse":
-        value, grad = r**2, 2.0 * r
-    elif spec.base == "lqr":
-        value, grad = r**4, 4.0 * r**3
-    else:
+    elif spec.base == "huber":
         d = spec.delta
-        size = np.abs(r)
-        value = np.where(size < d, 0.5 * r**2, d * size - 0.5 * d**2)
-        grad = np.minimum(np.maximum(r, -d), d)  # r inside the threshold, else d * sign(r)
-
-    if v == 1:  # the mean over one output is that output: skip the sum and the divisions
-        return value[..., 0], grad
-    return value.sum(axis=-1) / v, grad / v
+        size = np.abs(y_hat - y)
+        value = np.where(size < d, 0.5 * size**2, d * size - 0.5 * d**2)
+    else:
+        r = y_hat - y
+        value = r**2 if spec.base == "mse" else r**4
+    value = value[..., 0] if v == 1 else value.sum(axis=-1) / v
+    return value, loss_grad(spec, y_hat, y)

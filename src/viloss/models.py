@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .data import Dataset, NormalizationRecord
-from .losses import LossSpec, batch_value_grad, sigmoid
+from .losses import LossSpec, batch_value_grad, loss_grad, sigmoid
 
 MODEL_KINDS = ("linear", "polynomial", "logistic")
 
@@ -141,27 +141,28 @@ def _loss_groups(kind, specs: list[LossSpec]) -> list[tuple[LossSpec, slice]]:
     return [(specs[a], slice(a, b)) for a, b in zip(starts, starts[1:] + [len(specs)])]
 
 
-def _batch_step(groups, weights, bias, phi, y, w):
+def _batch_step(groups, params, grad, phi, y, w):
     """Forward and backward pass of R stacked runs over one shared batch.
 
-    ``weights`` (R, out, basis) and ``bias`` (R, out) are the runs'
-    parameters, ``phi`` (B, basis) the batch's features, ``y`` (R, B, out)
-    its targets repeated per run, ``w`` (R, B) each run's sample weights and
-    ``groups`` the slices of runs that share a loss (see ``_loss_groups``). Returns
-    the unweighted per-sample loss values (R, B) and the weighted gradient
-    sums over the batch w.r.t. the weights (R, out, basis) and the biases
-    (R, out). Each sample's gradient is formed first and its weight
-    multiplies it last, so a weighted sample's gradient is exactly w_i times
-    its unweighted one. Runs never mix: a non-finite value in one run leaves
-    the others' results unchanged.
+    ``params`` (R, out, basis + 1) holds each run's weights with its bias as
+    the last column, ``phi`` (B, basis) the batch's features, ``y`` (R, B,
+    out) its targets repeated per run, ``w`` (R, B) each run's sample
+    weights and ``groups`` the slices of runs that share a loss (see
+    ``_loss_groups``). Writes into ``grad``, of the shape of ``params``, the
+    weighted gradient sums over the batch, and returns the outputs z (R, B,
+    out); no loss value is computed here. Each sample's gradient is formed
+    first and its weight multiplies it last, so a weighted sample's gradient
+    is exactly w_i times its unweighted one. Runs never mix: a non-finite
+    value in one run leaves the others' results unchanged.
     """
-    z = np.matmul(phi, weights.transpose(0, 2, 1)) + bias[:, None, :]
-    values, grad = np.empty(z.shape[:2]), np.empty_like(z)
+    k = phi.shape[1]
+    z = np.matmul(phi, params[:, :, :k].transpose(0, 2, 1)) + params[:, None, :, k]
+    g = np.empty_like(z)
     for spec, runs in groups:
-        values[runs], grad[runs] = batch_value_grad(spec, z[runs], y[runs])
-    dw = np.einsum("rbo,bk,rb->rok", grad, phi, w)
-    db = np.einsum("rbo,rb->ro", grad, w)
-    return values, dw, db
+        g[runs] = loss_grad(spec, z[runs], y[runs])
+    np.einsum("rbo,bk,rb->rok", g, phi, w, out=grad[:, :, :k])
+    np.einsum("rbo,rb->ro", g, w, out=grad[:, :, k])
+    return z
 
 
 def parameter_gradient(model: Model, loss_spec: LossSpec, features, target, weight: float = 1.0):
@@ -171,8 +172,10 @@ def parameter_gradient(model: Model, loss_spec: LossSpec, features, target, weig
     y = np.atleast_2d(np.asarray(target, dtype=np.float64))[None]
     groups = _loss_groups(model.spec.kind, [loss_spec])
     w = np.array([[weight]], dtype=np.float64)
-    _, dw, db = _batch_step(groups, model.weights[None], model.bias[None], phi, y, w)
-    return dw[0], db[0]
+    params = np.concatenate([model.weights, model.bias[:, None]], axis=1)[None]
+    grad = np.empty_like(params)
+    _batch_step(groups, params, grad, phi, y, w)
+    return grad[0, :, :-1], grad[0, :, -1]
 
 
 def _run_weights(weights, n: int) -> np.ndarray:
@@ -198,7 +201,11 @@ def train(
     and target widths. All runs share the model spec, the data, the config
     and so the shuffle order, and each run's result equals a ``train`` of
     that run alone. The batch parameter gradient is the mean over the batch
-    of weight_i times each sample's loss gradient. Returns one (model,
+    of weight_i times each sample's loss gradient. Each run's weights and
+    bias live in one (out, basis + 1) row of a parameter array, the bias
+    last. A step computes gradients only (``_batch_step``); the loss values
+    of an epoch, at the parameters each batch saw, are computed once when
+    it ends, for the history and the divergence check. Returns one (model,
     report) per run, in the order of ``runs``.
     """
     n = dataset.n
@@ -221,15 +228,17 @@ def train(
 
     template = init_model(model_spec, dataset.feature_dim, dataset.target_dim)
     phi = np.atleast_2d(template.expand(dataset.features))
-    R = len(specs)
+    R, k, bs = len(specs), template.basis_dim, config.batch_size
     # the targets once per run (a view when there is one run), so the loss
     # sees operands of one shape and takes numpy's fast non-broadcast path
     y = np.ascontiguousarray(np.broadcast_to(dataset.targets, (R,) + dataset.targets.shape))
-    weights = np.zeros((R,) + template.weights.shape)
-    bias = np.zeros((R,) + template.bias.shape)
+    params = np.zeros((R, dataset.target_dim, k + 1))  # each run's weights, then its bias
+    grad = np.empty_like(params)
+    z = np.empty(y.shape)  # each sample's output at the step that used it
+    values = np.empty((R, n))
 
-    starts = range(0, n, config.batch_size)
-    batch_loss = np.empty((R, len(starts)))  # weighted loss sum per run and batch
+    starts = range(0, n, bs)
+    full = n - n % bs  # the samples in full batches
     history = np.empty((R, config.epochs))
     rng = np.random.default_rng(config.seed)
     lr = config.learning_rate
@@ -239,16 +248,22 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             order = rng.permutation(n) if config.shuffle else np.arange(n)
-            for j, start in enumerate(starts):
-                batch = order[start : start + config.batch_size]
-                B = len(batch)
-                wb = w.take(batch, axis=1)
-                values, dw, db = _batch_step(
-                    groups, weights, bias, phi.take(batch, axis=0), y.take(batch, axis=1), wb
-                )
-                batch_loss[:, j] = (wb * values).sum(axis=1)
-                weights -= lr * dw / B
-                bias -= lr * db / B
+            y_e, w_e = y.take(order, axis=1), w.take(order, axis=1)
+            for start in starts:
+                stop = min(start + bs, n)
+                z[:, start:stop] = _batch_step(groups, params, grad,
+                                               phi.take(order[start:stop], axis=0),
+                                               y_e[:, start:stop], w_e[:, start:stop])
+                grad *= lr
+                grad /= stop - start
+                params -= grad
+            # the loss values of the epoch at the parameters each batch saw
+            for spec, runs in groups:
+                values[runs] = batch_value_grad(spec, z[runs], y_e[runs])[0]
+            weighted = w_e * values
+            batch_loss = weighted[:, :full].reshape(R, -1, bs).sum(axis=2)
+            if full < n:
+                batch_loss = np.column_stack([batch_loss, weighted[:, full:].sum(axis=1)])
             bad = ~np.isfinite(batch_loss)
             if bad.any():
                 j = int(bad.any(axis=0).argmax())
@@ -257,8 +272,8 @@ def train(
                                        f"{epoch}, batch starting at {starts[j]}")
             history[:, epoch] = batch_loss.sum(axis=1) / n
 
-    return [(Model(model_spec, weights[r].copy(), bias[r].copy()), TrainReport(history[r].tolist()))
-            for r in range(R)]
+    return [(Model(model_spec, params[r, :, :k].copy(), params[r, :, k].copy()),
+             TrainReport(history[r].tolist())) for r in range(R)]
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(NormalizationRecord))

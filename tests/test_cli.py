@@ -70,6 +70,21 @@ class TestLdSweep:
                     "--target-cols", "y", "--feature-subset", ","]) == 1
         assert "feature_subset must name at least one feature" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--candidates", "2,2", "--candidates: 2 is listed twice"),
+        ("--candidates", "2,x", "--candidates: 'x' is not an integer"),
+        ("--feature-subset", "0,0", "--feature-subset: 0 is listed twice"),
+        ("--feature-subset", "first", "--feature-subset: 'first' is not an integer"),
+    ])
+    def test_bad_int_list_names_its_flag(self, tmp_path, capsys, flag, value, message):
+        # a repeated candidate would print its table row twice
+        data = tmp_path / "s.csv"
+        run(["gen", "--out", data])
+        capsys.readouterr()
+        assert run(["ld-sweep", "--data", data, "--feature-cols", "x1",
+                    "--target-cols", "y", flag, value]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestWeigh:
     def test_weight_table_format(self, tmp_path):
@@ -407,6 +422,20 @@ class TestRepro:
         out_dir = tmp_path / "r"
         assert run(["repro", "--name", "synth-1d", "--seeds", seeds, "--out-dir", out_dir]) == 1
         assert capsys.readouterr().err == "error: --seeds must name at least one seed\n"
+        assert not (out_dir / "results.csv").exists()
+
+    @pytest.mark.parametrize("seeds,message", [
+        ("a", "--seeds: 'a' is not an integer"),
+        ("0,1.5", "--seeds: '1.5' is not an integer"),
+        ("0,0", "--seeds: 0 is listed twice"),
+        ("3,1,3", "--seeds: 3 is listed twice"),
+    ])
+    def test_bad_seed_list_rejected(self, tmp_path, capsys, seeds, message):
+        # a repeated seed would write every one of its rows twice
+        out_dir = tmp_path / "r"
+        assert run(["repro", "--name", "synth-1d", "--seeds", seeds, "--epochs", 1,
+                    "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out_dir / "results.csv").exists()
 
     def test_epochs_zero_rejected(self, tmp_path, capsys):

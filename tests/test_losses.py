@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from viloss import Dataset, LossSpec, ModelSpec, TrainConfig, batch_value_grad, train
+from viloss.losses import loss_grad
 
 
 def finite_diff_grad(spec, y_hat, y, h=1e-6):
@@ -87,6 +88,19 @@ class TestGradients:
             _, grads = batch_value_grad(spec, y_hat[None], y[None])
             fd = finite_diff_grad(spec, y_hat, y)
             np.testing.assert_allclose(grads[0], fd, rtol=1e-4, atol=1e-6)
+
+    @pytest.mark.parametrize("base,v", [("mse", 1), ("mse", 2), ("huber", 1), ("huber", 2),
+                                        ("lqr", 1), ("lqr", 2), ("bce", 1)])
+    def test_loss_grad_is_batch_value_grads_gradient(self, base, v):
+        # the SGD step calls loss_grad alone and the epoch's values come from
+        # batch_value_grad: both give the same gradient, bit for bit
+        rng = np.random.default_rng(23)
+        spec = LossSpec(base, delta=0.5)
+        y_hat = rng.normal(scale=2.0, size=(3, 4, v))  # 3 stacked runs of 4 samples
+        y = (rng.integers(0, 2, size=y_hat.shape).astype(float) if base == "bce"
+             else rng.normal(size=y_hat.shape))
+        _, want = batch_value_grad(spec, y_hat, y)
+        np.testing.assert_array_equal(loss_grad(spec, y_hat, y), want)
 
     def test_huber_continuity_at_delta(self):
         delta = 1.3

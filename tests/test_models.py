@@ -363,9 +363,9 @@ class TestLockstep:
         seen = []
         step = models._batch_step
 
-        def recording(groups, weights, bias, *batch):
-            seen.append((weights.copy(), bias.copy()))
-            return step(groups, weights, bias, *batch)
+        def recording(groups, params, *batch):
+            seen.append((params[:, :, :-1].copy(), params[:, :, -1].copy()))
+            return step(groups, params, *batch)
 
         monkeypatch.setattr(models, "_batch_step", recording)
         exp = cli.REPRO_EXPERIMENTS["synth-1d"]
@@ -382,6 +382,52 @@ class TestLockstep:
         for (weights, bias), (want_weights, want_bias) in zip(with_lqr, seen):
             np.testing.assert_array_equal(weights[[0, 2]], want_weights)
             np.testing.assert_array_equal(bias[[0, 2]], want_bias)
+
+    def test_loss_history_is_per_batch_values_at_pre_step_parameters(self, monkeypatch):
+        # three loss groups, 23 rows in batches of 5 (the last holds 3), two
+        # outputs: each epoch's loss, recomputed batch by batch from the
+        # parameters each step saw, is the history train reports
+        seen = []
+        step = models._batch_step
+
+        def recording(groups, params, *batch):
+            seen.append(params.copy())
+            return step(groups, params, *batch)
+
+        monkeypatch.setattr(models, "_batch_step", recording)
+        rng = np.random.default_rng(29)
+        n, bs = 23, 5
+        ds = Dataset(rng.uniform(-1, 1, size=(n, 2)), rng.normal(size=(n, 2)))
+        specs = [LossSpec("mse"), LossSpec("huber", 0.5), LossSpec("huber", 0.5), LossSpec("lqr")]
+        weights = [np.ones(n), rng.uniform(0, 2, n), rng.uniform(0, 2, n), np.ones(n)]
+        cfg = TrainConfig(epochs=3, batch_size=bs, learning_rate=0.05, seed=13)
+        trained = train(ModelSpec("linear"), ds, list(zip(specs, weights)), cfg)
+
+        shuffle, params = np.random.default_rng(cfg.seed), iter(seen)
+        want = np.zeros((len(specs), cfg.epochs))
+        for epoch in range(cfg.epochs):
+            order = shuffle.permutation(n)
+            for start in range(0, n, bs):
+                rows, p = order[start : start + bs], next(params)
+                for r, (spec, w) in enumerate(zip(specs, weights)):
+                    z = ds.features[rows] @ p[r, :, :-1].T + p[r, :, -1]
+                    values, _ = batch_value_grad(spec, z, ds.targets[rows])
+                    want[r, epoch] += (w[rows] * values).sum()
+        assert next(params, None) is None
+        for r, (_, report) in enumerate(trained):
+            np.testing.assert_allclose(report.loss_history, want[r] / n, rtol=1e-12, atol=0)
+
+    def test_divergence_in_partial_last_batch_names_its_start(self):
+        # unshuffled, 23 rows in batches of 5: only the last row, in the
+        # partial batch that starts at 20, overflows the quartic loss
+        x = np.linspace(-1.0, 1.0, 23)[:, None]
+        y = 0.5 * x
+        y[-1] = 1e100
+        runs = [(LossSpec("mse"), None), (LossSpec("lqr"), None)]
+        cfg = TrainConfig(epochs=2, batch_size=5, learning_rate=0.01, shuffle=False)
+        with pytest.raises(TrainingDiverged, match=r"^run 1 \(lqr\): non-finite loss "
+                                                   r"at epoch 0, batch starting at 20$"):
+            train(ModelSpec("linear"), Dataset(x, y), runs, cfg)
 
     def test_interleaved_stack_keeps_caller_order(self):
         # the two mse runs are not adjacent, so the stack trains as three

@@ -1,9 +1,12 @@
 """The benchmark's independent grid oracle against the grid viloss runs:
 the localized-deviation table of the lambda sweep and the l1/l2 weights of a
 normalized synth-2d training split, on both ways ``_assign_cells`` ranks
-cell keys (a dense table when ``lam ** d <= n``, else ``np.unique``)."""
+cell keys (a dense table when ``lam ** d <= n``, else ``np.unique``). Also
+the benchmark's recorded ``repro`` results, so numeric drift in training
+fails the suite and not only a benchmark run."""
 
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -54,3 +57,16 @@ def test_weights_match_oracle(oracle, norm, lam, kind):
     for name, got, expected in zip(("mu", "gamma", "weight"),
                                    (table.mu, table.gamma, table.weight), want):
         np.testing.assert_allclose(got, expected, rtol=RTOL, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("experiment", ["synth-1d", "logistic-synth"])
+def test_repro_matches_reference(oracle, tmp_path, experiment):
+    # reference.json is read, never rewritten: rows match it to the
+    # benchmark's own tolerance, through the benchmark's own check
+    ref = json.loads(oracle.REFERENCE.read_text())
+    assert ref["repro_epochs"] == oracle.REPRO_EPOCHS
+    seed = ref["pool"][0]
+    code, _ = oracle.quiet(oracle.repro_argv(experiment, seed, oracle.REPRO_EPOCHS, tmp_path))
+    assert code == 0
+    text = (tmp_path / "results.csv").read_text()
+    assert oracle.results_problems(text, ref["repro"][experiment][str(seed)]) == []
