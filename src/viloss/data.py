@@ -4,7 +4,6 @@ min-max normalization and train/test splitting."""
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -238,10 +237,13 @@ def load_csv(path, feature_columns, target_columns, header: bool = True):
     unparseable or non-finite is skipped and listed in ``rejected`` as
     (1-based line, reason), in line order; a blank row is skipped silently.
     A file without a usable row is rejected, naming the first rejection.
+
+    A clean file is parsed in one numpy call; a file with a row to reject is
+    read again row by row, which names each rejected line.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
+        # csv reads the header through readline, which leaves fh.tell() usable
+        first = next(csv.reader(iter(fh.readline, "")), None)
         if first is None:
             raise ValueError(f"{path}: empty file")
         names = [c.strip() for c in first] if header else None
@@ -249,28 +251,60 @@ def load_csv(path, feature_columns, target_columns, header: bool = True):
         columns = feature_idx + _resolve_columns(path, target_columns, names)
         if not feature_idx or len(columns) == len(feature_idx):
             raise ValueError(f"{path}: select at least one feature and one target column")
-        kept, rejected = [], []
-        # a quoted cell may span lines: a record starts after the last one's end
-        end = reader.line_num if header else 0
-        for row in reader if header else itertools.chain([first], reader):
-            line, end = end + 1, reader.line_num
-            try:
-                values = [float(row[j]) for j in columns]
-            except (ValueError, IndexError) as exc:
-                if any(c.strip() for c in row):  # a blank row never parses
-                    rejected.append((line, str(exc)))
-                continue
-            # float() parses "nan" and "inf", and overflows to inf
-            if all(map(math.isfinite, values)):
-                kept.append(values)
-            else:
-                rejected.append((line, "non-finite value"))
-    if not kept:
+        if not header:
+            fh.seek(0)
+        table, rejected = _parse_clean(fh, columns), []
+        if table is None:
+            table, rejected = _read_rows(fh, columns, header)
+    if not len(table):
         why = (f" ({len(rejected)} rejected; line {rejected[0][0]}: {rejected[0][1]})"
                if rejected else "")
         raise ValueError(f"{path}: no usable rows{why}")
-    table = np.array(kept)
     return Dataset(table[:, : len(feature_idx)], table[:, len(feature_idx) :]), rejected
+
+
+def _parse_clean(fh, columns):
+    """The ``columns`` of every row from ``fh``'s position on, as one float
+    array; None when a row there is to be rejected or there is none.
+    ``np.loadtxt`` accepts a subset of what ``float()`` does and parses it
+    to the same values, so a file it accepts gives the row loop's table."""
+    start = fh.tell()
+    # loadtxt warns on input without data
+    if not any(line.strip() for line in iter(fh.readline, "")):
+        return None
+    fh.seek(start)
+    try:
+        table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                           usecols=columns, ndmin=2, dtype=np.float64)
+    except ValueError:
+        return None
+    # like float(), loadtxt parses "nan" and "inf", and overflows to inf
+    return table if np.isfinite(table).all() else None
+
+
+def _read_rows(fh, columns, header):
+    """The row loop: parse ``fh`` from its start record by record, skipping
+    the header record if there is one. Returns (table, rejected)."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    if header:
+        next(reader)
+    kept, rejected = [], []
+    # a quoted cell may span lines: a record starts after the last one's end
+    end = reader.line_num
+    for row in reader:
+        line, end = end + 1, reader.line_num
+        try:
+            values = [float(row[j]) for j in columns]
+        except (ValueError, IndexError) as exc:
+            if any(c.strip() for c in row):  # a blank row never parses
+                rejected.append((line, str(exc)))
+            continue
+        if all(map(math.isfinite, values)):
+            kept.append(values)
+        else:
+            rejected.append((line, "non-finite value"))
+    return np.array(kept, dtype=np.float64).reshape(-1, len(columns)), rejected
 
 
 def _column_range(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,13 +342,28 @@ def split(dataset: Dataset, train_fraction: float, seed: int):
     return dataset.subset(order[:n_train]), dataset.subset(order[n_train:])
 
 
+_WRITE_ROWS = 4096  # rows formatted per write, which bounds the strings alive at once
+
+
+def write_columns(path, names, columns, line_end: str) -> None:
+    """Write a CSV of a header and one row per element of the 1-D
+    ``columns``, each cell the ``repr()`` of a Python int or float, with
+    ``line_end`` after every line: one ``tolist()`` and one ``repr()`` per
+    column and block of rows instead of one per cell."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(names) + line_end)
+        for start in range(0, len(columns[0]), _WRITE_ROWS):
+            cells = [repr(col[start : start + _WRITE_ROWS].tolist())[1:-1].split(", ")
+                     for col in columns]
+            fh.write(line_end.join(map(",".join, zip(*cells))) + line_end)
+
+
 def save_csv(dataset: Dataset, path) -> None:
+    """Write ``dataset`` as a CSV of columns x1..xm and y (y1..yv for several
+    targets) with CRLF line ends, as ``csv.writer`` writes them."""
     names = [f"x{j + 1}" for j in range(dataset.feature_dim)]
     target_names = [f"y{j + 1}" for j in range(dataset.target_dim)]
     if dataset.target_dim == 1:
         target_names = ["y"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names + target_names)
-        for x, y in zip(dataset.features, dataset.targets):
-            writer.writerow([repr(float(v)) for v in x] + [repr(float(v)) for v in y])
+    write_columns(path, names + target_names,
+                  [*dataset.features.T, *dataset.targets.T], "\r\n")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_columns
 
 NORM_KINDS = ("l1", "l2")  # gamma: L1 or squared-L2 target deviation
 _KEY_MAX = np.iinfo(np.int64).max
@@ -124,6 +124,8 @@ def fit_grid(
     if lam > _KEY_MAX // dataset.n:
         raise ValueError(f"lam={lam} is too large for {dataset.n} samples: "
                          f"lam * n must stay below 2**63")
+    if not (np.isfinite(mu_floor) and mu_floor >= 0):
+        raise ValueError(f"mu_floor must be finite and >= 0, got {mu_floor}")
     if feature_subset is None:
         feature_subset = list(range(dataset.feature_dim))
     if len(feature_subset) == 0:
@@ -178,10 +180,8 @@ class WeightTable:
         return len(self.weight)
 
     def export(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("index,mu,gamma,weight\n")
-            for i in range(len(self.weight)):
-                fh.write(f"{i},{float(self.mu[i])!r},{float(self.gamma[i])!r},{float(self.weight[i])!r}\n")
+        write_columns(path, ["index", "mu", "gamma", "weight"],
+                      [np.arange(len(self)), self.mu, self.gamma, self.weight], "\n")
 
 
 def compute_weights(grid: CellGrid, dataset: Dataset, norm_kind: str = "l2") -> WeightTable:

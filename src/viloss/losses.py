@@ -29,7 +29,7 @@ class LossSpec:
     def __post_init__(self):
         if self.base not in BASE_KINDS:
             raise ValueError(f"unknown base loss {self.base!r}")
-        if self.delta <= 0:
+        if not self.delta > 0:  # nan fails this too
             raise ValueError("delta must be positive")
 
 

@@ -3,6 +3,7 @@ mini-batch SGD trainer that consumes per-sample weights."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from itertools import combinations_with_replacement
 
@@ -294,11 +295,24 @@ def save_model(model: Model, record: NormalizationRecord, path) -> None:
             fh.write(f"{float(value)!r}\n")
 
 
+def _finite_float(path, line_no, text) -> float:
+    """``float(text)``; a value that does not parse or is not finite is
+    rejected, naming ``path:line_no``."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{line_no}: {exc}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path}:{line_no}: non-finite value {text!r}")
+    return value
+
+
 def load_model(path) -> tuple[Model, NormalizationRecord]:
     """Read a file written by ``save_model``: the model and the normalization
     record it predicts through. A file without the version line, of another
-    version, with a bad model spec line (a logistic model has one output)
-    or without the record is rejected."""
+    version, with a bad model spec line (a logistic model has one output),
+    without the record, or with a value that does not parse or is not finite
+    (named by its line) is rejected."""
     with open(path) as fh:
         tag, _, version = fh.readline().strip().partition("=")
         if tag != "viloss_model_version":
@@ -307,7 +321,8 @@ def load_model(path) -> tuple[Model, NormalizationRecord]:
             raise ValueError(f"{path}: unknown model file version {version!r}, "
                              f"expected {MODEL_FILE_VERSION!r}")
         spec_line = fh.readline().strip()
-        lines = [line.strip() for line in fh if line.strip()]
+        # (line number, text) of each non-blank line after the spec line
+        lines = [(no, line.strip()) for no, line in enumerate(fh, start=3) if line.strip()]
     try:
         kind, degree, input_dim, output_dim = spec_line.split(",")
         spec, input_dim, output_dim = ModelSpec(kind, int(degree)), int(input_dim), int(output_dim)
@@ -317,14 +332,14 @@ def load_model(path) -> tuple[Model, NormalizationRecord]:
         raise ValueError(f"{path}:2: expected kind,degree,input_dim,output_dim, "
                          f"got {spec_line!r} ({exc})") from None
     record_lines, param_lines = lines[: len(_RECORD_FIELDS)], lines[len(_RECORD_FIELDS) :]
-    if [line.partition("=")[0] for line in record_lines] != list(_RECORD_FIELDS):
+    if [text.partition("=")[0] for _, text in record_lines] != list(_RECORD_FIELDS):
         raise ValueError(f"{path}: no normalization record")
-    columns = [np.array([float(v) for v in line.partition("=")[2].split(",")])
-               for line in record_lines]
+    columns = [np.array([_finite_float(path, no, v) for v in text.partition("=")[2].split(",")])
+               for no, text in record_lines]
     if [c.size for c in columns] != [input_dim] * 2 + [output_dim] * 2:
         raise ValueError(f"{path}: normalization record does not match the model's dimensions")
     model = init_model(spec, input_dim, output_dim)
-    params = np.array([float(line) for line in param_lines])
+    params = np.array([_finite_float(path, no, text) for no, text in param_lines])
     expected = model.weights.size + model.bias.size
     if params.size != expected:
         raise ValueError(f"{path}: expected {expected} parameters, found {params.size}")

@@ -121,6 +121,18 @@ class TestWeigh:
             assert capsys.readouterr().err == f"warning: skipped line 3: {reason}\n"
         assert len(table.read_text().splitlines()) == 50  # header + 49 rows
 
+    @pytest.mark.parametrize("floor", ["nan", "inf", "-0.5"])
+    def test_bad_mu_floor_rejected_without_writing(self, tmp_path, capsys, floor):
+        # np.maximum(mu, nan) is nan: a nan floor used to write nan weights
+        data, table = tmp_path / "s.csv", tmp_path / "w.csv"
+        run(["gen", "--out", data])
+        capsys.readouterr()
+        assert run(["weigh", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
+                    "--lambda", 2, "--mu-floor", floor, "--out", table]) == 1
+        assert capsys.readouterr().err == (
+            f"error: mu_floor must be finite and >= 0, got {float(floor)}\n")
+        assert not table.exists()
+
     def test_unknown_column_names_file_and_header(self, tmp_path, capsys):
         data = tmp_path / "t.csv"
         data.write_text("x1,y\n0.1,0.2\n0.3,0.4\n")

@@ -1,7 +1,10 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from viloss import (
     Dataset,
@@ -12,6 +15,7 @@ from viloss import (
     normalize_minmax,
     split,
 )
+from viloss import data
 from viloss.data import BinarySynthSpec, generate_binary_clusters, save_csv
 
 
@@ -264,6 +268,66 @@ class TestLoadCsv:
         loaded, _ = load_csv(path, ["x1"], ["y"])
         np.testing.assert_array_equal(loaded.features, ds.features)
         np.testing.assert_array_equal(loaded.targets, ds.targets)
+
+
+_TOKENS = [*"0123456789", ".", "e", "-", ",", '"', " ", "\n", "\r", "nan", "inf", "_"]
+_NUMBER = st.lists(st.sampled_from([*"0123456789", ".", "e", "-"]), min_size=1,
+                   max_size=6).map("".join)
+_FINITE = st.one_of(st.integers(-999, 999).map(str),
+                    st.floats(allow_nan=False, allow_infinity=False).map(repr))
+_CELL = st.one_of(_FINITE, _FINITE.map('"{}"'.format), _NUMBER, st.floats().map(repr),
+                  st.lists(st.sampled_from(_TOKENS), max_size=4).map("".join))
+_CLEAN_ROW = st.lists(st.one_of(_FINITE, _FINITE.map('"{}"'.format)), min_size=2, max_size=3)
+_NON_FINITE_ROW = st.tuples(_FINITE, st.sampled_from(["nan", "-inf", "1e400"])).map(list)
+_ROW = st.one_of(_CLEAN_ROW, _CLEAN_ROW, _CLEAN_ROW, _NON_FINITE_ROW,
+                 st.lists(_CELL, min_size=1, max_size=3), st.just([]))
+_ROWS = st.tuples(st.lists(_ROW.map(",".join), max_size=5),
+                  st.sampled_from(["\n", "\r\n"])).map(lambda t: t[1].join(t[0]) + t[1])
+# random token soup, and rows that are mostly clean
+CSV_TEXTS = st.one_of(st.lists(st.sampled_from(_TOKENS), max_size=40).map("".join), _ROWS)
+
+
+def _load_outcome(path, columns, header):
+    """What load_csv gives: the arrays' bytes and shapes with the rejected
+    list, or the error message."""
+    try:
+        ds, rejected = load_csv(path, *columns, header=header)
+    except ValueError as exc:
+        return str(exc)
+    return (ds.features.shape, ds.features.tobytes(), ds.targets.shape, ds.targets.tobytes(),
+            rejected)
+
+
+class TestLoadCsvFastPath:
+    """A clean file is parsed in one numpy call; the row loop reads only a
+    file with a row to reject. Both must give the same result."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=CSV_TEXTS, columns=st.sampled_from([([0], [1]), ([0, 1], [-1]), ([1], [0, 0])]),
+           header=st.booleans())
+    def test_matches_the_row_loop(self, tmp_path, text, columns, header):
+        path = tmp_path / "d.csv"
+        path.write_text(text, newline="")
+        with mock.patch.object(data, "_parse_clean", return_value=None):
+            expected = _load_outcome(path, columns, header)
+        assert _load_outcome(path, columns, header) == expected
+
+    def test_clean_file_skips_the_row_loop(self, tmp_path):
+        ds = generate_synth(SynthSpec("synth-2d", n=200, seed=5))
+        saved = tmp_path / "saved.csv"
+        save_csv(ds, saved)
+        # a header spanning two lines, a blank row, quoted cells and a ragged row
+        odd = tmp_path / "odd.csv"
+        odd.write_text('x,"two\nlines",y\n1e-3,"2",-4\n\n"5.5",6,7,8\n', newline="")
+        with mock.patch.object(data, "_read_rows", side_effect=AssertionError("row loop")):
+            loaded, rejected = load_csv(saved, ["x1", "x2"], ["y"])
+            odd_ds, odd_rejected = load_csv(odd, [0], [2])
+        assert rejected == [] and odd_rejected == []
+        np.testing.assert_array_equal(loaded.features, ds.features)
+        np.testing.assert_array_equal(loaded.targets, ds.targets)
+        np.testing.assert_array_equal(odd_ds.features, [[1e-3], [5.5]])
+        np.testing.assert_array_equal(odd_ds.targets, [[-4.0], [7.0]])
 
 
 class TestNormalize:

@@ -173,8 +173,10 @@ class TestLossSpec:
             LossSpec("hinge")
 
     def test_bad_delta_rejected(self):
-        with pytest.raises(ValueError):
-            LossSpec("huber", delta=0.0)
+        # nan <= 0 is false: the check must be written so that nan fails it
+        for delta in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="delta must be positive"):
+                LossSpec("huber", delta=delta)
 
     def test_default_delta(self):
         assert LossSpec("huber").delta == 1.0

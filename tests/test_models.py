@@ -520,6 +520,20 @@ class TestSaveLoad:
             "0.5\n-0.25\n0.1\n3.0\n0.125\n-2.0\n"
         )
 
+    @pytest.mark.parametrize("line,text", [
+        (6, "target_max=1.0,nan"), (7, "inf"), (9, "nan"), (9, "1e400"), (9, "abc"),
+    ])
+    def test_bad_value_rejected_naming_its_line(self, tmp_path, line, text):
+        # a nan parameter used to make eval print nan metrics and exit 0;
+        # the blank line 7 of the file still counts
+        lines = ["viloss_model_version=1", "linear,1,1,1", "feature_min=0.0",
+                 "feature_max=1.0", "target_min=0.0", "target_max=1.0", "", "0.5", "0.25"]
+        lines[line - 1] = text
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: "):
+            load_model(path)
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "model.txt"
         path.write_text("viloss_model_version=1\nlinear,1,2,1\nfeature_min=0.0,0.0\n"
