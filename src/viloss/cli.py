@@ -231,23 +231,25 @@ def _write_run(args, run) -> None:
     """Write what ``run()`` computes into ``--out-dir`` and print its rows.
 
     ``run`` returns (results header, rows, model, normalization record);
-    model and record are None when there is no model to save. results.csv,
-    model.txt and manifest.txt are all removed if anything fails, so a
-    failed run leaves neither stale nor partial outputs.
+    model and record are None when there is no model to save. The directory
+    is created only once ``run()`` has returned, and results.csv, model.txt
+    and manifest.txt are all removed if anything fails, so a failed run
+    leaves neither a new directory nor stale or partial outputs.
     """
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     results, model_file = out_dir / "results.csv", out_dir / "model.txt"
     created = [results, model_file, out_dir / "manifest.txt"]
     try:
         header, rows, model, record = run()
+        out_dir.mkdir(parents=True, exist_ok=True)
         results.write_text(header + "\n" + "\n".join(rows) + "\n")
         if model is not None:
             save_model(model, record, model_file)
         _write_manifest(out_dir, args)
     except Exception:
-        for path in created:
-            path.unlink(missing_ok=True)
+        if out_dir.is_dir():
+            for path in created:
+                path.unlink(missing_ok=True)
         raise
     for row in rows:
         print(row)

@@ -6,6 +6,8 @@ from __future__ import annotations
 import csv
 import math
 import re
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,7 +243,7 @@ def load_csv(path, feature_columns, target_columns, header: bool = True):
     A clean file is parsed in one numpy call; a file with a row to reject is
     read again row by row, which names each rejected line.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="") as fh, _no_field_limit():
         # csv reads the header through readline, which leaves fh.tell() usable
         first = next(csv.reader(iter(fh.readline, "")), None)
         if first is None:
@@ -261,6 +263,18 @@ def load_csv(path, feature_columns, target_columns, header: bool = True):
                if rejected else "")
         raise ValueError(f"{path}: no usable rows{why}")
     return Dataset(table[:, : len(feature_idx)], table[:, len(feature_idx) :]), rejected
+
+
+@contextmanager
+def _no_field_limit():
+    """Lift csv's field size limit (131072 characters) for the block:
+    ``np.loadtxt`` has none, and a cell the clean path parses must parse
+    the same in the row loop."""
+    limit = csv.field_size_limit(sys.maxsize)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(limit)
 
 
 def _parse_clean(fh, columns):

@@ -18,6 +18,7 @@ from .data import Dataset, write_columns
 
 NORM_KINDS = ("l1", "l2")  # gamma: L1 or squared-L2 target deviation
 _KEY_MAX = np.iinfo(np.int64).max
+_OVERFLOW = "cell statistics overflowed float64: normalize the features and targets first"
 
 
 @dataclass
@@ -46,6 +47,8 @@ def _bin_indices(sub: np.ndarray, lam: int) -> np.ndarray:
     folds into the last bin, and a zero-range column is all bin 0."""
     lo = sub.min(axis=0)
     width = sub.max(axis=0) - lo
+    if not np.isfinite(width).all():
+        raise ValueError(_OVERFLOW)
     # sub - lo >= 0, so truncation is floor; the clamp runs in place, which
     # saves an (n, d) temporary
     idx = ((sub - lo) / np.where(width > 0, width, 1.0) * lam).astype(np.int64)
@@ -135,24 +138,29 @@ def fit_grid(
     if any(j < 0 or j >= dataset.feature_dim for j in feature_subset):
         raise ValueError("feature_subset index out of range")
 
-    # Dataset guarantees finite values, so every sample lands in a bin
+    # Dataset guarantees finite values, so every sample lands in a bin, but
+    # raw values far from 1 can overflow a range or a squared deviation;
+    # such a grid is rejected below rather than warned about
     sub = dataset.features[:, feature_subset]
-    idx = _bin_indices(sub, lam)
-    cell_of = _assign_cells(idx, lam)
-    count = np.bincount(cell_of)
-    member = np.empty(len(count), dtype=np.intp)
-    member[cell_of] = np.arange(dataset.n)  # any one row of each cell
-    _, sigma_x = _cell_moments(sub, cell_of, count)
-    y_mean, sigma_y = _cell_moments(dataset.targets, cell_of, count)
-    # equal targets must give sigma_y 0, and so gamma 0, exactly; their
-    # rounded mean need not equal them (three 0.1 sum to 0.30000000000000004)
-    sigma_y[_constant_cells(dataset.targets, cell_of, member)] = 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        idx = _bin_indices(sub, lam)
+        cell_of = _assign_cells(idx, lam)
+        count = np.bincount(cell_of)
+        member = np.empty(len(count), dtype=np.intp)
+        member[cell_of] = np.arange(dataset.n)  # any one row of each cell
+        _, sigma_x = _cell_moments(sub, cell_of, count)
+        y_mean, sigma_y = _cell_moments(dataset.targets, cell_of, count)
+        # equal targets must give sigma_y 0, and so gamma 0, exactly; their
+        # rounded mean need not equal them (three 0.1 sum to 0.30000000000000004)
+        sigma_y[_constant_cells(dataset.targets, cell_of, member)] = 0.0
 
-    sigma_x_bar = float(sigma_x.mean())
-    if sigma_x_bar > 0:
-        mu = sigma_x**2 / sigma_x_bar**2
-    else:
-        mu = np.ones(len(count))  # no variation anywhere: degrade to uniform weighting
+        sigma_x_bar = float(sigma_x.mean())
+        if sigma_x_bar > 0:
+            mu = sigma_x**2 / sigma_x_bar**2
+        else:
+            mu = np.ones(len(count))  # no variation anywhere: degrade to uniform weighting
+    if not all(np.isfinite(a).all() for a in (sigma_x, y_mean, sigma_y, mu)):
+        raise ValueError(_OVERFLOW)
 
     return CellGrid(
         keys=idx[member],

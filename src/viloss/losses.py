@@ -8,8 +8,11 @@ Nothing here weights a sample. The per-sample weight is the weights given
 with a run to ``train``; it multiplies each sample's parameter gradient
 last, inside the SGD step (``viloss.models._batch_step``), so the weighted
 gradient is exactly the weight times the base gradient. The weight never
-reads a loss value, so the step calls only ``loss_grad``; ``train`` calls
-``batch_value_grad`` once per epoch for the loss history.
+reads a loss value, so the step computes gradients only: ``bce_grad``, or
+one residual per stack that ``residual_grad`` turns into each loss group's
+gradient, both in place; ``train`` calls ``batch_value_grad`` once per
+epoch for the loss history, and it takes its gradients from ``loss_grad``,
+which calls the same two functions.
 """
 
 from __future__ import annotations
@@ -33,28 +36,50 @@ class LossSpec:
             raise ValueError("delta must be positive")
 
 
-def sigmoid(z):
-    """The logistic function 1 / (1 + exp(-z)), in a form that cannot overflow."""
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+def sigmoid(z, out=None):
+    """The logistic function 1 / (1 + exp(-z)) of a float array, in a form
+    that cannot overflow, written into ``out`` when it is given."""
+    out = np.multiply(z, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def bce_grad(z, y, out=None):
+    """sigmoid(z) - y, the BCE gradient w.r.t. the logit z, written into
+    ``out`` when it is given."""
+    out = sigmoid(z, out)
+    out -= y
+    return out
+
+
+def residual_grad(spec: LossSpec, r: np.ndarray) -> np.ndarray:
+    """Turn the residual r = y_hat - y (..., v) of a regression loss into
+    its gradient w.r.t. y_hat, in place, and return it."""
+    if spec.base == "mse":
+        r *= 2.0
+    elif spec.base == "lqr":
+        np.power(r, 3, out=r)
+        r *= 4.0
+    else:
+        d = spec.delta
+        np.maximum(r, -d, out=r)  # r inside the threshold, else d * sign(r)
+        np.minimum(r, d, out=r)
+    v = r.shape[-1]
+    if v != 1:  # the mean over one output is that output
+        r /= v
+    return r
 
 
 def loss_grad(spec: LossSpec, y_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per-sample gradient w.r.t. y_hat, unchecked: y_hat and y are float
     arrays of one shape (..., v), and for BCE y_hat is the logit and v is 1.
-    Every gradient formula lives here; ``batch_value_grad`` checks its
-    operands and calls this."""
+    The formulas are ``bce_grad`` and ``residual_grad``, which the SGD step
+    calls in place; ``batch_value_grad`` checks its operands and calls this."""
     if spec.base == "bce":
-        return sigmoid(y_hat) - y
-    r = y_hat - y
-    if spec.base == "mse":
-        grad = 2.0 * r
-    elif spec.base == "lqr":
-        grad = 4.0 * r**3
-    else:
-        d = spec.delta
-        grad = np.minimum(np.maximum(r, -d), d)  # r inside the threshold, else d * sign(r)
-    v = y.shape[-1]
-    return grad if v == 1 else grad / v  # the mean over one output is that output
+        return bce_grad(y_hat, y)
+    return residual_grad(spec, y_hat - y)
 
 
 def batch_value_grad(spec: LossSpec, y_hat: np.ndarray, y: np.ndarray):

@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .data import Dataset, NormalizationRecord
-from .losses import LossSpec, batch_value_grad, loss_grad, sigmoid
+from .losses import LossSpec, batch_value_grad, bce_grad, residual_grad, sigmoid
 
 MODEL_KINDS = ("linear", "polynomial", "logistic")
 
@@ -142,40 +142,60 @@ def _loss_groups(kind, specs: list[LossSpec]) -> list[tuple[LossSpec, slice]]:
     return [(specs[a], slice(a, b)) for a, b in zip(starts, starts[1:] + [len(specs)])]
 
 
-def _batch_step(groups, params, grad, phi, y, w):
-    """Forward and backward pass of R stacked runs over one shared batch.
+def _step_views(params, grad):
+    """What a step reads of ``params`` (R, out, basis + 1) and writes of its
+    gradient buffer ``grad``: the weights transposed (R, basis, out), the
+    bias (R, 1, out), ``grad`` itself and its weight and bias parts. They
+    stay valid while both arrays are only updated in place."""
+    k = params.shape[2] - 1
+    return (params[:, :, :k].transpose(0, 2, 1), params[:, None, :, k],
+            grad, grad[:, :, :k], grad[:, :, k])
+
+
+def _batch_step(groups, params, views, phi, y, w, z, g, lr):
+    """One SGD step of R stacked runs over one shared batch, in place.
 
     ``params`` (R, out, basis + 1) holds each run's weights with its bias as
-    the last column, ``phi`` (B, basis) the batch's features, ``y`` (R, B,
-    out) its targets repeated per run, ``w`` (R, B) each run's sample
-    weights and ``groups`` the slices of runs that share a loss (see
-    ``_loss_groups``). Writes into ``grad``, of the shape of ``params``, the
-    weighted gradient sums over the batch, and returns the outputs z (R, B,
-    out); no loss value is computed here. Each sample's gradient is formed
+    the last column, ``views`` its views from ``_step_views``, ``phi`` (B,
+    basis) the batch's features, ``y`` (R, B, out) its targets repeated per
+    run, ``w`` (R, B) each run's sample weights and ``groups`` the slices of
+    runs that share a loss (see ``_loss_groups``). Writes the outputs into
+    ``z`` (R, B, out), their loss gradients into ``g`` (R, B, out) and the
+    weighted gradient sums into the gradient buffer of ``views``, then
+    subtracts ``lr`` times their batch mean from ``params``. It writes only
+    into the arrays it is given and computes no loss value. Each sample's gradient is formed
     first and its weight multiplies it last, so a weighted sample's gradient
     is exactly w_i times its unweighted one. Runs never mix: a non-finite
     value in one run leaves the others' results unchanged.
     """
-    k = phi.shape[1]
-    z = np.matmul(phi, params[:, :, :k].transpose(0, 2, 1)) + params[:, None, :, k]
-    g = np.empty_like(z)
-    for spec, runs in groups:
-        g[runs] = loss_grad(spec, z[runs], y[runs])
-    np.einsum("rbo,bk,rb->rok", g, phi, w, out=grad[:, :, :k])
-    np.einsum("rbo,rb->ro", g, w, out=grad[:, :, k])
-    return z
+    weights_t, bias, grad, grad_weights, grad_bias = views
+    np.matmul(phi, weights_t, out=z)
+    z += bias
+    if groups[0][0].base == "bce":  # a stack is all bce or all regression (check_loss_pairing)
+        bce_grad(z, y, out=g)
+    else:
+        np.subtract(z, y, out=g)  # one residual for the stack, then each group's gradient
+        for spec, runs in groups:
+            residual_grad(spec, g[runs])
+    np.einsum("rbo,bk,rb->rok", g, phi, w, out=grad_weights)
+    np.einsum("rbo,rb->ro", g, w, out=grad_bias)
+    grad *= lr
+    grad /= len(phi)
+    params -= grad
 
 
 def parameter_gradient(model: Model, loss_spec: LossSpec, features, target, weight: float = 1.0):
     """Gradient of weight * loss(y_hat(x), y) w.r.t. (W, b) for one sample:
-    the step that ``train`` runs, for one run on a batch of one."""
+    the step that ``train`` runs, for one run on a batch of one, at a
+    learning rate of 1 on a copy of the parameters."""
     phi = np.atleast_2d(model.expand(features))
     y = np.atleast_2d(np.asarray(target, dtype=np.float64))[None]
     groups = _loss_groups(model.spec.kind, [loss_spec])
     w = np.array([[weight]], dtype=np.float64)
     params = np.concatenate([model.weights, model.bias[:, None]], axis=1)[None]
     grad = np.empty_like(params)
-    _batch_step(groups, params, grad, phi, y, w)
+    _batch_step(groups, params, _step_views(params, grad), phi, y, w,
+                np.empty(y.shape), np.empty(y.shape), 1.0)
     return grad[0, :, :-1], grad[0, :, -1]
 
 
@@ -204,10 +224,12 @@ def train(
     that run alone. The batch parameter gradient is the mean over the batch
     of weight_i times each sample's loss gradient. Each run's weights and
     bias live in one (out, basis + 1) row of a parameter array, the bias
-    last. A step computes gradients only (``_batch_step``); the loss values
-    of an epoch, at the parameters each batch saw, are computed once when
-    it ends, for the history and the divergence check. Returns one (model,
-    report) per run, in the order of ``runs``.
+    last. The batch bounds, the step's views of the parameters and its
+    buffers are built once; a step computes gradients only, in place
+    (``_batch_step``), and the loss values of an epoch, at the parameters
+    each batch saw, are computed once when it ends, for the history and the
+    divergence check. Returns one (model, report) per run, in the order of
+    ``runs``.
     """
     n = dataset.n
     if config.batch_size > n:
@@ -235,11 +257,17 @@ def train(
     y = np.ascontiguousarray(np.broadcast_to(dataset.targets, (R,) + dataset.targets.shape))
     params = np.zeros((R, dataset.target_dim, k + 1))  # each run's weights, then its bias
     grad = np.empty_like(params)
+    views = _step_views(params, grad)
     z = np.empty(y.shape)  # each sample's output at the step that used it
+    g = np.empty((R, bs, dataset.target_dim))  # a batch's loss gradients
     values = np.empty((R, n))
 
-    starts = range(0, n, bs)
     full = n - n % bs  # the samples in full batches
+    # each batch's bounds and its part of g: all of it, or a leading slice
+    # for a partial last batch
+    last = g[:, : n - full]
+    batches = [(start, min(start + bs, n), g if start < full else last)
+               for start in range(0, n, bs)]
     history = np.empty((R, config.epochs))
     rng = np.random.default_rng(config.seed)
     lr = config.learning_rate
@@ -250,14 +278,10 @@ def train(
         for epoch in range(config.epochs):
             order = rng.permutation(n) if config.shuffle else np.arange(n)
             y_e, w_e = y.take(order, axis=1), w.take(order, axis=1)
-            for start in starts:
-                stop = min(start + bs, n)
-                z[:, start:stop] = _batch_step(groups, params, grad,
-                                               phi.take(order[start:stop], axis=0),
-                                               y_e[:, start:stop], w_e[:, start:stop])
-                grad *= lr
-                grad /= stop - start
-                params -= grad
+            for start, stop, g_batch in batches:
+                _batch_step(groups, params, views, phi.take(order[start:stop], axis=0),
+                            y_e[:, start:stop], w_e[:, start:stop], z[:, start:stop],
+                            g_batch, lr)
             # the loss values of the epoch at the parameters each batch saw
             for spec, runs in groups:
                 values[runs] = batch_value_grad(spec, z[runs], y_e[runs])[0]
@@ -270,7 +294,7 @@ def train(
                 j = int(bad.any(axis=0).argmax())
                 r = int(bad[:, j].argmax())
                 raise TrainingDiverged(f"run {r} ({specs[r].base}): non-finite loss at epoch "
-                                       f"{epoch}, batch starting at {starts[j]}")
+                                       f"{epoch}, batch starting at {batches[j][0]}")
             history[:, epoch] = batch_loss.sum(axis=1) / n
 
     return [(Model(model_spec, params[r, :, :k].copy(), params[r, :, k].copy()),

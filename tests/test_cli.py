@@ -133,6 +133,18 @@ class TestWeigh:
             f"error: mu_floor must be finite and >= 0, got {float(floor)}\n")
         assert not table.exists()
 
+    def test_overflowing_cell_statistics_rejected_without_writing(self, tmp_path, capsys):
+        # the squared deviations of raw features near 1e300 overflow; nan
+        # weights used to be written (a RuntimeWarning, an error under
+        # pytest, would show in the message instead)
+        data, table = tmp_path / "big.csv", tmp_path / "w.csv"
+        data.write_text("x,y\n1e300,0\n-1e300,1\n5e299,2\n0,3\n")
+        assert run(["weigh", "--data", data, "--feature-cols", "x", "--target-cols", "y",
+                    "--lambda", 1, "--out", table]) == 1
+        assert capsys.readouterr().err == ("error: cell statistics overflowed float64: "
+                                           "normalize the features and targets first\n")
+        assert not table.exists()
+
     def test_unknown_column_names_file_and_header(self, tmp_path, capsys):
         data = tmp_path / "t.csv"
         data.write_text("x1,y\n0.1,0.2\n0.3,0.4\n")
@@ -178,6 +190,31 @@ class TestTrainCommand:
         assert code == 1
         assert not (out_dir / "results.csv").exists()
         assert not (out_dir / "model.txt").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--data", "missing.csv", "--feature-cols", "x1", "--target-cols", "y",
+         "--loss", "huber", "--huber-delta", 0],
+        ["repro", "--name", "synth-1d", "--seeds", "a"],
+    ])
+    def test_failed_run_creates_no_out_dir(self, tmp_path, capsys, command):
+        out_dir = tmp_path / "new" / "run"
+        assert run([*command, "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "new").exists()
+
+    def test_failed_run_removes_stale_outputs(self, tmp_path, capsys):
+        data, out_dir = tmp_path / "s.csv", tmp_path / "run"
+        run(["gen", "--out", data])
+        columns = ["--data", data, "--feature-cols", "x1", "--target-cols", "y"]
+        assert run(["train", *columns, "--epochs", 1, "--out-dir", out_dir]) == 0
+        names = ("results.csv", "model.txt", "manifest.txt")
+        assert all((out_dir / name).exists() for name in names)
+        capsys.readouterr()
+        assert run(["train", *columns, "--loss", "huber", "--huber-delta", 0,
+                    "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err == "error: delta must be positive\n"
+        assert out_dir.is_dir()
+        assert not any((out_dir / name).exists() for name in names)
 
     def test_one_row_csv_fails_without_results(self, tmp_path, capsys):
         data = tmp_path / "one.csv"

@@ -1,3 +1,4 @@
+import csv
 import re
 from unittest import mock
 
@@ -328,6 +329,30 @@ class TestLoadCsvFastPath:
         np.testing.assert_array_equal(loaded.targets, ds.targets)
         np.testing.assert_array_equal(odd_ds.features, [[1e-3], [5.5]])
         np.testing.assert_array_equal(odd_ds.targets, [[-4.0], [7.0]])
+
+    # cells longer than csv's default field limit of 131072 characters
+    _OVERFLOWING, _LONG_ONE = "1" * 200_000, "0" * 199_999 + "1"
+
+    @pytest.mark.parametrize("text,rows,rejected", [
+        # the overflowing cell parses to inf, which rejects its line
+        (f"x,y\n0.5,{_OVERFLOWING}\n0.25,0.5\n", [[0.25, 0.5]], [(2, "non-finite value")]),
+        # a long finite cell in a file the row loop reads
+        (f"x,y\n0.5,{_LONG_ONE}\nabc,0.5\n0.75,1.5\n", [[0.5, 1.0], [0.75, 1.5]],
+         [(3, "could not convert string to float: 'abc'")]),
+        # the same cell in a clean file
+        (f"x,y\n0.5,{_LONG_ONE}\n0.75,1.5\n", [[0.5, 1.0], [0.75, 1.5]], []),
+    ])
+    def test_cell_beyond_the_csv_field_limit(self, tmp_path, text, rows, rejected):
+        path = tmp_path / "long.csv"
+        path.write_text(text)
+        limit = csv.field_size_limit()
+        ds, got = load_csv(path, ["x"], ["y"])
+        assert got == rejected
+        np.testing.assert_array_equal(np.hstack([ds.features, ds.targets]), rows)
+        with mock.patch.object(data, "_parse_clean", return_value=None):
+            expected = _load_outcome(path, (["x"], ["y"]), True)
+        assert _load_outcome(path, (["x"], ["y"]), True) == expected
+        assert csv.field_size_limit() == limit
 
 
 class TestNormalize:

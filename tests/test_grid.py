@@ -143,6 +143,19 @@ class TestFitGrid:
                 sigma_y = np.sqrt(np.mean(np.sum((cy - cy.mean(0)) ** 2, axis=1)))
                 assert grid.sigma_y[row] == pytest.approx(sigma_y, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("xs,ys", [
+        ([1e300, -1e300, 5e299, 0.0], [0.0, 1.0, 2.0, 3.0]),  # squared deviations
+        ([1.5e308, -1.5e308, 0.0, 1.0], [0.0, 1.0, 2.0, 3.0]),  # the range itself
+        ([0.0, 0.1, 0.2, 0.3], [1e300, -1e300, 5e299, 0.0]),  # the targets
+        ([0.0, 0.1, 0.2, 0.3], [1.7e308, 1.7e308, 0.0, 0.0]),  # the target mean
+    ])
+    def test_overflowing_statistics_rejected(self, xs, ys):
+        # raw values far from 1 overflow float64 before any weight exists; a
+        # numpy RuntimeWarning would fail this test, as warnings are errors
+        with pytest.raises(ValueError, match="^cell statistics overflowed float64: "
+                                             "normalize the features and targets first$"):
+            fit_grid(make_1d(xs, ys), 1)
+
 
 class TestComputeWeights:
     def test_sample_at_cell_mean_has_zero_gamma(self):

@@ -14,6 +14,7 @@ from viloss import (
     expand_polynomial,
     fit_grid,
     load_model,
+    losses,
     models,
     normalize_minmax,
     parameter_gradient,
@@ -443,6 +444,108 @@ class TestLockstep:
     def test_empty_stack_rejected(self):
         with pytest.raises(ValueError, match="at least one run"):
             train(ModelSpec("linear"), _linear_1d_dataset(), [], TrainConfig())
+
+
+def _allocating_loss_grad(spec, y_hat, y):
+    # the gradient formulas as they were before the step worked in place
+    if spec.base == "bce":
+        return 0.5 * (1.0 + np.tanh(0.5 * y_hat)) - y
+    r = y_hat - y
+    if spec.base == "mse":
+        grad = 2.0 * r
+    elif spec.base == "lqr":
+        grad = 4.0 * r**3
+    else:
+        d = spec.delta
+        grad = np.minimum(np.maximum(r, -d), d)
+    v = y.shape[-1]
+    return grad if v == 1 else grad / v
+
+
+def _allocating_step(groups, params, phi, y, w, lr):
+    # the step as it was before it worked in place: fresh outputs, one
+    # gradient per loss group copied into a fresh array, the update after
+    k = phi.shape[1]
+    z = np.matmul(phi, params[:, :, :k].transpose(0, 2, 1)) + params[:, None, :, k]
+    g = np.empty_like(z)
+    for spec, runs in groups:
+        g[runs] = _allocating_loss_grad(spec, z[runs], y[runs])
+    grad = np.empty_like(params)
+    np.einsum("rbo,bk,rb->rok", g, phi, w, out=grad[:, :, :k])
+    np.einsum("rbo,rb->ro", g, w, out=grad[:, :, k])
+    grad *= lr
+    grad /= len(phi)
+    params -= grad
+    return z
+
+
+_HUBER = LossSpec("huber", 0.5)
+_ORACLE_STACKS = {
+    "loss-major": [LossSpec("mse")] * 2 + [_HUBER] * 2 + [LossSpec("lqr")] * 2,
+    "interleaved": [LossSpec("mse"), _HUBER, LossSpec("lqr")] * 2,
+    "bce": [LossSpec("bce")] * 3,
+}
+
+
+class TestStepOracle:
+    """The in-place step against the allocating one it replaced: the same
+    operations in the same order, so every parameter and output is equal
+    bit for bit."""
+
+    @pytest.mark.parametrize("bs", [1, 5, 7])  # 23 rows: 7 leaves a partial last batch
+    @pytest.mark.parametrize("stack,out", [("loss-major", 1), ("loss-major", 2),
+                                           ("interleaved", 1), ("interleaved", 2), ("bce", 1)])
+    def test_step_matches_the_allocating_step(self, stack, out, bs):
+        specs = _ORACLE_STACKS[stack]
+        groups = models._loss_groups("logistic" if stack == "bce" else "linear", specs)
+        rng = np.random.default_rng(31)
+        R, n, k, lr = len(specs), 23, 4, 0.02
+        phi = rng.uniform(-1.0, 1.0, size=(n, k))
+        y = rng.normal(scale=0.5, size=(R, n, out))
+        if stack == "bce":
+            y = (y > 0).astype(float)
+        w = rng.uniform(0.0, 2.0, size=(R, n))
+        w[:, ::4] = 0.0
+        params = rng.normal(scale=0.3, size=(R, out, k + 1))
+        # one run goes non-finite: the quartic within a few steps, bce at once
+        wild = 0 if stack == "bce" else specs.index(LossSpec("lqr"))
+        params[wild] *= np.inf if stack == "bce" else 1e154
+        want = params.copy()
+        grad = np.empty_like(params)
+        views = models._step_views(params, grad)
+        z, g = np.empty((R, n, out)), np.empty((R, bs, out))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(3):
+                order = rng.permutation(n)
+                y_e, w_e = y.take(order, axis=1), w.take(order, axis=1)
+                for start in range(0, n, bs):
+                    stop = min(start + bs, n)
+                    rows = phi.take(order[start:stop], axis=0)
+                    models._batch_step(groups, params, views, rows, y_e[:, start:stop],
+                                       w_e[:, start:stop], z[:, start:stop],
+                                       g[:, : stop - start], lr)
+                    want_z = _allocating_step(groups, want, rows, y_e[:, start:stop],
+                                              w_e[:, start:stop], lr)
+                    np.testing.assert_array_equal(z[:, start:stop], want_z)
+                    np.testing.assert_array_equal(params, want)
+        assert not np.isfinite(params[wild]).any()
+        assert np.isfinite(np.delete(params, wild, axis=0)).all()
+
+    @pytest.mark.parametrize("base,v", [("mse", 1), ("mse", 2), ("huber", 1), ("huber", 2),
+                                        ("lqr", 1), ("lqr", 2), ("bce", 1)])
+    def test_in_place_gradients_match_loss_grad(self, base, v):
+        rng = np.random.default_rng(37)
+        spec = LossSpec(base, delta=0.5)
+        y_hat = rng.normal(scale=3.0, size=(3, 40, v))
+        y_hat[0, :3, 0] = [1e120, -np.inf, np.nan]  # overflow and non-finite outputs
+        y = (rng.integers(0, 2, size=y_hat.shape).astype(float) if base == "bce"
+             else rng.normal(size=y_hat.shape))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _allocating_loss_grad(spec, y_hat, y)
+            got = (losses.bce_grad(y_hat, y, out=np.empty_like(y)) if base == "bce"
+                   else losses.residual_grad(spec, y_hat - y))
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(losses.loss_grad(spec, y_hat, y), want)
 
 
 class TestTrainConfig:
