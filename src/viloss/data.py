@@ -113,12 +113,28 @@ class SynthSpec:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.n is None:
             self.n = SYNTH_DEFAULT_N[self.variant]
+        _check_size_and_seed(self.n, self.seed)
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if not 0 <= self.corrupt_fraction < 1:
             raise ValueError("corrupt_fraction must be in [0, 1)")
+        # a centre and sigma in [0, 1] keep at least Phi(1) - Phi(0), about
+        # 34%, of the cluster's draws inside [0, 1] (see _truncated_normal)
+        for name in ("cluster_fraction", "cluster_center", "cluster_sigma"):
+            value = getattr(self, name)
+            if not 0 <= value <= 1:  # nan fails this too
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
 
     @property
     def feature_dim(self) -> int:
         return 1 if self.variant == "synth-1d" else 2
+
+
+def _check_size_and_seed(n, seed) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def ground_truth(variant: str, features: np.ndarray) -> np.ndarray:
@@ -174,41 +190,38 @@ def generate_synth(spec: SynthSpec) -> Dataset:
 
 @dataclass
 class BinarySynthSpec:
-    """Imbalanced two-cluster binary classification task.
-
-    Negatives are mostly a dense cluster with a uniform background of
-    uncharacteristic negatives; positives form a separate cluster. A small
-    fraction of labels is flipped to simulate annotation noise.
-    """
+    """Size and seed of the imbalanced two-cluster binary classification
+    task that ``generate_binary_clusters`` draws."""
 
     n: int = 2000
-    positive_fraction: float = 0.05
-    label_noise: float = 0.02
-    negative_center: float = 0.25
-    negative_sigma: float = 0.08
-    negative_cluster_fraction: float = 0.8
-    positive_center: float = 0.75
-    positive_sigma: float = 0.1
     seed: int = 0
+
+    def __post_init__(self):
+        _check_size_and_seed(self.n, self.seed)
 
 
 def generate_binary_clusters(spec: BinarySynthSpec) -> Dataset:
+    """Draw the task: each label is positive with probability 0.05. A
+    positive's two features are N(0.75, 0.1). A negative's are N(0.25, 0.08)
+    with probability 0.8, the dense cluster, and otherwise uniform over
+    [0, 1], the uncharacteristic background. Features are clipped to [0, 1],
+    and then 2% of the labels are flipped to simulate annotation noise."""
     rng = np.random.default_rng(spec.seed)
     n = spec.n
-    y = (rng.random(n) < spec.positive_fraction).astype(np.float64)
+    y = (rng.random(n) < 0.05).astype(np.float64)
 
     x = np.empty((n, 2))
-    in_cluster = rng.random(n) < spec.negative_cluster_fraction
+    in_cluster = rng.random(n) < 0.8
     for i in range(n):
         if y[i] == 1:
-            x[i] = rng.normal(spec.positive_center, spec.positive_sigma, 2)
+            x[i] = rng.normal(0.75, 0.1, 2)
         elif in_cluster[i]:
-            x[i] = rng.normal(spec.negative_center, spec.negative_sigma, 2)
+            x[i] = rng.normal(0.25, 0.08, 2)
         else:
             x[i] = rng.uniform(0.0, 1.0, 2)
     x = np.clip(x, 0.0, 1.0)
 
-    flip = rng.random(n) < spec.label_noise
+    flip = rng.random(n) < 0.02
     y = np.where(flip, 1.0 - y, y)
     return Dataset(x, y)
 
@@ -321,7 +334,7 @@ def _read_rows(fh, columns, header):
     return np.array(kept, dtype=np.float64).reshape(-1, len(columns)), rejected
 
 
-def _column_range(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def column_range(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column min and max, one pass down each column: numpy reduces a
     narrow C-order array over axis 0 a row at a time, over ten times slower
     for two columns."""
@@ -334,7 +347,7 @@ def normalize_minmax(dataset: Dataset) -> Dataset:
     ``dataset``'s rows (pass the training split only). Returns the
     normalized dataset; its ``normalization`` record supports the inverse
     transform."""
-    record = NormalizationRecord(*_column_range(dataset.features), *_column_range(dataset.targets))
+    record = NormalizationRecord(*column_range(dataset.features), *column_range(dataset.targets))
     return Dataset(
         record.apply_features(dataset.features),
         record.apply_targets(dataset.targets),

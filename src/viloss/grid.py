@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, write_columns
+from .data import Dataset, column_range, write_columns
 
 NORM_KINDS = ("l1", "l2")  # gamma: L1 or squared-L2 target deviation
 _KEY_MAX = np.iinfo(np.int64).max
 _OVERFLOW = "cell statistics overflowed float64: normalize the features and targets first"
+# the square of a deviation below this is subnormal or 0, and loses bits
+_TINY_RANGE = float(np.sqrt(np.finfo(np.float64).tiny))  # 2.0 ** -511
 
 
 @dataclass
@@ -42,11 +44,27 @@ class CellGrid:
         return len(self.count)
 
 
-def _bin_indices(sub: np.ndarray, lam: int) -> np.ndarray:
-    """Equal-width half-open bins over each column's range; the maximum
-    folds into the last bin, and a zero-range column is all bin 0."""
-    lo = sub.min(axis=0)
-    width = sub.max(axis=0) - lo
+def _check_scale(span, what: str, columns) -> None:
+    """Reject a column whose range, from ``span`` (per-column min, max), is
+    non-zero but so small that squared deviations fall below float64's
+    normal range: the grid's statistics would silently lose precision, down
+    to uniform weights. ``columns`` names the columns in the message."""
+    lo, hi = span
+    width = hi - lo
+    tiny = (width > 0) & (width < _TINY_RANGE)
+    if tiny.any():
+        j = int(tiny.argmax())
+        raise ValueError(f"{what} column {columns[j]} has range {float(width[j])!r}, below "
+                         f"{_TINY_RANGE!r}, where cell statistics lose precision: "
+                         f"normalize the features and targets first")
+
+
+def _bin_indices(sub: np.ndarray, lam: int, span) -> np.ndarray:
+    """Equal-width half-open bins over each column's range, from ``span``
+    (per-column min, max); the maximum folds into the last bin, and a
+    zero-range column is all bin 0."""
+    lo, hi = span
+    width = hi - lo
     if not np.isfinite(width).all():
         raise ValueError(_OVERFLOW)
     # sub - lo >= 0, so truncation is floor; the clamp runs in place, which
@@ -139,11 +157,14 @@ def fit_grid(
         raise ValueError("feature_subset index out of range")
 
     # Dataset guarantees finite values, so every sample lands in a bin, but
-    # raw values far from 1 can overflow a range or a squared deviation;
-    # such a grid is rejected below rather than warned about
+    # raw values far from 1 can overflow a range or a squared deviation, or
+    # square into subnormals; such a grid is rejected rather than warned about
     sub = dataset.features[:, feature_subset]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        idx = _bin_indices(sub, lam)
+        span = column_range(sub)
+        _check_scale(span, "feature", feature_subset)
+        _check_scale(column_range(dataset.targets), "target", range(dataset.target_dim))
+        idx = _bin_indices(sub, lam, span)
         cell_of = _assign_cells(idx, lam)
         count = np.bincount(cell_of)
         member = np.empty(len(count), dtype=np.intp)

@@ -1,18 +1,17 @@
-"""Base losses (MSE, Huber, quartic, BCE) with analytic gradients.
+"""Base losses (MSE, Huber, quartic, BCE): per-sample values, and the
+in-place gradients the SGD step runs.
 
 A ``LossSpec`` is the loss alone: its base and, for Huber, its threshold.
 Every loss reads the model's linear output. BCE reads it as the logit of
 the logistic model, so it needs no clip and is finite for any finite logit.
 
-Nothing here weights a sample. The per-sample weight is the weights given
-with a run to ``train``; it multiplies each sample's parameter gradient
-last, inside the SGD step (``viloss.models._batch_step``), so the weighted
-gradient is exactly the weight times the base gradient. The weight never
-reads a loss value, so the step computes gradients only: ``bce_grad``, or
-one residual per stack that ``residual_grad`` turns into each loss group's
-gradient, both in place; ``train`` calls ``batch_value_grad`` once per
-epoch for the loss history, and it takes its gradients from ``loss_grad``,
-which calls the same two functions.
+Values and gradients take separate paths. The step
+(``viloss.models._batch_step``) computes gradients only, in place, with
+``bce_grad`` or ``residual_grad``, the only gradient code. ``train`` takes
+values from ``batch_value_grad`` once per epoch and loss group, for the
+loss history and the divergence check. Nothing here weights a sample: the
+weight ``mu / (1 + gamma)`` multiplies each sample's parameter gradient
+last, inside the step, and never reads a loss value.
 """
 
 from __future__ import annotations
@@ -72,20 +71,10 @@ def residual_grad(spec: LossSpec, r: np.ndarray) -> np.ndarray:
     return r
 
 
-def loss_grad(spec: LossSpec, y_hat: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample gradient w.r.t. y_hat, unchecked: y_hat and y are float
-    arrays of one shape (..., v), and for BCE y_hat is the logit and v is 1.
-    The formulas are ``bce_grad`` and ``residual_grad``, which the SGD step
-    calls in place; ``batch_value_grad`` checks its operands and calls this."""
-    if spec.base == "bce":
-        return bce_grad(y_hat, y)
-    return residual_grad(spec, y_hat - y)
-
-
 def batch_value_grad(spec: LossSpec, y_hat: np.ndarray, y: np.ndarray):
-    """Vectorized loss over a batch: y_hat and y are (B, v), or (R, B, v)
-    for R stacked runs; for BCE y_hat is the logit. Returns per-sample
-    values (y_hat.shape[:-1]) and gradients w.r.t. y_hat (y_hat.shape)."""
+    """Per-sample loss values (y_hat.shape[:-1]) over a batch: y_hat and y
+    are (B, v), or (R, B, v) for R stacked runs; for BCE y_hat is the logit.
+    Values only, despite the name, which the benchmark's tracer pins."""
     y_hat = np.asarray(y_hat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if y_hat.shape != y.shape:
@@ -104,5 +93,4 @@ def batch_value_grad(spec: LossSpec, y_hat: np.ndarray, y: np.ndarray):
     else:
         r = y_hat - y
         value = r**2 if spec.base == "mse" else r**4
-    value = value[..., 0] if v == 1 else value.sum(axis=-1) / v
-    return value, loss_grad(spec, y_hat, y)
+    return value[..., 0] if v == 1 else value.sum(axis=-1) / v

@@ -48,6 +48,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -284,7 +286,7 @@ def train(
                             g_batch, lr)
             # the loss values of the epoch at the parameters each batch saw
             for spec, runs in groups:
-                values[runs] = batch_value_grad(spec, z[runs], y_e[runs])[0]
+                values[runs] = batch_value_grad(spec, z[runs], y_e[runs])
             weighted = w_e * values
             batch_loss = weighted[:, :full].reshape(R, -1, bs).sum(axis=2)
             if full < n:

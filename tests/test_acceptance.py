@@ -46,7 +46,7 @@ def _finite_diff_param_grad(model, loss_spec, x, y, weight, h=1e-6):
             # BCE of the predicted probability, independent of the library's
             # loss of the logit
             return weight * -(y[0] * np.log(pred[0]) + (1 - y[0]) * np.log(1 - pred[0]))
-        values, _ = batch_value_grad(loss_spec, pred[None], np.atleast_2d(y))
+        values = batch_value_grad(loss_spec, pred[None], np.atleast_2d(y))
         return weight * values[0]
 
     flat0 = np.concatenate([model.weights.ravel(), model.bias])

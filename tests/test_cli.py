@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from viloss import Dataset, ground_truth, load_csv, save_csv, split
+from viloss import cli
 from viloss.cli import main
 from viloss.data import BinarySynthSpec, generate_binary_clusters
 
@@ -28,6 +29,18 @@ class TestGen:
         run(["gen", "--noise-sigma", 0, "--corrupt-fraction", 0, "--out", out])
         ds, _ = load_csv(out, ["x1"], ["y"])
         np.testing.assert_allclose(ds.targets, ground_truth("synth-1d", ds.features))
+
+    def test_out_of_range_cluster_center_fails_without_output(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # the spec must reject the centre; generating from it would never return
+        def generate(spec):
+            pytest.fail("an out-of-range spec reached the generator")
+
+        monkeypatch.setattr(cli, "generate_synth", generate)
+        out = tmp_path / "s.csv"
+        assert run(["gen", "--cluster-center", 5, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: cluster_center must be in [0, 1], got 5.0\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLdSweep:

@@ -71,6 +71,31 @@ class TestGenerateSynth:
         with pytest.raises(ValueError):
             SynthSpec("synth-1d", corrupt_fraction=1.0)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("n", 0, "n must be >= 1, got 0"),
+        ("n", -3, "n must be >= 1, got -3"),
+        ("seed", -2, "seed must be >= 0, got -2"),
+        ("noise_sigma", -1.0, "noise_sigma must be finite and >= 0, got -1.0"),
+        ("noise_sigma", float("nan"), "noise_sigma must be finite and >= 0, got nan"),
+        ("noise_sigma", float("inf"), "noise_sigma must be finite and >= 0, got inf"),
+        ("cluster_fraction", 1.5, "cluster_fraction must be in [0, 1], got 1.5"),
+        ("cluster_fraction", float("nan"), "cluster_fraction must be in [0, 1], got nan"),
+        ("cluster_center", 5.0, "cluster_center must be in [0, 1], got 5.0"),
+        ("cluster_center", -0.1, "cluster_center must be in [0, 1], got -0.1"),
+        ("cluster_sigma", float("nan"), "cluster_sigma must be in [0, 1], got nan"),
+        ("cluster_sigma", 2.0, "cluster_sigma must be in [0, 1], got 2.0"),
+    ])
+    def test_out_of_range_field_rejected(self, field, value, message):
+        # only the spec is built: a centre or sigma that slipped through
+        # would make the truncated-normal sampler reject draws forever
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SynthSpec("synth-1d", **{field: value})
+
+    @pytest.mark.parametrize("center,sigma", [(0.0, 1.0), (1.0, 1.0), (0.0, 0.0), (1.0, 0.0)])
+    def test_range_edges_generate(self, center, sigma):
+        spec = SynthSpec("synth-1d", n=50, cluster_center=center, cluster_sigma=sigma)
+        assert generate_synth(spec).n == 50
+
 
 class TestBinaryClusters:
     def test_shape_and_labels(self):
@@ -87,6 +112,14 @@ class TestBinaryClusters:
         b = generate_binary_clusters(BinarySynthSpec(seed=9))
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.targets, b.targets)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("n", 0, "n must be >= 1, got 0"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ])
+    def test_out_of_range_field_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BinarySynthSpec(**{field: value})
 
 
 class TestLoadCsv:

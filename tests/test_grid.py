@@ -156,6 +156,48 @@ class TestFitGrid:
                                              "normalize the features and targets first$"):
             fit_grid(make_1d(xs, ys), 1)
 
+    @staticmethod
+    def _scaled(s):
+        # x = (0, 1, 2, 3, 10, 11) * s, y = (0, 1, 0, 1, 0, 1) * s
+        return make_1d(np.array([0.0, 1.0, 2.0, 3.0, 10.0, 11.0]) * s,
+                       np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0]) * s)
+
+    @pytest.mark.parametrize("s", [1e-160, 1e-162])
+    def test_tiny_scale_rejected(self, s):
+        # squared deviations of this size are subnormal or 0: at 1e-160 mu
+        # drifts in its fourth digit, at 1e-162 every weight is silently 1
+        with pytest.raises(ValueError, match=r"^feature column 0 has range .*, below "
+                                             r"1\.4916681462400413e-154, where cell "
+                                             r"statistics lose precision: normalize the "
+                                             r"features and targets first$"):
+            fit_grid(self._scaled(s), 2)
+
+    def test_tiny_target_range_rejected(self):
+        ds = make_1d([0.0, 1.0, 2.0, 3.0], [0.0, 1e-160, 0.0, 1e-160])
+        with pytest.raises(ValueError, match=r"^target column 0 has range 1e-160, below"):
+            fit_grid(ds, 2)
+
+    def test_tiny_column_named_by_dataset_index(self):
+        features = np.column_stack([np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1e-160, 6)])
+        ds = Dataset(features, np.zeros(6))
+        fit_grid(ds, 2, feature_subset=[0])  # the tiny column is not selected
+        with pytest.raises(ValueError, match=r"^feature column 1 has range"):
+            fit_grid(ds, 2, feature_subset=[0, 1])
+
+    @pytest.mark.parametrize("s", [2.0**-508, 2.0**-511])  # 2 ** -511 is the bound itself
+    def test_accepted_scales_keep_the_weights(self, s):
+        # a power-of-two scale multiplies every statistic exactly, so mu,
+        # gamma and the weights are those at scale 1, bit for bit
+        want = self._scaled(1.0)
+        want_grid = fit_grid(want, 2)
+        np.testing.assert_allclose(want_grid.mu, [1.90983006, 0.38196601], rtol=1e-8)
+        ds = self._scaled(s)
+        grid = fit_grid(ds, 2)
+        np.testing.assert_array_equal(grid.mu, want_grid.mu)
+        for kind in ("l1", "l2"):
+            np.testing.assert_array_equal(compute_weights(grid, ds, kind).weight,
+                                          compute_weights(want_grid, want, kind).weight)
+
 
 class TestComputeWeights:
     def test_sample_at_cell_mean_has_zero_gamma(self):
