@@ -1,6 +1,10 @@
 """Command-line harness: data generation, lambda sweeps, weighting,
 training and end-to-end experiment reproduction.
 
+An argument ``@FILE`` stands for the flags in FILE, one a line without its
+dashes (``lr=0.1``, ``no-shuffle``), and argparse converts and checks them
+as if they were typed in its place.
+
 Every run directory gets a manifest that records the configuration it ran
 with; re-running with those flags reproduces the outputs byte-for-byte.
 """
@@ -65,46 +69,6 @@ def _feature_subset(args) -> list[int] | None:
     return _parse_int_list(args.feature_subset, "--feature-subset") if args.feature_subset else None
 
 
-_TRUE_WORDS, _FALSE_WORDS = ("1", "true", "on", "yes"), ("0", "false", "off", "no")
-
-
-def _config_value(action: argparse.Action, value: str):
-    """``value`` converted as the command line converts it for ``action``:
-    its type and its choices, or a true/false word for a store_true flag."""
-    if action.nargs == 0:  # a store_true flag
-        if value.lower() not in _TRUE_WORDS + _FALSE_WORDS:
-            raise ValueError(f"expected one of {_TRUE_WORDS + _FALSE_WORDS}, got {value!r}")
-        return value.lower() in _TRUE_WORDS
-    if action.type is not None:
-        value = action.type(value)
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(f"expected one of {tuple(action.choices)}, got {value!r}")
-    return value
-
-
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Overlay key=value pairs from --config onto the arguments ``parser``
-    parsed, each converted through its subcommand's own action."""
-    if not getattr(args, "config", None):
-        return
-    sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
-    actions = {a.dest: a for a in sub._actions if hasattr(args, a.dest)}  # not --help
-    for line_no, line in enumerate(Path(args.config).read_text().splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{args.config}:{line_no}: expected key=value")
-        key, value = (s.strip() for s in line.split("=", 1))
-        key = key.replace("-", "_")
-        if key not in actions:
-            raise ValueError(f"{args.config}:{line_no}: unknown key {key!r}")
-        try:
-            setattr(args, key, _config_value(actions[key], value))
-        except ValueError as exc:
-            raise ValueError(f"{args.config}:{line_no}: {key}: {exc}") from None
-
-
 def _load_dataset(args) -> Dataset:
     dataset, rejected = load_csv(
         args.data,
@@ -117,14 +81,11 @@ def _load_dataset(args) -> Dataset:
     return dataset
 
 
-def _write_manifest(out_dir: Path, args, extra: dict | None = None) -> None:
+def _write_manifest(out_dir: Path, args) -> None:
     lines = [f"viloss_version={__version__}"]
     for key in sorted(vars(args)):
-        if key in ("func", "config"):
-            continue
-        lines.append(f"{key}={getattr(args, key)}")
-    for key, value in (extra or {}).items():
-        lines.append(f"{key}={value}")
+        if key != "func":
+            lines.append(f"{key}={getattr(args, key)}")
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -360,9 +321,23 @@ def _add_data_args(p, feature_subset: bool = True) -> None:
         p.add_argument("--feature-subset", default="", help="feature indices used for weighting")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
+        """One flag per line of an @file: ``key`` or ``key=value`` reads as
+        ``--key`` or ``--key=value``; ``#`` starts a comment."""
+        line = arg_line.split("#", 1)[0].strip()
+        if not line:
+            return []
+        key, eq, value = line.partition("=")
+        return [f"--{key.strip()}{eq}{value.strip()}"]
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="viloss", description="Variation-incentive loss re-weighting toolkit"
+    parser = _ArgumentParser(
+        prog="viloss",
+        description="Variation-incentive loss re-weighting toolkit. An argument @FILE "
+        "reads flags from FILE, one a line without its dashes, such as lr=0.1.",
+        fromfile_prefix_chars="@",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -377,14 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cluster-sigma", type=float, default=0.08)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("ld-sweep", help="localized-deviation sweep over lambda candidates")
     _add_data_args(p)
     p.add_argument("--candidates", default=",".join(map(str, LAMBDA_CANDIDATES)))
     p.add_argument("--out", default="")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_ld_sweep)
 
     p = sub.add_parser("weigh", help="export the per-sample weight table")
@@ -393,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-norm", choices=NORM_KINDS, default="l2")
     p.add_argument("--mu-floor", type=float, default=0.0)
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.set_defaults(func=cmd_weigh)
 
     p = sub.add_parser("train", help="train and evaluate one configuration")
@@ -412,13 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-shuffle", action="store_true")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--config")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a saved model on a CSV dataset")
     _add_data_args(p, feature_subset=False)
     p.add_argument("--model", required=True, help="saved model path")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("repro", help="run a named experiment end-to-end")
@@ -426,17 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0,1,2,3,4")
     p.add_argument("--epochs", type=int, default=None, help="override the experiment default")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--config")
     p.set_defaults(func=cmd_repro)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config_file(args, parser)
         args.func(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,6 +31,8 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
+        if self.kind != "polynomial" and self.degree != 1:
+            raise ValueError(f"a {self.kind} model has degree 1, got {self.degree}")
 
 
 @dataclass
@@ -235,7 +237,7 @@ def train(
     """
     n = dataset.n
     if config.batch_size > n:
-        raise ValueError("batch_size cannot exceed the dataset size")
+        raise ValueError(f"batch_size {config.batch_size} exceeds the {n} training rows")
     specs = [spec for spec, _ in runs]
     if not specs:
         raise ValueError("train needs at least one run")

@@ -293,30 +293,48 @@ class TestTrainCommand:
         assert np.isfinite([float(v) for v in row.split(",")[6:]]).all()
 
     def test_config_file_overrides_flags(self, tmp_path):
+        # an @file's flags come after the ones typed before it, so they win
         data = tmp_path / "s.csv"
         run(["gen", "--out", data])
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("epochs=3\nlr=0.05\ngrid-lambda=5\n")
+        cfg = tmp_path / "run.args"
+        cfg.write_text("epochs=3\nlr=0.05\nlambda=5\n")
         out_dir = tmp_path / "run"
         code = run([
             "train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
-            "--epochs", 50, "--out-dir", out_dir, "--config", cfg,
+            "--epochs", 50, "--out-dir", out_dir, f"@{cfg}",
         ])
         assert code == 0
-        manifest = (out_dir / "manifest.txt").read_text()
-        assert "epochs=3" in manifest
-        assert "grid_lambda=5" in manifest
+        manifest = (out_dir / "manifest.txt").read_text().splitlines()
+        assert {"epochs=3", "lr=0.05", "grid_lambda=5"} <= set(manifest)
 
-    def test_unknown_config_key_fails(self, tmp_path):
+    def test_unknown_config_key_fails(self, tmp_path, capsys):
         data = tmp_path / "s.csv"
         run(["gen", "--out", data])
-        cfg = tmp_path / "run.cfg"
+        cfg = tmp_path / "run.args"
         cfg.write_text("bogus=1\n")
-        code = run([
-            "train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
-            "--out-dir", tmp_path / "run", "--config", cfg,
-        ])
-        assert code == 1
+        with pytest.raises(SystemExit):
+            run(["train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
+                 "--out-dir", tmp_path / "run", f"@{cfg}"])
+        assert "unrecognized arguments: --bogus=1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_degree_of_a_linear_model_rejected(self, tmp_path, capsys):
+        # the degree would be recorded in manifest.txt and model.txt but never used
+        data, out_dir = tmp_path / "s.csv", tmp_path / "run"
+        run(["gen", "--out", data])
+        assert run(["train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
+                    "--model", "linear", "--degree", 6, "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err == "error: a linear model has degree 1, got 6\n"
+        assert not out_dir.exists()
+
+    def test_batch_size_above_training_rows_names_both(self, tmp_path, capsys):
+        # 60 rows split 70/30 leave 42 to train on
+        data, out_dir = tmp_path / "s.csv", tmp_path / "run"
+        run(["gen", "--n", 60, "--out", data])
+        assert run(["train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
+                    "--batch-size", 50, "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err == "error: batch_size 50 exceeds the 42 training rows\n"
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("weighting,columns", [
         (["--weighted", "off"], ["mse", "none", "none"]),
@@ -515,62 +533,90 @@ class TestRepro:
 
 
 class TestConfigFile:
-    """--config values convert through the subcommand's own flags: their
-    type, their choices and, for store_true flags, true/false words."""
+    """An @file argument stands for its lines, each one flag without its
+    dashes, so argparse converts, checks and rejects them as typed flags."""
 
-    def _train(self, tmp_path, lines):
+    def _train(self, tmp_path, lines, *after):
         data = tmp_path / "s.csv"
         run(["gen", "--out", data])
-        cfg = tmp_path / "run.cfg"
+        cfg = tmp_path / "run.args"
         cfg.write_text(lines)
         out_dir = tmp_path / "run"
         code = run(["train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
-                    "--epochs", 1, "--out-dir", out_dir, "--config", cfg])
-        return code, cfg, out_dir
+                    "--epochs", 1, "--out-dir", out_dir, f"@{cfg}", *after])
+        return code, out_dir
+
+    def _rejected(self, tmp_path, capsys, lines):
+        """stderr of a train whose @file argparse rejects, which writes nothing."""
+        with pytest.raises(SystemExit):
+            self._train(tmp_path, lines)
+        assert not (tmp_path / "run").exists()
+        return capsys.readouterr().err
 
     def test_repro_epochs_with_no_default(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
+        cfg = tmp_path / "run.args"
         cfg.write_text("epochs=2\n")
         a, b = tmp_path / "a", tmp_path / "b"
         assert run(["repro", "--name", "synth-1d", "--seeds", "0", "--out-dir", a,
-                    "--config", cfg]) == 0
+                    f"@{cfg}"]) == 0
         assert run(["repro", "--name", "synth-1d", "--seeds", "0", "--epochs", 2,
                     "--out-dir", b]) == 0
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
 
     def test_gen_n_with_no_default(self, tmp_path):
-        cfg, out = tmp_path / "gen.cfg", tmp_path / "s.csv"
+        cfg, out = tmp_path / "gen.args", tmp_path / "s.csv"
         cfg.write_text("n=50\n")
-        assert run(["gen", "--out", out, "--config", cfg]) == 0
+        assert run(["gen", "--out", out, f"@{cfg}"]) == 0
         assert out.read_text().count("\n") == 51
 
-    def test_choice_outside_choices_rejected(self, tmp_path, capsys):
-        # weighted=yes used to train unweighted without a word
-        code, cfg, out_dir = self._train(tmp_path, "# weighting\nweighted=yes\n")
-        assert code == 1
-        assert f"{cfg}:2: weighted: expected one of ('on', 'off'), got 'yes'" in (
-            capsys.readouterr().err)
-        assert not (out_dir / "results.csv").exists()
+    def test_required_flags_from_file(self, tmp_path):
+        # the file alone gives --data, --feature-cols and --target-cols
+        data = tmp_path / "s.csv"
+        run(["gen", "--out", data])
+        cfg = tmp_path / "run.args"
+        cfg.write_text(f"data={data}\nfeature-cols=x1\ntarget-cols=y\n"
+                       "epochs=2\nlr=0.05\nlambda=5\n")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["train", f"@{cfg}", "--out-dir", a]) == 0
+        assert run(["train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
+                    "--epochs", 2, "--lr", 0.05, "--lambda", 5, "--out-dir", b]) == 0
+        for name in ("results.csv", "model.txt"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        manifests = [(d / "manifest.txt").read_text().splitlines() for d in (a, b)]
+        assert [line for line in manifests[0] if line != f"out_dir={a}"] == [
+            line for line in manifests[1] if line != f"out_dir={b}"]
 
-    def test_unknown_model_names_line(self, tmp_path, capsys):
-        code, cfg, _ = self._train(tmp_path, "model=bogus\n")
-        assert code == 1
-        assert f"{cfg}:1: model: expected one of ('linear', 'polynomial', 'logistic'), " \
-               f"got 'bogus'" in capsys.readouterr().err
-
-    def test_bad_number_names_line(self, tmp_path, capsys):
-        code, cfg, _ = self._train(tmp_path, "epochs=2\nlr=fast\n")
-        assert code == 1
-        assert f"{cfg}:2: lr: could not convert string to float: 'fast'" in (
-            capsys.readouterr().err)
-
-    @pytest.mark.parametrize("word,shuffle", [("yes", False), ("off", True)])
-    def test_store_true_words(self, tmp_path, word, shuffle):
-        code, _, out_dir = self._train(tmp_path, f"no-shuffle={word}\n")
+    def test_flag_after_file_wins(self, tmp_path):
+        code, out_dir = self._train(tmp_path, "epochs=3\nlr=0.05\n", "--epochs", 2)
         assert code == 0
-        assert f"no_shuffle={not shuffle}" in (out_dir / "manifest.txt").read_text()
+        manifest = (out_dir / "manifest.txt").read_text().splitlines()
+        assert {"epochs=2", "lr=0.05"} <= set(manifest)
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        code, out_dir = self._train(
+            tmp_path, "# a short run\n\n  epochs = 2   # two passes\n   \nlr = 0.05\n")
+        assert code == 0
+        manifest = (out_dir / "manifest.txt").read_text().splitlines()
+        assert {"epochs=2", "lr=0.05"} <= set(manifest)
+
+    def test_choice_outside_choices_rejected(self, tmp_path, capsys):
+        # weighted=yes once trained unweighted without a word
+        err = self._rejected(tmp_path, capsys, "# weighting\nweighted=yes\n")
+        assert "argument --weighted: invalid choice: 'yes'" in err
+
+    def test_unknown_model_names_flag_and_value(self, tmp_path, capsys):
+        err = self._rejected(tmp_path, capsys, "model=bogus\n")
+        assert "argument --model: invalid choice: 'bogus'" in err
+
+    def test_bad_number_names_flag_and_value(self, tmp_path, capsys):
+        err = self._rejected(tmp_path, capsys, "epochs=2\nlr=fast\n")
+        assert "argument --lr: invalid float value: 'fast'" in err
+
+    def test_bare_switch_line(self, tmp_path):
+        code, out_dir = self._train(tmp_path, "no-shuffle\n")
+        assert code == 0
+        assert "no_shuffle=True" in (out_dir / "manifest.txt").read_text().splitlines()
 
     def test_store_true_rejects_other_words(self, tmp_path, capsys):
-        code, cfg, _ = self._train(tmp_path, "no-shuffle=maybe\n")
-        assert code == 1
-        assert f"{cfg}:1: no_shuffle: expected one of" in capsys.readouterr().err
+        err = self._rejected(tmp_path, capsys, "no-shuffle=maybe\n")
+        assert "argument --no-shuffle: ignored explicit argument 'maybe'" in err

@@ -115,7 +115,7 @@ class TestParameterGradient:
     )
     def test_matches_finite_differences(self, kind, loss):
         rng = np.random.default_rng(hash((kind, loss)) % 2**31)
-        model = _random_model(ModelSpec(kind, degree=3), rng, 2)
+        model = _random_model(ModelSpec(kind, degree=3 if kind == "polynomial" else 1), rng, 2)
         x = rng.uniform(0, 1, size=2)
         y = np.array([float(rng.integers(0, 2))]) if loss == "bce" else rng.normal(size=1)
         w = float(rng.uniform(0.2, 3.0))
@@ -232,7 +232,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=1, batch_size=1, learning_rate=0.3, shuffle=False)
         for trial in range(100):
             kind, loss = combos[trial % len(combos)]
-            spec = ModelSpec(kind, degree=3)
+            spec = ModelSpec(kind, degree=3 if kind == "polynomial" else 1)
             x = rng.uniform(-1, 1, size=(1, 2))
             y = (rng.integers(0, 2, size=(1, 1)).astype(float) if loss == "bce"
                  else rng.normal(size=(1, 1)))
@@ -255,7 +255,7 @@ class TestTrain:
                   ("logistic", "bce")]
         for trial in range(40):
             kind, loss = combos[trial % len(combos)]
-            spec = ModelSpec(kind, degree=3)
+            spec = ModelSpec(kind, degree=3 if kind == "polynomial" else 1)
             n = int(rng.integers(2, 9))
             x = rng.uniform(-1, 1, size=(n, 2))
             y = (rng.integers(0, 2, size=(n, 1)).astype(float) if loss == "bce"
@@ -588,6 +588,12 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec("mlp")
 
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    def test_degree_only_for_polynomial(self, kind):
+        # nothing would read the degree, yet model files and manifests record it
+        with pytest.raises(ValueError, match=f"^a {kind} model has degree 1, got 6$"):
+            ModelSpec(kind, 6)
+
 
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
@@ -667,7 +673,7 @@ class TestSaveLoad:
             load_model(path)
 
     @pytest.mark.parametrize("spec_line", ["linear,1,2", "linear,1,2,1,1", "linear,x,1,1",
-                                           "mlp,1,2,1", ""])
+                                           "mlp,1,2,1", "linear,6,1,1", ""])
     def test_malformed_spec_line_names_path_and_line(self, tmp_path, spec_line):
         path = tmp_path / "model.txt"
         path.write_text(f"viloss_model_version=1\n{spec_line}\n0.5\n0.25\n0.0\n")
