@@ -5,8 +5,10 @@ An argument ``@FILE`` stands for the flags in FILE, one a line without its
 dashes (``lr=0.1``, ``no-shuffle``), and argparse converts and checks them
 as if they were typed in its place.
 
-Every run directory gets a manifest that records the configuration it ran
-with; re-running with those flags reproduces the outputs byte-for-byte.
+``gen``, ``train`` and ``repro`` write their flags, all but the output
+path, as such a file: ``<out>.manifest.txt`` or ``<out-dir>/manifest.txt``.
+So ``viloss train @run/manifest.txt --out-dir run2`` re-runs a run and
+writes byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -81,15 +83,8 @@ def _load_dataset(args) -> Dataset:
     return dataset
 
 
-def _write_manifest(out_dir: Path, args) -> None:
-    lines = [f"viloss_version={__version__}"]
-    for key in sorted(vars(args)):
-        if key != "func":
-            lines.append(f"{key}={getattr(args, key)}")
-    (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
-
-
 def cmd_gen(args) -> None:
+    manifest = args.parser.format_manifest(args)
     spec = SynthSpec(
         variant=args.variant,
         n=args.n,
@@ -102,11 +97,7 @@ def cmd_gen(args) -> None:
     )
     dataset = generate_synth(spec)
     save_csv(dataset, args.out)
-    manifest = Path(args.out).with_suffix(".manifest.txt")
-    manifest.write_text(
-        "".join(f"{k}={v}\n" for k, v in sorted(vars(spec).items()))
-        + f"viloss_version={__version__}\n"
-    )
+    Path(args.out).with_suffix(".manifest.txt").write_text(manifest)
     print(f"wrote {dataset.n} samples to {args.out}")
 
 
@@ -198,15 +189,16 @@ def _write_run(args, run) -> None:
     leaves neither a new directory nor stale or partial outputs.
     """
     out_dir = Path(args.out_dir)
-    results, model_file = out_dir / "results.csv", out_dir / "model.txt"
-    created = [results, model_file, out_dir / "manifest.txt"]
+    manifest = args.parser.format_manifest(args)
+    created = [out_dir / "results.csv", out_dir / "model.txt", out_dir / "manifest.txt"]
+    results, model_file, manifest_file = created
     try:
         header, rows, model, record = run()
         out_dir.mkdir(parents=True, exist_ok=True)
         results.write_text(header + "\n" + "\n".join(rows) + "\n")
         if model is not None:
             save_model(model, record, model_file)
-        _write_manifest(out_dir, args)
+        manifest_file.write_text(manifest)
     except Exception:
         if out_dir.is_dir():
             for path in created:
@@ -318,7 +310,7 @@ def _add_data_args(p, feature_subset: bool = True) -> None:
     p.add_argument("--target-cols", required=True, help="comma list of names or indices")
     p.add_argument("--no-header", action="store_true")
     if feature_subset:  # eval weighs nothing
-        p.add_argument("--feature-subset", default="", help="feature indices used for weighting")
+        p.add_argument("--feature-subset", help="feature indices used for weighting")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -330,6 +322,26 @@ class _ArgumentParser(argparse.ArgumentParser):
             return []
         key, eq, value = line.partition("=")
         return [f"--{key.strip()}{eq}{value.strip()}"]
+
+    def format_manifest(self, args) -> str:
+        """``args`` as an @file that reads back to ``args``: a ``# viloss
+        <version> <command>`` line, then ``key=value`` per flag or a set
+        switch's bare key. Unset switches, None values and the output path
+        (``--out``, ``--out-dir``) are left out; a value a line cannot hold
+        (a ``#``, a line break, a space at either end) is rejected."""
+        lines = [f"# viloss {__version__} {args.command}"]
+        for action in self._actions:
+            if action.dest in ("help", "out", "out_dir"):
+                continue
+            key, value = action.option_strings[0].lstrip("-"), getattr(args, action.dest)
+            if value is True:
+                lines.append(key)
+            elif value is not None and value is not False:
+                text = str(value)
+                if "#" in text or len(text.splitlines()) > 1 or text != text.strip():
+                    raise ValueError(f"--{key} {text!r} cannot be written as a manifest line")
+                lines.append(f"{key}={text}")
+        return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cluster-sigma", type=float, default=0.08)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, parser=p)
 
     p = sub.add_parser("ld-sweep", help="localized-deviation sweep over lambda candidates")
     _add_data_args(p)
@@ -384,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-shuffle", action="store_true")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, parser=p)
 
     p = sub.add_parser("eval", help="evaluate a saved model on a CSV dataset")
     _add_data_args(p, feature_subset=False)
@@ -396,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0,1,2,3,4")
     p.add_argument("--epochs", type=int, default=None, help="override the experiment default")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_repro)
+    p.set_defaults(func=cmd_repro, parser=p)
 
     return parser
 

@@ -153,8 +153,10 @@ def fit_grid(
         raise ValueError("feature_subset must name at least one feature")
     if len(set(feature_subset)) != len(feature_subset):
         raise ValueError("feature_subset indices must be distinct")
-    if any(j < 0 or j >= dataset.feature_dim for j in feature_subset):
-        raise ValueError("feature_subset index out of range")
+    for j in feature_subset:
+        if j < 0 or j >= dataset.feature_dim:
+            raise ValueError(f"feature_subset index {j} out of range for "
+                             f"{dataset.feature_dim} features")
 
     # Dataset guarantees finite values, so every sample lands in a bin, but
     # raw values far from 1 can overflow a range or a squared deviation, or

@@ -107,13 +107,17 @@ class Model:
         return z
 
 
+def _basis_size(spec: ModelSpec, input_dim: int) -> int:
+    """Width of the model's basis: the input itself, or for a polynomial
+    every monomial of degree 0..degree, ``len(monomial_exponents(...))``."""
+    if spec.kind == "polynomial":
+        return math.comb(input_dim + spec.degree, spec.degree)
+    return input_dim
+
+
 def init_model(spec: ModelSpec, input_dim: int, output_dim: int) -> Model:
     # zero init is deterministic and sufficient for the convex losses here
-    if spec.kind == "polynomial":
-        basis_dim = len(monomial_exponents(input_dim, spec.degree))
-    else:
-        basis_dim = input_dim
-    return Model(spec, np.zeros((output_dim, basis_dim)), np.zeros(output_dim))
+    return Model(spec, np.zeros((output_dim, _basis_size(spec, input_dim))), np.zeros(output_dim))
 
 
 Run = tuple[LossSpec, np.ndarray | None]
@@ -366,11 +370,11 @@ def load_model(path) -> tuple[Model, NormalizationRecord]:
                for no, text in record_lines]
     if [c.size for c in columns] != [input_dim] * 2 + [output_dim] * 2:
         raise ValueError(f"{path}: normalization record does not match the model's dimensions")
-    model = init_model(spec, input_dim, output_dim)
     params = np.array([_finite_float(path, no, text) for no, text in param_lines])
-    expected = model.weights.size + model.bias.size
+    # checked before any array is sized from a spec line that may be corrupt
+    basis = _basis_size(spec, input_dim)
+    expected = output_dim * (basis + 1)
     if params.size != expected:
         raise ValueError(f"{path}: expected {expected} parameters, found {params.size}")
-    model.weights = params[: model.weights.size].reshape(model.weights.shape)
-    model.bias = params[model.weights.size :]
-    return model, NormalizationRecord(*columns)
+    weights = params[: output_dim * basis].reshape(output_dim, basis)
+    return Model(spec, weights, params[output_dim * basis :]), NormalizationRecord(*columns)

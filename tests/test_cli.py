@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from viloss import Dataset, ground_truth, load_csv, save_csv, split
-from viloss import cli
+from viloss import __version__, cli
 from viloss.cli import main
 from viloss.data import BinarySynthSpec, generate_binary_clusters
 
@@ -305,7 +307,7 @@ class TestTrainCommand:
         ])
         assert code == 0
         manifest = (out_dir / "manifest.txt").read_text().splitlines()
-        assert {"epochs=3", "lr=0.05", "grid_lambda=5"} <= set(manifest)
+        assert {"epochs=3", "lr=0.05", "lambda=5"} <= set(manifest)
 
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         data = tmp_path / "s.csv"
@@ -442,6 +444,21 @@ class TestEval:
         out, err = capsys.readouterr()
         assert out == ""
         assert "logistic models require targets in {0, 1}" in err
+
+    def test_corrupt_spec_line_fails_at_once(self, tmp_path, capsys):
+        # a polynomial,40,10,1 spec line once made eval enumerate about 1e10
+        # monomials, its memory growing, before the parameter count was compared
+        data, model = tmp_path / "s.csv", tmp_path / "model.txt"
+        run(["gen", "--n", 20, "--out", data])
+        zeros, ones = ",".join(["0.0"] * 10), ",".join(["1.0"] * 10)
+        model.write_text(f"viloss_model_version=1\npolynomial,40,10,1\nfeature_min={zeros}\n"
+                         f"feature_max={ones}\ntarget_min=0.0\ntarget_max=1.0\n"
+                         "0.5\n0.25\n0.0\n1.0\n")
+        capsys.readouterr()
+        assert run(["eval", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
+                    "--model", model]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {model}: expected {math.comb(50, 10) + 1} parameters, found 4\n"
 
     def test_feature_subset_rejected(self, tmp_path, capsys):
         # eval weighs nothing, so a weighting flag would be silently ignored
@@ -582,9 +599,7 @@ class TestConfigFile:
                     "--epochs", 2, "--lr", 0.05, "--lambda", 5, "--out-dir", b]) == 0
         for name in ("results.csv", "model.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
-        manifests = [(d / "manifest.txt").read_text().splitlines() for d in (a, b)]
-        assert [line for line in manifests[0] if line != f"out_dir={a}"] == [
-            line for line in manifests[1] if line != f"out_dir={b}"]
+        assert (a / "manifest.txt").read_bytes() == (b / "manifest.txt").read_bytes()
 
     def test_flag_after_file_wins(self, tmp_path):
         code, out_dir = self._train(tmp_path, "epochs=3\nlr=0.05\n", "--epochs", 2)
@@ -615,8 +630,93 @@ class TestConfigFile:
     def test_bare_switch_line(self, tmp_path):
         code, out_dir = self._train(tmp_path, "no-shuffle\n")
         assert code == 0
-        assert "no_shuffle=True" in (out_dir / "manifest.txt").read_text().splitlines()
+        assert "no-shuffle" in (out_dir / "manifest.txt").read_text().splitlines()
 
     def test_store_true_rejects_other_words(self, tmp_path, capsys):
         err = self._rejected(tmp_path, capsys, "no-shuffle=maybe\n")
         assert "argument --no-shuffle: ignored explicit argument 'maybe'" in err
+
+
+class TestManifest:
+    """A run's manifest is an @file of its flags, all but the output path:
+    ``viloss <cmd> @<manifest> --out...`` parses to the same flags and writes
+    byte-identical outputs and manifest."""
+
+    def _rerun(self, argv, out_flag, first, second) -> list[str]:
+        """Run ``argv`` into ``first``, then again from its manifest into
+        ``second``; returns the manifest's lines."""
+        if out_flag == "--out":
+            manifest = first.with_suffix(".manifest.txt")
+        else:
+            manifest = first / "manifest.txt"
+        original = [str(w) for w in [*argv, out_flag, first]]
+        rerun = [argv[0], f"@{manifest}", out_flag, str(second)]
+        assert run(original) == 0
+        assert run(rerun) == 0
+        parser = cli.build_parser()
+        a, b = vars(parser.parse_args(original)), vars(parser.parse_args(rerun))
+        dest = out_flag[2:].replace("-", "_")
+        assert (a.pop(dest), b.pop(dest)) == (str(first), str(second))
+        assert a == b
+        lines = manifest.read_text().splitlines()
+        assert lines[0] == f"# viloss {__version__} {argv[0]}"
+        assert not any(line.startswith(("out", "grid_lambda", "command")) or line.endswith("=None")
+                       for line in lines)
+        return lines
+
+    @staticmethod
+    def _same_files(a, b, names):
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_gen(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        lines = self._rerun(["gen", "--variant", "synth-2d", "--n", 40, "--noise-sigma", 0.1],
+                            "--out", a, b)
+        assert a.read_bytes() == b.read_bytes()
+        manifests = [path.with_suffix(".manifest.txt") for path in (a, b)]
+        assert manifests[0].read_bytes() == manifests[1].read_bytes()
+        assert {"variant=synth-2d", "n=40", "noise-sigma=0.1", "seed=0"} <= set(lines)
+
+    def test_train(self, tmp_path):
+        data = tmp_path / "s.csv"
+        run(["gen", "--variant", "synth-2d", "--n", 60, "--out", data])
+        a, b = tmp_path / "a", tmp_path / "b"
+        lines = self._rerun(
+            ["train", "--data", data, "--feature-cols", "x1,x2", "--target-cols", "y",
+             "--model", "polynomial", "--degree", 2, "--loss", "huber", "--huber-delta", 0.5,
+             "--feature-subset", 1, "--lambda", 3, "--mu-floor", 0.25, "--lr", 0.05,
+             "--epochs", 2, "--no-shuffle"],
+            "--out-dir", a, b)
+        self._same_files(a, b, ["results.csv", "model.txt", "manifest.txt"])
+        assert {"feature-subset=1", "lambda=3", "huber-delta=0.5", "mu-floor=0.25",
+                "no-shuffle"} <= set(lines)
+
+    def test_unset_switch_and_subset_left_out(self, tmp_path):
+        data, out_dir = tmp_path / "s.csv", tmp_path / "run"
+        run(["gen", "--n", 40, "--out", data])
+        assert run(["train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
+                    "--epochs", 1, "--out-dir", out_dir]) == 0
+        lines = (out_dir / "manifest.txt").read_text().splitlines()
+        keys = [line.partition("=")[0] for line in lines]
+        assert "no-shuffle" not in keys and "feature-subset" not in keys
+        assert {"mu-floor", "seed"} <= set(keys)  # zeros are values, not unset flags
+
+    @pytest.mark.parametrize("argv", [
+        ["--name", "synth-1d", "--seeds", "0,1", "--epochs", 1],
+        ["--name", "synth-2d", "--seeds", "3"],  # no --epochs: the experiment's default
+    ])
+    def test_repro(self, tmp_path, argv):
+        a, b = tmp_path / "a", tmp_path / "b"
+        lines = self._rerun(["repro", *argv], "--out-dir", a, b)
+        self._same_files(a, b, ["results.csv", "manifest.txt"])
+        assert ("--epochs" in argv) == any(line.startswith("epochs=") for line in lines)
+
+    @pytest.mark.parametrize("data", ["runs#1.csv", " s.csv", "a\nb.csv"])
+    def test_value_a_line_cannot_hold_rejected_before_the_run(self, tmp_path, capsys, data):
+        out_dir = tmp_path / "run"
+        assert run(["train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
+                    "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --data {data!r} cannot be written as a manifest line\n")
+        assert not out_dir.exists()

@@ -108,8 +108,10 @@ class TestFitGrid:
         ds = make_1d([0.1, 0.8])
         with pytest.raises(ValueError):
             fit_grid(ds, 2, feature_subset=[0, 0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="feature_subset index 1 out of range for 1 features"):
             fit_grid(ds, 2, feature_subset=[1])
+        with pytest.raises(ValueError, match="feature_subset index -1 out of range for 1 features"):
+            fit_grid(ds, 2, feature_subset=[-1])
         with pytest.raises(ValueError, match="feature_subset must name at least one feature"):
             fit_grid(ds, 2, feature_subset=[])
 

@@ -47,6 +47,12 @@ class TestExpandPolynomial:
         phi = expand_polynomial(x, 2)
         np.testing.assert_array_equal(phi, [[1.0, 1.0, 1.0], [1.0, 2.0, 4.0]])
 
+    @pytest.mark.parametrize("input_dim,degree", [(1, 6), (2, 6), (3, 2), (5, 3)])
+    def test_model_basis_counts_the_monomials(self, input_dim, degree):
+        model = init_model(ModelSpec("polynomial", degree), input_dim, 1)
+        assert model.basis_dim == len(models.monomial_exponents(input_dim, degree))
+        assert expand_polynomial(np.zeros(input_dim), degree).shape == (model.basis_dim,)
+
 
 class TestPredict:
     def test_zero_linear_model(self):

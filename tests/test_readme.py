@@ -17,8 +17,9 @@ def test_first_python_example_runs(capsys):
 
 def test_command_line_examples_parse(tmp_path, monkeypatch):
     # every `viloss ...` command of the "Command line" block, continuations
-    # joined, parses against the CLI as it is; the @file example reads the
-    # README's own run.args, written to the working directory
+    # joined, parses against the CLI as it is; the @file examples read the
+    # manifest of the README's train run and the README's own run.args,
+    # written to the working directory
     text = README.read_text()
     block = re.search(r"## Command line\n\n```sh\n(.*?)```", text, re.S).group(1)
     args_file = re.search(r"```text\n(# run\.args.*?)```", text, re.S).group(1)
@@ -26,8 +27,12 @@ def test_command_line_examples_parse(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     commands = [shlex.split(line, comments=True)
                 for line in block.replace("\\\n", " ").splitlines()]
-    assert [words[0] for words in commands] == ["viloss"] * 7
+    assert [words[0] for words in commands] == ["viloss"] * 8
     parser = cli.build_parser()
+    train = parser.parse_args(commands[3][1:])
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "manifest.txt").write_text(train.parser.format_manifest(train))
     parsed = [parser.parse_args(words[1:]) for words in commands]
-    assert "@run.args" in commands[5]
-    assert vars(parsed[5]) == {**vars(parsed[3]), "out_dir": "run2/"}
+    assert "@run/manifest.txt" in commands[5] and "@run.args" in commands[6]
+    assert vars(parsed[5]) == {**vars(train), "out_dir": "run2/"}
+    assert vars(parsed[6]) == {**vars(train), "out_dir": "run3/"}
