@@ -7,8 +7,9 @@ as if they were typed in its place.
 
 ``gen``, ``train`` and ``repro`` write their flags, all but the output
 path, as such a file: ``<out>.manifest.txt`` or ``<out-dir>/manifest.txt``.
-So ``viloss train @run/manifest.txt --out-dir run2`` re-runs a run and
-writes byte-identical outputs.
+``--data`` is resolved to an absolute path when it is parsed, so
+``viloss train @run/manifest.txt --out-dir run2`` re-runs a run from any
+working directory and writes byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -304,8 +305,14 @@ def cmd_repro(args) -> None:
     _write_run(args, run)
 
 
+def _resolved_path(text: str) -> str:
+    """``text`` as an absolute path, so a manifest holding it re-runs from
+    any working directory."""
+    return str(Path(text).resolve())
+
+
 def _add_data_args(p, feature_subset: bool = True) -> None:
-    p.add_argument("--data", required=True, help="input CSV path")
+    p.add_argument("--data", type=_resolved_path, required=True, help="input CSV path")
     p.add_argument("--feature-cols", required=True, help="comma list of names or indices")
     p.add_argument("--target-cols", required=True, help="comma list of names or indices")
     p.add_argument("--no-header", action="store_true")

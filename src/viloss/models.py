@@ -73,12 +73,31 @@ def monomial_exponents(n_features: int, degree: int):
 
 
 def expand_polynomial(features: np.ndarray, degree: int) -> np.ndarray:
-    """Full-monomial basis (constant included) of one vector or a batch."""
+    """Full-monomial basis (constant included) of one vector or a batch.
+
+    A power table ``powers[p] = x ** np.full(d, p)`` for p = 0..degree
+    holds every feature's powers; each monomial's column of the (n, k)
+    result is the product of its features' table columns, taken in feature
+    order. The table keeps the call shape of an (n, d) array raised to a
+    length-d exponent array: numpy picks its ``pow`` loop by that shape,
+    and a scalar exponent, ``x * x`` or a transposed table can differ from
+    it in the last bit.
+    """
     features = np.asarray(features, dtype=np.float64)
     single = features.ndim == 1
     x = np.atleast_2d(features)
-    cols = [np.prod(x**np.array(e), axis=1) for e in monomial_exponents(x.shape[1], degree)]
-    phi = np.stack(cols, axis=1)
+    n, d = x.shape
+    powers = [x ** np.full(d, p) for p in range(degree + 1)]
+    exponents = monomial_exponents(d, degree)
+    phi = np.empty((n, len(exponents)))
+    for m, e in enumerate(exponents):
+        column = phi[:, m]
+        if d == 1:
+            column[:] = powers[e[0]][:, 0]
+        else:
+            np.multiply(powers[e[0]][:, 0], powers[e[1]][:, 1], out=column)
+        for j in range(2, d):
+            column *= powers[e[j]][:, j]
     return phi[0] if single else phi
 
 

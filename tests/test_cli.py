@@ -712,11 +712,29 @@ class TestManifest:
         self._same_files(a, b, ["results.csv", "manifest.txt"])
         assert ("--epochs" in argv) == any(line.startswith("epochs=") for line in lines)
 
-    @pytest.mark.parametrize("data", ["runs#1.csv", " s.csv", "a\nb.csv"])
-    def test_value_a_line_cannot_hold_rejected_before_the_run(self, tmp_path, capsys, data):
+    @pytest.mark.parametrize("value", ["runs#1.csv", " s.csv", "a\nb.csv"])
+    def test_value_a_line_cannot_hold_rejected_before_the_run(self, tmp_path, capsys, value):
+        # a flag recorded as typed; --data is recorded as its absolute path
         out_dir = tmp_path / "run"
-        assert run(["train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
+        assert run(["train", "--data", "s.csv", "--feature-cols", value, "--target-cols", "y",
                     "--out-dir", out_dir]) == 1
         assert capsys.readouterr().err == (
-            f"error: --data {data!r} cannot be written as a manifest line\n")
+            f"error: --feature-cols {value!r} cannot be written as a manifest line\n")
         assert not out_dir.exists()
+
+    def test_train_reruns_from_another_directory(self, tmp_path, monkeypatch):
+        # a relative --data is recorded resolved, so the manifest re-runs
+        # from the parent directory of the one the run started in
+        (tmp_path / "m").mkdir()
+        monkeypatch.chdir(tmp_path / "m")
+        run(["gen", "--variant", "synth-2d", "--n", 60, "--out", "s.csv"])
+        assert run(["train", "--data", "s.csv", "--feature-cols", "x1,x2", "--target-cols", "y",
+                    "--model", "polynomial", "--degree", 2, "--epochs", 2,
+                    "--out-dir", "run"]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert run(["train", "@m/run/manifest.txt", "--out-dir", "x"]) == 0
+        first, second = tmp_path / "m" / "run", tmp_path / "x"
+        self._same_files(first, second, ["results.csv", "model.txt", "manifest.txt"])
+        lines = (second / "manifest.txt").read_text().splitlines()
+        assert f"data={(tmp_path / 'm' / 's.csv').resolve()}" in lines
+        assert (second / "results.csv").read_text().splitlines()[1].startswith("s,poly-2,")

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +47,46 @@ class TestExpandPolynomial:
         x = np.array([[1.0], [2.0]])
         phi = expand_polynomial(x, 2)
         np.testing.assert_array_equal(phi, [[1.0, 1.0, 1.0], [1.0, 2.0, 4.0]])
+
+    @staticmethod
+    def _product_of_powers(x, degree):
+        """The basis as each monomial's product of its features' powers."""
+        exponents = models.monomial_exponents(x.shape[1], degree)
+        return np.stack([np.prod(x ** np.array(e), axis=1) for e in exponents], axis=1)
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_matches_the_product_of_powers_bit_for_bit(self, case):
+        # random widths, degrees and sizes; wide magnitudes, signed zeros,
+        # nan and inf; tobytes() tells -0.0 from 0.0 and compares nan bits
+        rng = np.random.default_rng(case)
+        d, degree = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        n = int(rng.choice([1, 2, 9, 257, 3000]))
+        x = rng.uniform(-2.0, 2.0, (n, d)) * 10.0 ** rng.integers(-60, 60, (n, d))
+        special = rng.random((n, d)) < 0.3
+        x[special] = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0], special.sum())
+        with np.errstate(all="ignore"):
+            phi, expected = expand_polynomial(x, degree), self._product_of_powers(x, degree)
+            vector = expand_polynomial(x[0], degree)
+        assert phi.shape == expected.shape and phi.flags.c_contiguous
+        assert phi.tobytes() == expected.tobytes()
+        assert vector.shape == expected[0].shape and vector.tobytes() == expected[0].tobytes()
+
+    @pytest.mark.parametrize("d,degree", [(1, 3), (2, 6), (5, 2)])
+    def test_zero_rows(self, d, degree):
+        phi = expand_polynomial(np.empty((0, d)), degree)
+        assert phi.shape == self._product_of_powers(np.empty((0, d)), degree).shape
+
+    def test_peak_memory_is_the_basis_and_one_power_table(self):
+        # the basis is written in place: besides it only the degree + 1
+        # powers of x are alive, where stacking 28 columns would double it
+        x, degree = np.random.default_rng(0).uniform(-1.0, 1.0, (50_000, 2)), 6
+        tracemalloc.start()
+        try:
+            phi = expand_polynomial(x, degree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < phi.nbytes + (degree + 1) * x.nbytes + 64 * 1024
 
     @pytest.mark.parametrize("input_dim,degree", [(1, 6), (2, 6), (3, 2), (5, 3)])
     def test_model_basis_counts_the_monomials(self, input_dim, degree):
