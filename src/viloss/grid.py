@@ -10,7 +10,9 @@ The training weight of a sample is ``mu / (1 + gamma)``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,18 +61,34 @@ def _check_scale(span, what: str, columns) -> None:
                          f"normalize the features and targets first")
 
 
-def _bin_indices(sub: np.ndarray, lam: int, span) -> np.ndarray:
-    """Equal-width half-open bins over each column's range, from ``span``
-    (per-column min, max); the maximum folds into the last bin, and a
-    zero-range column is all bin 0."""
+def _unit_scaled(sub: np.ndarray, span) -> np.ndarray:
+    """``(sub - lo) / width`` per column, from ``span`` (per-column min,
+    max): each column's range onto [0, 1], a zero-range column all 0. The
+    bins of every lam are cut from this one array."""
     lo, hi = span
     width = hi - lo
     if not np.isfinite(width).all():
         raise ValueError(_OVERFLOW)
-    # sub - lo >= 0, so truncation is floor; the clamp runs in place, which
-    # saves an (n, d) temporary
-    idx = ((sub - lo) / np.where(width > 0, width, 1.0) * lam).astype(np.int64)
+    unit = sub - lo
+    unit /= np.where(width > 0, width, 1.0)
+    return unit
+
+
+def _bins(unit: np.ndarray, lam: int) -> np.ndarray:
+    """Equal-width half-open bins of unit-scaled columns; the maximum folds
+    into the last bin."""
+    # unit >= 0, so truncation to int64 is floor; the product is cast
+    # straight into idx and clamped in place, with no (n, d) temporary
+    idx = np.empty(unit.shape, dtype=np.int64)
+    np.multiply(unit, lam, out=idx, casting="unsafe")
     return np.minimum(idx, lam - 1, out=idx)
+
+
+def _bin_indices(sub: np.ndarray, lam: int, span) -> np.ndarray:
+    """Equal-width half-open bins over each column's range, from ``span``
+    (per-column min, max); the maximum folds into the last bin, and a
+    zero-range column is all bin 0."""
+    return _bins(_unit_scaled(sub, span), lam)
 
 
 def _cell_moments(values: np.ndarray, cell_of: np.ndarray, count: np.ndarray):
@@ -122,6 +140,55 @@ def _constant_cells(values: np.ndarray, cell_of: np.ndarray, member: np.ndarray)
     return np.bincount(cell_of, differs, len(member)) == 0
 
 
+def _check_lam(lam, n: int) -> None:
+    """Reject a ``lam`` that is not a positive integer (2.5 and 1.0 are not)
+    or whose cell keys would overflow int64 for ``n`` (at least 1) samples."""
+    if not isinstance(lam, numbers.Integral) or lam < 1:
+        raise ValueError(f"lam must be a positive integer, got {lam!r}")
+    if lam > _KEY_MAX // n:
+        raise ValueError(f"lam={lam} is too large for {n} samples: "
+                         f"lam * n must stay below 2**63")
+
+
+def _selected_features(dataset: Dataset, feature_subset: list[int] | None):
+    """The ``feature_subset`` columns of a non-empty ``dataset`` (its
+    feature array itself, uncopied, when the subset is None) and their
+    per-column (min, max); a subset that does not name distinct features,
+    or a column too narrow for the grid's statistics, is rejected."""
+    if dataset.n == 0:
+        raise ValueError("cannot fit a grid on an empty dataset")
+    columns = range(dataset.feature_dim) if feature_subset is None else feature_subset
+    if len(columns) == 0:
+        raise ValueError("feature_subset must name at least one feature")
+    if len(set(columns)) != len(columns):
+        raise ValueError("feature_subset indices must be distinct")
+    for j in columns:
+        if j < 0 or j >= dataset.feature_dim:
+            raise ValueError(f"feature_subset index {j} out of range for "
+                             f"{dataset.feature_dim} features")
+    sub = dataset.features if feature_subset is None else dataset.features[:, feature_subset]
+    span = column_range(sub)
+    _check_scale(span, "feature", columns)
+    return sub, span
+
+
+class _FeatureCells(NamedTuple):
+    cell_of: np.ndarray  # (n,) cell row of each sample
+    count: np.ndarray  # (k,)
+    sigma_x: np.ndarray  # (k,)
+
+
+def _feature_cells(sub: np.ndarray, idx: np.ndarray, lam: int) -> _FeatureCells:
+    """The cells of the selected features ``sub``, binned into ``idx`` (n, d)
+    in [0, lam), and each cell's feature spread."""
+    cell_of = _assign_cells(idx, lam)
+    count = np.bincount(cell_of)
+    _, sigma_x = _cell_moments(sub, cell_of, count)
+    if not np.isfinite(sigma_x).all():
+        raise ValueError(_OVERFLOW)
+    return _FeatureCells(cell_of, count, sigma_x)
+
+
 def fit_grid(
     dataset: Dataset,
     lam: int,
@@ -130,48 +197,30 @@ def fit_grid(
 ) -> CellGrid:
     """Partition the fitting data into cells and compute all cell statistics.
 
-    Each sample's bin indices over the selected feature dimensions fold into
-    one int64 cell key, and ranking the keys gives every sample its cell
-    row, in lexicographic order of the cells' bin indices: through a dense
-    table when the keys' range is at most n, else by one 1-D ``np.unique``
-    (see ``_assign_cells``). Per-cell means and standard deviations over the
+    The selected feature columns are scaled onto [0, 1] and cut into ``lam``
+    equal-width bins each. Each sample's bin indices fold into one int64
+    cell key, and ranking the keys gives every sample its cell row, in
+    lexicographic order of the cells' bin indices: through a dense table
+    when the keys' range is at most n, else by one 1-D ``np.unique`` (see
+    ``_assign_cells``). Per-cell means and standard deviations over the
     selected dimensions and over the targets are then accumulated by cell
-    row, one column at a time. The grid holds ``dataset`` itself, uncopied.
+    row, one column at a time. ``select_lambda`` runs the same feature-side
+    steps and skips the target statistics. The grid holds ``dataset``
+    itself, uncopied.
     """
-    if dataset.n == 0:
-        raise ValueError("cannot fit a grid on an empty dataset")
-    if lam < 1:
-        raise ValueError("lam must be a positive integer")
-    if lam > _KEY_MAX // dataset.n:
-        raise ValueError(f"lam={lam} is too large for {dataset.n} samples: "
-                         f"lam * n must stay below 2**63")
     if not (np.isfinite(mu_floor) and mu_floor >= 0):
         raise ValueError(f"mu_floor must be finite and >= 0, got {mu_floor}")
-    if feature_subset is None:
-        feature_subset = list(range(dataset.feature_dim))
-    if len(feature_subset) == 0:
-        raise ValueError("feature_subset must name at least one feature")
-    if len(set(feature_subset)) != len(feature_subset):
-        raise ValueError("feature_subset indices must be distinct")
-    for j in feature_subset:
-        if j < 0 or j >= dataset.feature_dim:
-            raise ValueError(f"feature_subset index {j} out of range for "
-                             f"{dataset.feature_dim} features")
-
     # Dataset guarantees finite values, so every sample lands in a bin, but
     # raw values far from 1 can overflow a range or a squared deviation, or
     # square into subnormals; such a grid is rejected rather than warned about
-    sub = dataset.features[:, feature_subset]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        span = column_range(sub)
-        _check_scale(span, "feature", feature_subset)
+        sub, span = _selected_features(dataset, feature_subset)
+        _check_lam(lam, dataset.n)
         _check_scale(column_range(dataset.targets), "target", range(dataset.target_dim))
         idx = _bin_indices(sub, lam, span)
-        cell_of = _assign_cells(idx, lam)
-        count = np.bincount(cell_of)
+        cell_of, count, sigma_x = _feature_cells(sub, idx, lam)
         member = np.empty(len(count), dtype=np.intp)
         member[cell_of] = np.arange(dataset.n)  # any one row of each cell
-        _, sigma_x = _cell_moments(sub, cell_of, count)
         y_mean, sigma_y = _cell_moments(dataset.targets, cell_of, count)
         # equal targets must give sigma_y 0, and so gamma 0, exactly; their
         # rounded mean need not equal them (three 0.1 sum to 0.30000000000000004)
@@ -182,7 +231,7 @@ def fit_grid(
             mu = sigma_x**2 / sigma_x_bar**2
         else:
             mu = np.ones(len(count))  # no variation anywhere: degrade to uniform weighting
-    if not all(np.isfinite(a).all() for a in (sigma_x, y_mean, sigma_y, mu)):
+    if not all(np.isfinite(a).all() for a in (y_mean, sigma_y, mu)):
         raise ValueError(_OVERFLOW)
 
     return CellGrid(
@@ -229,23 +278,32 @@ def compute_weights(grid: CellGrid, dataset: Dataset, norm_kind: str = "l2") -> 
     if dataset is not grid.dataset:
         raise ValueError("dataset does not match the one the grid was fitted on")
 
-    mu = grid.mu[grid.cell_of]
-    sigma_y = grid.sigma_y[grid.cell_of]
-    dev = grid.dataset.targets - grid.y_mean[grid.cell_of]
-    if norm_kind == "l1":
-        dist, scale = np.sum(np.abs(dev), axis=1), sigma_y
-    else:
-        dist, scale = np.sum(dev**2, axis=1), sigma_y**2
-    gamma = np.divide(dist, scale, out=np.zeros(dataset.n), where=sigma_y > 0)
+    # each n-sized buffer is reused in place, so a call allocates little
+    # more than the three columns it returns
+    cell_of = grid.cell_of
+    mu = grid.mu[cell_of]
+    dev = grid.y_mean.take(cell_of, axis=0)
+    np.subtract(grid.dataset.targets, dev, out=dev)
+    norm, scale = (np.abs, grid.sigma_y) if norm_kind == "l1" else (np.square, grid.sigma_y**2)
+    gamma = norm(dev, out=dev).sum(axis=1)
+    del dev
+    spread = (grid.sigma_y > 0)[cell_of]
+    np.divide(gamma, scale[cell_of], out=gamma, where=spread)
+    # zero target spread means gamma 0, whatever distance (inf, even) a
+    # rounded cell mean leaves
+    gamma[~spread] = 0.0
 
-    weight = mu / (1.0 + gamma)
+    weight = np.add(gamma, 1.0)
+    np.divide(mu, weight, out=weight)
     for arr in (mu, gamma, weight):
         arr.setflags(write=False)
     return WeightTable(mu, gamma, weight)
 
 
 def localized_deviation(grid: CellGrid) -> float:
-    """Sum of per-cell feature standard deviations over non-empty cells."""
+    """Sum of per-cell feature standard deviations over non-empty cells.
+    ``select_lambda`` passes its per-candidate feature cells, which carry
+    the same ``sigma_x``."""
     return float(grid.sigma_x.sum())
 
 
@@ -261,13 +319,25 @@ def select_lambda(
     candidates: list[int],
     feature_subset: list[int] | None = None,
 ) -> tuple[int, list[SweepEntry]]:
-    """Fit a grid per candidate division count and pick the one that
-    maximizes localized deviation; ties go to the smaller candidate."""
+    """Localized deviation and non-empty cell count at each candidate
+    division count; picks the candidate that maximizes localized
+    deviation, ties going to the smaller one.
+
+    Runs only ``fit_grid``'s feature-side steps and their checks: the
+    selected features are validated and scaled once, and each candidate
+    bins them and takes its cells' feature spread. Neither the targets nor
+    the weights' ``mu`` are computed, so a problem only they have is
+    reported by ``fit_grid``, not here.
+    """
     if not candidates:
         raise ValueError("candidates must be non-empty")
-    report = []
-    for lam in candidates:
-        grid = fit_grid(dataset, lam, feature_subset)
-        report.append(SweepEntry(lam, localized_deviation(grid), grid.n_cells))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sub, span = _selected_features(dataset, feature_subset)
+        unit = _unit_scaled(sub, span)
+        report = []
+        for lam in candidates:
+            _check_lam(lam, dataset.n)
+            cells = _feature_cells(sub, _bins(unit, lam), lam)
+            report.append(SweepEntry(lam, localized_deviation(cells), len(cells.count)))
     best = max(report, key=lambda e: (e.ld, -e.lam))
     return best.lam, report

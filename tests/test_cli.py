@@ -61,6 +61,32 @@ class TestLdSweep:
         assert lines[0] == "lambda,ld,nonempty_cells"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("extra, golden", [
+        ([], "lambda,ld,nonempty_cells\n"
+             "1,0.2292207219032123,1\n"
+             "2,0.7319562080552591,4\n"
+             "5,1.9249784536089576,25\n"
+             "10,2.3223815148614846,92\n"
+             "20,1.5960267945436106,202\n"
+             "50,1.142373878452121,451\n"
+             "100,0.5196360212484759,720\n"
+             "selected lambda = 10\n"),
+        (["--feature-subset", "1", "--candidates", "1,3,7"],
+         "lambda,ld,nonempty_cells\n"
+         "1,0.16316272891445702,1\n"
+         "3,0.23736105931185614,3\n"
+         "7,0.27211714188297914,7\n"
+         "selected lambda = 7\n"),
+    ], ids=["default-candidates", "feature-subset"])
+    def test_golden_stdout(self, tmp_path, capsys, extra, golden):
+        data, report = tmp_path / "s.csv", tmp_path / "sweep.csv"
+        run(["gen", "--variant", "synth-2d", "--seed", "0", "--out", data])
+        capsys.readouterr()
+        assert run(["ld-sweep", "--data", data, "--feature-cols", "x1,x2",
+                    "--target-cols", "y", "--out", report, *extra]) == 0
+        assert capsys.readouterr().out == golden
+        assert report.read_text() == golden.rsplit("selected", 1)[0]
+
     def test_single_candidate_returns_it(self, tmp_path, capsys):
         data = tmp_path / "s.csv"
         run(["gen", "--out", data])

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from viloss import grid as grid_module
 from viloss import (
     Dataset,
     SynthSpec,
@@ -10,6 +13,7 @@ from viloss import (
     localized_deviation,
     select_lambda,
 )
+from viloss.grid import NORM_KINDS
 
 
 def make_1d(xs, ys=None):
@@ -114,6 +118,29 @@ class TestFitGrid:
             fit_grid(ds, 2, feature_subset=[-1])
         with pytest.raises(ValueError, match="feature_subset must name at least one feature"):
             fit_grid(ds, 2, feature_subset=[])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bins_are_the_floor_of_the_scaled_features(self, seed):
+        # the bits of ((x - lo) / width) * lam decide the bin of a value on
+        # a bin edge; rounded features put many values there
+        rng = np.random.default_rng(seed)
+        features = np.round(rng.random((2000, 3)) * 10.0 ** rng.integers(-2, 3), 2)
+        subset = [2, 0]
+        sub = features[:, subset]
+        lo, hi = sub.min(axis=0), sub.max(axis=0)
+        for lam in (3, 7, 10, 30, 100, 999):
+            grid = fit_grid(Dataset(features, np.zeros(len(features))), lam, subset)
+            want = np.minimum(np.floor((sub - lo) / (hi - lo) * lam), lam - 1)
+            np.testing.assert_array_equal(grid.keys[grid.cell_of], want)
+
+    @pytest.mark.parametrize("lam", [0, -1, 2.5, 1.0])
+    def test_lam_that_is_not_a_positive_integer_named(self, lam):
+        ds = make_1d([0.1, 0.8])
+        message = rf"^lam must be a positive integer, got {lam!r}$"
+        with pytest.raises(ValueError, match=message):
+            fit_grid(ds, lam)
+        with pytest.raises(ValueError, match=message):
+            select_lambda(ds, [2, lam])
 
     def test_sigma_x_bar_is_mean_over_cells(self):
         rng = np.random.default_rng(11)
@@ -308,6 +335,59 @@ class TestComputeWeights:
         table = compute_weights(grid, ds, "l2")
         assert table.weight[2] >= 0.1 / 2
 
+    @staticmethod
+    def _reference(grid, norm):
+        """compute_weights as first written, one fresh array per step."""
+        mu = grid.mu[grid.cell_of]
+        sigma_y = grid.sigma_y[grid.cell_of]
+        dev = grid.dataset.targets - grid.y_mean[grid.cell_of]
+        if norm == "l1":
+            dist, scale = np.sum(np.abs(dev), axis=1), sigma_y
+        else:
+            dist, scale = np.sum(dev**2, axis=1), sigma_y**2
+        gamma = np.divide(dist, scale, out=np.zeros(len(dist)), where=sigma_y > 0)
+        return mu, gamma, mu / (1.0 + gamma)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_reference_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n, v = int(rng.integers(1, 3000)), 1 + seed % 2
+        targets = rng.normal(size=(n, v)) * 10.0 ** rng.integers(-3, 4)
+        if seed % 3 == 0:
+            targets = np.round(targets, 1)  # cells of equal targets: sigma_y 0
+        if seed % 4 == 0:
+            # three equal 3e307 have a mean 5e291 off them, which squares to inf
+            targets = np.vstack([targets, np.full((3, v), 3e307)])
+        features = np.round(rng.random((len(targets), 2)), 2)
+        features[n:] = 2.0  # a cell of their own
+        ds = Dataset(features, targets)
+        grid = fit_grid(ds, int(rng.integers(1, 40)), mu_floor=0.1 * (seed % 2))
+        for norm in NORM_KINDS:
+            with np.errstate(over="ignore"):
+                table = compute_weights(grid, ds, norm)
+                want = self._reference(grid, norm)
+            for got, expected in zip((table.mu, table.gamma, table.weight), want):
+                assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("v", [1, 2])
+    @pytest.mark.parametrize("norm", NORM_KINDS)
+    def test_peak_memory_is_the_table_and_one_gather(self, v, norm):
+        # the three returned columns, plus the (n, v) target gather or one
+        # n-sized gather, whichever is larger: under (3 + v) * 8n bytes and
+        # a slack for the per-cell arrays. Allocating each step afresh
+        # peaked at (6 + v) * 8n (l1) and (7 + v) * 8n (l2)
+        n = 70_000
+        rng = np.random.default_rng(v)
+        ds = Dataset(rng.random((n, 2)), rng.random((n, v)))
+        grid = fit_grid(ds, 50)
+        tracemalloc.start()
+        try:
+            compute_weights(grid, ds, norm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (3 + v) * 8 * n + 64 * 1024
+
 
 class TestLocalizedDeviation:
     def test_direct_sum(self):
@@ -356,3 +436,61 @@ class TestSelectLambda:
         best = max(report, key=lambda e: e.ld)
         assert lam == best.lam
 
+    @staticmethod
+    def _reference(ds, candidates, subset):
+        """The sweep as a full fit_grid per candidate."""
+        report = [(lam, repr(localized_deviation(g)), g.n_cells)
+                  for lam, g in ((lam, fit_grid(ds, lam, subset)) for lam in candidates)]
+        best = max(report, key=lambda e: (float(e[1]), -e[0]))
+        return best[0], report
+
+    @staticmethod
+    def _random_case(seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.choice([1, 2, 5, 40, 700, 4000])), int(rng.integers(1, 5))
+        features = rng.random((n, d + 1)) * 10.0 ** rng.integers(-3, 4)
+        if seed % 2:
+            features = np.round(features, int(rng.integers(0, 3)))  # ties on bin edges
+        subset = None if seed % 4 < 2 else rng.permutation(d + 1)[:d].tolist()
+        candidates = sorted(set(rng.choice([1, 2, 3, 5, 10, 20, 50, 100, 1000], size=5).tolist()))
+        return features, subset, candidates
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_a_fit_grid_per_candidate(self, seed):
+        features, subset, candidates = self._random_case(seed)
+        ds = Dataset(features, np.random.default_rng(seed).normal(size=(len(features), 1)))
+        lam, report = select_lambda(ds, candidates, subset)
+        got = (lam, [(e.lam, repr(e.ld), e.n_cells) for e in report])
+        assert got == self._reference(ds, candidates, subset)
+
+    @pytest.mark.parametrize("targets, message", [
+        ([0.0, 1e-160], r"^target column 0 has range 1e-160, below"),
+        ([1e300, -1e300], "^cell statistics overflowed float64"),
+        ([1.7e308, 1.7e308], "^cell statistics overflowed float64"),
+    ], ids=["tiny-range", "overflowing-spread", "overflowing-mean"])
+    def test_report_reads_no_targets(self, targets, message):
+        features, subset, candidates = self._random_case(3)
+        n = len(features)
+        fine = Dataset(features, np.random.default_rng(3).normal(size=(n, 1)))
+        bad = Dataset(features, np.resize(targets, n))
+        assert select_lambda(bad, candidates, subset) == select_lambda(fine, candidates, subset)
+        with pytest.raises(ValueError, match=message):
+            fit_grid(bad, 1, subset)
+
+    def test_cell_moments_on_features_only_and_no_fit_grid(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        ds = Dataset(rng.random((500, 2)), rng.random((500, 1)))
+        moments, seen = grid_module._cell_moments, []
+
+        def recording_moments(values, cell_of, count):
+            seen.append(values)
+            return moments(values, cell_of, count)
+
+        def no_fit_grid(*args, **kwargs):
+            raise AssertionError("select_lambda called fit_grid")
+
+        monkeypatch.setattr(grid_module, "_cell_moments", recording_moments)
+        monkeypatch.setattr(grid_module, "fit_grid", no_fit_grid)
+        select_lambda(ds, [1, 2, 5, 10, 20, 50, 100])
+        assert len(seen) == 7
+        assert all(values is ds.features for values in seen)  # uncopied, no targets
