@@ -84,13 +84,6 @@ def _bins(unit: np.ndarray, lam: int) -> np.ndarray:
     return np.minimum(idx, lam - 1, out=idx)
 
 
-def _bin_indices(sub: np.ndarray, lam: int, span) -> np.ndarray:
-    """Equal-width half-open bins over each column's range, from ``span``
-    (per-column min, max); the maximum folds into the last bin, and a
-    zero-range column is all bin 0."""
-    return _bins(_unit_scaled(sub, span), lam)
-
-
 def _cell_moments(values: np.ndarray, cell_of: np.ndarray, count: np.ndarray):
     """Per-cell mean (k, c) of ``values`` (n, c) and the root mean squared
     distance of the cell's rows from it, taken in two passes, one column at
@@ -217,11 +210,15 @@ def fit_grid(
         sub, span = _selected_features(dataset, feature_subset)
         _check_lam(lam, dataset.n)
         _check_scale(column_range(dataset.targets), "target", range(dataset.target_dim))
-        idx = _bin_indices(sub, lam, span)
+        idx = _bins(_unit_scaled(sub, span), lam)
         cell_of, count, sigma_x = _feature_cells(sub, idx, lam)
         member = np.empty(len(count), dtype=np.intp)
         member[cell_of] = np.arange(dataset.n)  # any one row of each cell
         y_mean, sigma_y = _cell_moments(dataset.targets, cell_of, count)
+        # an overflowed y_mean makes sigma_y inf too; checked before equal
+        # targets zero it (three 3e307 square a 5e291 gap to their mean)
+        if not np.isfinite(sigma_y).all():
+            raise ValueError(_OVERFLOW)
         # equal targets must give sigma_y 0, and so gamma 0, exactly; their
         # rounded mean need not equal them (three 0.1 sum to 0.30000000000000004)
         sigma_y[_constant_cells(dataset.targets, cell_of, member)] = 0.0
@@ -231,7 +228,7 @@ def fit_grid(
             mu = sigma_x**2 / sigma_x_bar**2
         else:
             mu = np.ones(len(count))  # no variation anywhere: degrade to uniform weighting
-    if not all(np.isfinite(a).all() for a in (y_mean, sigma_y, mu)):
+    if not np.isfinite(mu).all():
         raise ValueError(_OVERFLOW)
 
     return CellGrid(

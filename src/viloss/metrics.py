@@ -13,7 +13,6 @@ MAPE_EPS = 1e-8
 class RegressionReport:
     mape: float
     mae: float
-    n: int
 
     def as_row(self) -> str:
         return f"{self.mape!r},{self.mae!r}"
@@ -25,10 +24,6 @@ class ClassificationReport:
     precision: float
     recall: float
     f1: float
-    tp: int
-    fp: int
-    tn: int
-    fn: int
 
     def as_row(self) -> str:
         return f"{self.accuracy!r},{self.precision!r},{self.recall!r},{self.f1!r}"
@@ -44,7 +39,7 @@ def regression_metrics(y_hat: np.ndarray, y: np.ndarray) -> RegressionReport:
     err = np.abs(y_hat - y)
     mae = float(err.mean())
     mape = float((err / np.maximum(np.abs(y), MAPE_EPS)).mean())
-    return RegressionReport(mape, mae, y.shape[0])
+    return RegressionReport(mape, mae)
 
 
 def classification_metrics(prob: np.ndarray, y: np.ndarray) -> ClassificationReport:
@@ -63,4 +58,4 @@ def classification_metrics(prob: np.ndarray, y: np.ndarray) -> ClassificationRep
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
     recall = tp / (tp + fn) if tp + fn > 0 else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return ClassificationReport(accuracy, precision, recall, f1, tp, fp, tn, fn)
+    return ClassificationReport(accuracy, precision, recall, f1)

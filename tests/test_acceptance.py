@@ -4,6 +4,9 @@ Each test covers one release criterion at its stated tolerance and prints a
 single PASS line when it holds (run with -s to see them).
 """
 
+import contextlib
+import csv
+import io
 import time
 
 import numpy as np
@@ -14,20 +17,16 @@ from viloss import (
     LossSpec,
     ModelSpec,
     SynthSpec,
-    TrainConfig,
-    classification_metrics,
     compute_weights,
     fit_grid,
     generate_synth,
     normalize_minmax,
     parameter_gradient,
-    regression_metrics,
     select_lambda,
     split,
-    train,
 )
+from viloss.cli import REPRO_EXPERIMENTS
 from viloss.cli import main as cli_main
-from viloss.data import BinarySynthSpec, generate_binary_clusters
 from viloss.losses import batch_value_grad
 from viloss.models import Model, init_model
 
@@ -185,54 +184,57 @@ def test_criterion_3_ld_shape():
     print("\nPASS criterion 3: LD curve unimodal with interior maximum (5 seeds)")
 
 
-def _regression_mapes(variant, seed, lam, batch_size, epochs=150, lr=0.1):
-    """Test MAPE of unweighted and of weighted (L2) MSE, trained in lockstep
-    on one split."""
-    ds = generate_synth(SynthSpec(variant=variant, seed=seed))
-    train_set, test_set = split(ds, 0.7, seed)
-    train_norm = normalize_minmax(train_set)
-    record = train_norm.normalization
+def _repro(name, tmp_path, config):
+    """Run ``viloss repro --name <name>`` at its defaults (seeds 0-4, 150
+    epochs) and return ``column(loss, gamma_norm, field)``: that variant's
+    ``field`` in the results.csv it wrote, as floats in seed order. The
+    experiment's (model, lambda, batch size, learning rate) must equal
+    ``config``, the one its criterion states."""
+    exp = REPRO_EXPERIMENTS[name]
+    assert (exp.model_spec, exp.lam, exp.batch_size, exp.learning_rate) == config
+    with contextlib.redirect_stdout(io.StringIO()):  # its rows; one PASS line per test
+        assert cli_main(["repro", "--name", name, "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "results.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
 
-    grid = fit_grid(train_norm, lam)
-    weights = compute_weights(grid, train_norm, "l2")
+    def column(loss, norm, field):
+        values = [float(r[field]) for r in rows if (r["loss"], r["gamma_norm"]) == (loss, norm)]
+        assert len(values) == 5
+        return values
 
-    model_spec = ModelSpec("polynomial", 6)
-    cfg = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=lr, seed=seed)
-    runs = [(LossSpec("mse"), None), (LossSpec("mse"), weights.weight)]
-    test_x = record.apply_features(test_set.features)
-    return tuple(
-        regression_metrics(record.invert_targets(model.predict_batch(test_x)),
-                           test_set.targets).mape
-        for model, _ in train(model_spec, train_norm, runs, cfg)
-    )
+    return column
 
 
-def test_criterion_4_synth_1d_improvement():
-    """Poly-6, lambda=2, batch 1: weighted MSE (L2) test MAPE at least 15%
-    relatively below the unweighted baseline, median over 5 seeds; < 2 min."""
+def test_criterion_4_synth_1d_improvement(tmp_path):
+    """Poly-6, lambda=2, batch 1, lr 0.1: weighted MSE (L2) test MAPE at
+    least 15% relatively below the unweighted baseline, median over 5 seeds;
+    < 2 min."""
     t0 = time.perf_counter()
-    base, vi = zip(*(_regression_mapes("synth-1d", s, 2, 1) for s in range(5)))
+    column = _repro("synth-1d", tmp_path, (ModelSpec("polynomial", 6), 2, 1, 0.1))
+    base, vi = column("mse", "none", "mape"), column("viloss_mse", "l2", "mape")
     elapsed = time.perf_counter() - t0
     reduction = 1.0 - np.median(vi) / np.median(base)
     assert reduction >= 0.15, f"relative reduction {reduction:.3f} < 0.15"
     assert elapsed < 120.0
     print(
-        f"\nPASS criterion 4: synth-1d MAPE {np.median(base):.3f} -> "
+        f"\nPASS criterion 4 (viloss repro --name synth-1d): MAPE {np.median(base):.3f} -> "
         f"{np.median(vi):.3f} ({reduction:.1%} reduction, {elapsed:.0f}s)"
     )
 
 
-def test_criterion_5_synth_2d_improvement():
-    """Poly-6, lambda=10, batch 5: weighted MSE (L2) test MAPE at least 20%
-    relatively below the unweighted baseline, median over 5 seeds; < 5 min."""
+def test_criterion_5_synth_2d_improvement(tmp_path):
+    """Poly-6, lambda=10, batch 5, lr 0.1: weighted MSE (L2) test MAPE at
+    least 20% relatively below the unweighted baseline, median over 5 seeds;
+    < 5 min."""
     t0 = time.perf_counter()
-    base, vi = zip(*(_regression_mapes("synth-2d", s, 10, 5) for s in range(5)))
+    column = _repro("synth-2d", tmp_path, (ModelSpec("polynomial", 6), 10, 5, 0.1))
+    base, vi = column("mse", "none", "mape"), column("viloss_mse", "l2", "mape")
     elapsed = time.perf_counter() - t0
     reduction = 1.0 - np.median(vi) / np.median(base)
     assert reduction >= 0.20, f"relative reduction {reduction:.3f} < 0.20"
     assert elapsed < 300.0
     print(
-        f"\nPASS criterion 5: synth-2d MAPE {np.median(base):.3f} -> "
+        f"\nPASS criterion 5 (viloss repro --name synth-2d): MAPE {np.median(base):.3f} -> "
         f"{np.median(vi):.3f} ({reduction:.1%} reduction, {elapsed:.0f}s)"
     )
 
@@ -249,34 +251,20 @@ def test_criterion_6_lambda_sweep_avoids_degenerate_grid():
     print("\nPASS criterion 6: selected lambda never 1 on synth-2d (5 seeds)")
 
 
-def _logistic_runs(seed):
-    """Test metrics of unweighted and of weighted (L2) BCE, trained in
-    lockstep on one split."""
-    ds = generate_binary_clusters(BinarySynthSpec(seed=seed))
-    train_set, test_set = split(ds, 0.7, seed)
-    grid = fit_grid(train_set, 5)
-    weights = compute_weights(grid, train_set, "l2")
-    cfg = TrainConfig(epochs=150, batch_size=5, learning_rate=0.5, seed=seed)
-    runs = [(LossSpec("bce"), None), (LossSpec("bce"), weights.weight)]
-    return tuple(
-        classification_metrics(model.predict_batch(test_set.features), test_set.targets)
-        for model, _ in train(ModelSpec("logistic"), train_set, runs, cfg)
-    )
-
-
-def test_criterion_7_logistic_path():
-    """On the imbalanced two-cluster binary task, weighted BCE keeps F1 within
-    0.01 of the baseline in median and strictly improves precision on at
-    least 3 of 5 seeds."""
-    base, vi = zip(*(_logistic_runs(s) for s in range(5)))
-    f1_base = np.median([r.f1 for r in base])
-    f1_vi = np.median([r.f1 for r in vi])
+def test_criterion_7_logistic_path(tmp_path):
+    """Logistic, lambda=5, batch 5, lr 0.5: on the imbalanced two-cluster
+    binary task, weighted BCE (L2) keeps F1 within 0.01 of the baseline in
+    median and strictly improves precision on at least 3 of 5 seeds."""
+    column = _repro("logistic-synth", tmp_path, (ModelSpec("logistic"), 5, 5, 0.5))
+    f1_base = np.median(column("bce", "none", "f1"))
+    f1_vi = np.median(column("viloss_bce", "l2", "f1"))
     assert f1_vi >= f1_base - 0.01, f"median F1 {f1_vi:.3f} < {f1_base:.3f} - 0.01"
-    improved = sum(v.precision > b.precision for v, b in zip(vi, base))
+    improved = sum(v > b for v, b in zip(column("viloss_bce", "l2", "prec"),
+                                          column("bce", "none", "prec")))
     assert improved >= 3, f"precision improved on only {improved}/5 seeds"
     print(
-        f"\nPASS criterion 7: logistic F1 {f1_base:.3f} -> {f1_vi:.3f}, "
-        f"precision up on {improved}/5 seeds"
+        f"\nPASS criterion 7 (viloss repro --name logistic-synth): logistic F1 "
+        f"{f1_base:.3f} -> {f1_vi:.3f}, precision up on {improved}/5 seeds"
     )
 
 

@@ -186,6 +186,18 @@ class TestWeigh:
                                            "normalize the features and targets first\n")
         assert not table.exists()
 
+    def test_overflowing_constant_cell_rejected_without_writing(self, tmp_path, capsys):
+        # the cell of three equal 3e307 used to pass, and numpy warned of an
+        # overflow when its weights were computed (an error under pytest,
+        # which would show in the message instead)
+        data, table = tmp_path / "big.csv", tmp_path / "w.csv"
+        data.write_text("x,y\n0.1,3e307\n0.2,3e307\n0.3,3e307\n0.9,0\n")
+        assert run(["weigh", "--data", data, "--feature-cols", "x", "--target-cols", "y",
+                    "--lambda", 2, "--out", table]) == 1
+        assert capsys.readouterr() == ("", "error: cell statistics overflowed float64: "
+                                           "normalize the features and targets first\n")
+        assert not table.exists()
+
     def test_unknown_column_names_file_and_header(self, tmp_path, capsys):
         data = tmp_path / "t.csv"
         data.write_text("x1,y\n0.1,0.2\n0.3,0.4\n")
@@ -415,21 +427,37 @@ class TestEval:
         out = capsys.readouterr().out
         assert out.startswith("mape,mae")
 
-    def test_eval_on_test_split_reproduces_train_metrics(self, tmp_path, capsys):
-        data = tmp_path / "s.csv"
-        run(["gen", "--out", data])
+    @staticmethod
+    def _train_then_eval_test_split(tmp_path, capsys, data, features, *train_flags):
+        """The metric columns of ``train``'s results row on ``data`` (seed 0)
+        and the lines ``eval`` of its model prints on the same test split."""
         out_dir = tmp_path / "run"
-        assert run(["train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
-                    "--model", "polynomial", "--degree", 6, "--lambda", 2, "--epochs", 20,
-                    "--lr", 0.1, "--out-dir", out_dir]) == 0
+        columns = ["--feature-cols", ",".join(features), "--target-cols", "y"]
+        assert run(["train", "--data", data, *columns, *train_flags, "--out-dir", out_dir]) == 0
         row = (out_dir / "results.csv").read_text().splitlines()[1]
-        _, test_set = split(load_csv(data, ["x1"], ["y"])[0], 0.7, seed=0)
+        _, test_set = split(load_csv(data, features, ["y"])[0], 0.7, seed=0)
         test_csv = tmp_path / "test.csv"
         save_csv(test_set, test_csv)
         capsys.readouterr()
-        assert run(["eval", "--data", test_csv, "--feature-cols", "x1", "--target-cols", "y",
-                    "--model", out_dir / "model.txt"]) == 0
-        assert capsys.readouterr().out.splitlines() == ["mape,mae", ",".join(row.split(",")[6:8])]
+        assert run(["eval", "--data", test_csv, *columns, "--model", out_dir / "model.txt"]) == 0
+        return row.split(",")[6:], capsys.readouterr().out.splitlines()
+
+    def test_eval_on_test_split_reproduces_train_metrics(self, tmp_path, capsys):
+        data = tmp_path / "s.csv"
+        run(["gen", "--out", data])
+        metrics, out = self._train_then_eval_test_split(
+            tmp_path, capsys, data, ["x1"], "--model", "polynomial", "--degree", 6,
+            "--lambda", 2, "--epochs", 20, "--lr", 0.1)
+        assert out == ["mape,mae", ",".join(metrics)]
+
+    def test_eval_logistic_on_test_split_reproduces_train_metrics(self, tmp_path, capsys):
+        data = tmp_path / "b.csv"
+        save_csv(generate_binary_clusters(BinarySynthSpec(n=1000)), data)
+        metrics, out = self._train_then_eval_test_split(
+            tmp_path, capsys, data, ["x1", "x2"], "--model", "logistic", "--loss", "bce",
+            "--lambda", 5, "--batch-size", 5, "--epochs", 50, "--lr", 0.5)
+        assert float(metrics[-1]) > 0  # some positives found: precision and recall are not 0
+        assert out == ["acc,prec,rec,f1", ",".join(metrics[2:])]
 
     def test_feature_count_mismatch_names_model(self, tmp_path, capsys):
         data = tmp_path / "s.csv"

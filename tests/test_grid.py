@@ -177,6 +177,9 @@ class TestFitGrid:
         ([1.5e308, -1.5e308, 0.0, 1.0], [0.0, 1.0, 2.0, 3.0]),  # the range itself
         ([0.0, 0.1, 0.2, 0.3], [1e300, -1e300, 5e299, 0.0]),  # the targets
         ([0.0, 0.1, 0.2, 0.3], [1.7e308, 1.7e308, 0.0, 0.0]),  # the target mean
+        # equal targets: the mean of three 3e307 is 5e291 off them, whose
+        # square overflows before the cell's sigma_y is set to 0
+        ([0.0, 0.1, 0.2], [3e307, 3e307, 3e307]),
     ])
     def test_overflowing_statistics_rejected(self, xs, ys):
         # raw values far from 1 overflow float64 before any weight exists; a
@@ -356,16 +359,21 @@ class TestComputeWeights:
         if seed % 3 == 0:
             targets = np.round(targets, 1)  # cells of equal targets: sigma_y 0
         if seed % 4 == 0:
-            # three equal 3e307 have a mean 5e291 off them, which squares to inf
+            # three equal 3e307 have a mean 5e291 off them, which squares to
+            # inf: fit_grid rejects them, and the other rows are compared
             targets = np.vstack([targets, np.full((3, v), 3e307)])
         features = np.round(rng.random((len(targets), 2)), 2)
         features[n:] = 2.0  # a cell of their own
         ds = Dataset(features, targets)
-        grid = fit_grid(ds, int(rng.integers(1, 40)), mu_floor=0.1 * (seed % 2))
+        lam = int(rng.integers(1, 40))
+        if seed % 4 == 0:
+            with pytest.raises(ValueError, match="^cell statistics overflowed float64"):
+                fit_grid(ds, lam)
+            ds = ds.subset(np.arange(n))
+        grid = fit_grid(ds, lam, mu_floor=0.1 * (seed % 2))
         for norm in NORM_KINDS:
-            with np.errstate(over="ignore"):
-                table = compute_weights(grid, ds, norm)
-                want = self._reference(grid, norm)
+            table = compute_weights(grid, ds, norm)
+            want = self._reference(grid, norm)
             for got, expected in zip((table.mu, table.gamma, table.weight), want):
                 assert got.tobytes() == expected.tobytes()
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from viloss import Dataset, compute_weights, fit_grid
 from viloss.data import column_range
-from viloss.grid import _bin_indices
+from viloss.grid import _bins, _unit_scaled
 
 cases = st.fixed_dictionaries({
     "n": st.integers(1, 60),
@@ -72,7 +72,7 @@ def test_equal_cell_spread_gives_unit_mu(case):
 def assert_matches_row_unique(features, lam, subset):
     """fit_grid's cells equal a row-wise ``np.unique`` of the bin indices."""
     sub = features[:, subset]
-    idx = _bin_indices(sub, lam, column_range(sub))
+    idx = _bins(_unit_scaled(sub, column_range(sub)), lam)
     keys, cell_of, count = np.unique(idx, axis=0, return_inverse=True, return_counts=True)
     grid = fit_grid(Dataset(features, np.zeros((len(features), 1))), lam, subset)
     np.testing.assert_array_equal(grid.keys, keys)
