@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .data import (
@@ -54,8 +52,9 @@ RESULT_HEADER = "dataset,model,loss,gamma_norm,lambda,seed,mape,mae"
 RESULT_HEADER_CLS = RESULT_HEADER + ",acc,prec,rec,f1"
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    """The distinct integers of a comma list given with ``flag``."""
+def _parse_int_list(text: str, flag: str, noun: str | None = None) -> list[int]:
+    """The distinct integers of a comma list given with ``flag``; when
+    ``noun`` names what they count, an empty list is rejected."""
     values = []
     for token in filter(None, (t.strip() for t in text.split(","))):
         try:
@@ -65,11 +64,15 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         if value in values:
             raise ValueError(f"{flag}: {value} is listed twice")
         values.append(value)
+    if noun and not values:
+        raise ValueError(f"{flag} must name at least one {noun}")
     return values
 
 
 def _feature_subset(args) -> list[int] | None:
-    return _parse_int_list(args.feature_subset, "--feature-subset") if args.feature_subset else None
+    if args.feature_subset is None:  # all features
+        return None
+    return _parse_int_list(args.feature_subset, "--feature-subset", "feature")
 
 
 def _load_dataset(args) -> Dataset:
@@ -86,16 +89,7 @@ def _load_dataset(args) -> Dataset:
 
 def cmd_gen(args) -> None:
     manifest = args.parser.format_manifest(args)
-    spec = SynthSpec(
-        variant=args.variant,
-        n=args.n,
-        noise_sigma=args.noise_sigma,
-        corrupt_fraction=args.corrupt_fraction,
-        cluster_fraction=args.cluster_fraction,
-        cluster_center=args.cluster_center,
-        cluster_sigma=args.cluster_sigma,
-        seed=args.seed,
-    )
+    spec = SynthSpec(**{f.name: getattr(args, f.name) for f in fields(SynthSpec)})
     dataset = generate_synth(spec)
     save_csv(dataset, args.out)
     Path(args.out).with_suffix(".manifest.txt").write_text(manifest)
@@ -241,10 +235,9 @@ def cmd_eval(args) -> None:
     if dataset.target_dim != record.target_min.size:
         raise ValueError(f"{args.model} was trained on {record.target_min.size} target columns, "
                          f"--target-cols selects {dataset.target_dim}")
-    if model.spec.kind == "logistic":
-        check_binary_targets(dataset.targets)
     pred = _predict(model, record, dataset.features)
     if model.spec.kind == "logistic":
+        check_binary_targets(dataset.targets)
         print("acc,prec,rec,f1")
         print(classification_metrics(pred, dataset.targets).as_row())
     else:
@@ -296,9 +289,7 @@ def _repro_rows(name: str, seeds: list[int], epochs: int | None) -> tuple[str, l
 
 def cmd_repro(args) -> None:
     def run():
-        seeds = _parse_int_list(args.seeds, "--seeds")
-        if not seeds:
-            raise ValueError("--seeds must name at least one seed")
+        seeds = _parse_int_list(args.seeds, "--seeds", "seed")
         header, rows = _repro_rows(args.name, seeds, args.epochs)
         return header, rows, None, None
 
@@ -362,14 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic skewed dataset")
-    p.add_argument("--variant", choices=tuple(SYNTH_DEFAULT_N), default="synth-1d")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--noise-sigma", type=float, default=0.05)
-    p.add_argument("--corrupt-fraction", type=float, default=0.05)
-    p.add_argument("--cluster-fraction", type=float, default=0.8)
-    p.add_argument("--cluster-center", type=float, default=0.35)
-    p.add_argument("--cluster-sigma", type=float, default=0.08)
-    p.add_argument("--seed", type=int, default=0)
+    # each flag sets the SynthSpec field of its name
+    p.add_argument("--variant", choices=tuple(SYNTH_DEFAULT_N), default=SynthSpec.variant)
+    p.add_argument("--n", type=int, default=SynthSpec.n)
+    p.add_argument("--noise-sigma", type=float, default=SynthSpec.noise_sigma)
+    p.add_argument("--corrupt-fraction", type=float, default=SynthSpec.corrupt_fraction)
+    p.add_argument("--cluster-fraction", type=float, default=SynthSpec.cluster_fraction)
+    p.add_argument("--cluster-center", type=float, default=SynthSpec.cluster_center)
+    p.add_argument("--cluster-sigma", type=float, default=SynthSpec.cluster_sigma)
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen, parser=p)
 
@@ -389,18 +381,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train and evaluate one configuration")
     _add_data_args(p)
-    p.add_argument("--model", choices=MODEL_KINDS, default="linear")
-    p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--loss", choices=BASE_KINDS, default="mse")
-    p.add_argument("--huber-delta", type=float, default=1.0)
+    p.add_argument("--model", choices=MODEL_KINDS, default=ModelSpec.kind)
+    p.add_argument("--degree", type=int, default=ModelSpec.degree)
+    p.add_argument("--loss", choices=BASE_KINDS, default=LossSpec.base)
+    p.add_argument("--huber-delta", type=float, default=LossSpec.delta)
     p.add_argument("--weighted", choices=("on", "off"), default="on")
     p.add_argument("--gamma-norm", choices=NORM_KINDS, default="l2")
     p.add_argument("--lambda", dest="grid_lambda", type=int, default=2)
     p.add_argument("--mu-floor", type=float, default=0.0)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=1)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--no-shuffle", action="store_true")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_train, parser=p)

@@ -228,8 +228,8 @@ def fit_grid(
             mu = sigma_x**2 / sigma_x_bar**2
         else:
             mu = np.ones(len(count))  # no variation anywhere: degrade to uniform weighting
-    if not np.isfinite(mu).all():
-        raise ValueError(_OVERFLOW)
+    if not np.isfinite(mu).all():  # sigma_x_bar ** 2 underflowed to 0
+        raise ValueError("the cells' feature spreads are too small to square in float64")
 
     return CellGrid(
         keys=idx[member],

@@ -35,7 +35,7 @@ class ModelSpec:
             raise ValueError(f"a {self.kind} model has degree 1, got {self.degree}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 100
     batch_size: int = 1
@@ -289,12 +289,8 @@ def train(
     g = np.empty((R, bs, dataset.target_dim))  # a batch's loss gradients
     values = np.empty((R, n))
 
-    full = n - n % bs  # the samples in full batches
-    # each batch's bounds and its part of g: all of it, or a leading slice
-    # for a partial last batch
-    last = g[:, : n - full]
-    batches = [(start, min(start + bs, n), g if start < full else last)
-               for start in range(0, n, bs)]
+    starts = np.arange(0, n, bs)  # each batch's first sample; the last batch may be partial
+    batches = [(a, min(a + bs, n), g[:, : min(bs, n - a)]) for a in starts.tolist()]
     history = np.empty((R, config.epochs))
     rng = np.random.default_rng(config.seed)
     lr = config.learning_rate
@@ -312,10 +308,7 @@ def train(
             # the loss values of the epoch at the parameters each batch saw
             for spec, runs in groups:
                 values[runs] = batch_value_grad(spec, z[runs], y_e[runs])
-            weighted = w_e * values
-            batch_loss = weighted[:, :full].reshape(R, -1, bs).sum(axis=2)
-            if full < n:
-                batch_loss = np.column_stack([batch_loss, weighted[:, full:].sum(axis=1)])
+            batch_loss = np.add.reduceat(w_e * values, starts, axis=1)
             bad = ~np.isfinite(batch_loss)
             if bad.any():
                 j = int(bad.any(axis=0).argmax())

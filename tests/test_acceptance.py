@@ -10,7 +10,6 @@ import io
 import time
 
 import numpy as np
-import pytest
 
 from viloss import (
     Dataset,
@@ -25,37 +24,11 @@ from viloss import (
     select_lambda,
     split,
 )
-from viloss.cli import REPRO_EXPERIMENTS
+from viloss.cli import LAMBDA_CANDIDATES, REPRO_EXPERIMENTS
 from viloss.cli import main as cli_main
-from viloss.losses import batch_value_grad
-from viloss.models import Model, init_model
+from viloss.models import init_model
 
-LAMBDA_CANDIDATES = [1, 2, 5, 10, 20, 50, 100]
-
-
-def _finite_diff_param_grad(model, loss_spec, x, y, weight, h=1e-6):
-    def value(flat):
-        probe = Model(
-            model.spec,
-            flat[: model.weights.size].reshape(model.weights.shape),
-            flat[model.weights.size :],
-        )
-        pred = probe.predict_batch(x)[0]
-        if loss_spec.base == "bce":
-            # BCE of the predicted probability, independent of the library's
-            # loss of the logit
-            return weight * -(y[0] * np.log(pred[0]) + (1 - y[0]) * np.log(1 - pred[0]))
-        values = batch_value_grad(loss_spec, pred[None], np.atleast_2d(y))
-        return weight * values[0]
-
-    flat0 = np.concatenate([model.weights.ravel(), model.bias])
-    grad = np.zeros_like(flat0)
-    for i in range(len(flat0)):
-        up, down = flat0.copy(), flat0.copy()
-        up[i] += h
-        down[i] -= h
-        grad[i] = (value(up) - value(down)) / (2 * h)
-    return grad
+from oracles import brute_force_cells, finite_diff_param_grad
 
 
 def test_criterion_1_gradient_identity():
@@ -85,7 +58,7 @@ def test_criterion_1_gradient_identity():
         np.testing.assert_array_equal(db, w * base_db)
 
         analytic = np.concatenate([dw.ravel(), db])
-        fd = _finite_diff_param_grad(model, LossSpec(loss), x, y, w)
+        fd = finite_diff_param_grad(model, LossSpec(loss), x, y, w)
         np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-7)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -95,23 +68,8 @@ def test_criterion_1_gradient_identity():
 def _oracle_weights(features, targets, lam, norm):
     """Brute-force grid statistics and weights, independent of the library
     code path: direct interval membership tests and two-pass moments."""
-    n, m = features.shape
-    lo, hi = features.min(axis=0), features.max(axis=0)
-    membership = {}
-    for i in range(n):
-        key = []
-        for k in range(m):
-            if hi[k] == lo[k]:
-                key.append(0)
-                continue
-            width = (hi[k] - lo[k]) / lam
-            p = lam - 1
-            for b in range(lam):
-                if lo[k] + b * width <= features[i, k] < lo[k] + (b + 1) * width:
-                    p = b
-                    break
-            key.append(p)
-        membership.setdefault(tuple(key), []).append(i)
+    n = len(features)
+    membership = brute_force_cells(features, lam)
 
     stats = {}
     for key, rows in membership.items():

@@ -3,7 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from viloss import Dataset, ground_truth, load_csv, save_csv, split
+from viloss import (
+    Dataset,
+    LossSpec,
+    ModelSpec,
+    SynthSpec,
+    TrainConfig,
+    generate_synth,
+    ground_truth,
+    load_csv,
+    save_csv,
+    split,
+)
 from viloss import __version__, cli
 from viloss.cli import main
 from viloss.data import BinarySynthSpec, generate_binary_clusters
@@ -19,6 +30,12 @@ class TestGen:
         assert run(["gen", "--variant", "synth-1d", "--out", out]) == 0
         assert out.read_text().count("\n") == 301  # header + 300 rows
         assert out.with_suffix(".manifest.txt").exists()
+
+    def test_defaults_are_the_spec_defaults(self, tmp_path):
+        out, want = tmp_path / "s.csv", tmp_path / "want.csv"
+        assert run(["gen", "--out", out]) == 0
+        save_csv(generate_synth(SynthSpec()), want)
+        assert out.read_bytes() == want.read_bytes()
 
     def test_seed_repeat_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -109,7 +126,7 @@ class TestLdSweep:
         run(["gen", "--out", data])
         assert run(["ld-sweep", "--data", data, "--feature-cols", "x1",
                     "--target-cols", "y", "--feature-subset", ","]) == 1
-        assert "feature_subset must name at least one feature" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --feature-subset must name at least one feature\n"
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--candidates", "2,2", "--candidates: 2 is listed twice"),
@@ -139,6 +156,24 @@ class TestWeigh:
         assert len(lines) == 301
         idx, mu, gamma, weight = lines[1].split(",")
         assert float(weight) == pytest.approx(float(mu) / (1 + float(gamma)))
+
+    @pytest.mark.parametrize("subset", ["", ","])
+    @pytest.mark.parametrize("command", [
+        ["ld-sweep", "--out", "out.csv"],
+        ["weigh", "--lambda", 3, "--out", "out.csv"],
+        ["train", "--weighted", "off", "--out-dir", "out"],  # fits no grid
+    ], ids=["ld-sweep", "weigh", "train"])
+    def test_empty_feature_subset_rejected_without_output(self, tmp_path, monkeypatch, capsys,
+                                                          command, subset):
+        # only an absent flag means all features; an empty one used to weigh on all of them
+        monkeypatch.chdir(tmp_path)
+        run(["gen", "--variant", "synth-2d", "--n", 50, "--out", "s.csv"])
+        capsys.readouterr()
+        assert run([command[0], "--data", "s.csv", "--feature-cols", "x1,x2", "--target-cols",
+                    "y", "--feature-subset", subset, *command[1:]]) == 1
+        assert capsys.readouterr() == ("", "error: --feature-subset must name at least one "
+                                           "feature\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.manifest.txt"]
 
     @pytest.mark.parametrize("target, reason", [
         (",abc", "could not convert string to float: 'abc'"),
@@ -365,6 +400,40 @@ class TestTrainCommand:
         assert run(["train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
                     "--model", "linear", "--degree", 6, "--out-dir", out_dir]) == 1
         assert capsys.readouterr().err == "error: a linear model has degree 1, got 6\n"
+        assert not out_dir.exists()
+
+    def test_polynomial_degree_below_one_rejected(self, tmp_path, capsys):
+        data, out_dir = tmp_path / "s.csv", tmp_path / "run"
+        run(["gen", "--out", data])
+        assert run(["train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
+                    "--model", "polynomial", "--degree", 0, "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err == "error: degree must be >= 1\n"
+        assert not out_dir.exists()
+
+    def test_defaults_are_the_spec_defaults(self, tmp_path, monkeypatch):
+        calls, cli_train = [], cli.train
+
+        def recording(model_spec, dataset, runs, config):
+            calls.append((model_spec, [spec for spec, _ in runs], config))
+            return cli_train(model_spec, dataset, runs, TrainConfig(epochs=1))
+
+        monkeypatch.setattr(cli, "train", recording)
+        data = tmp_path / "s.csv"
+        run(["gen", "--out", data])
+        assert run(["train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
+                    "--out-dir", tmp_path / "run"]) == 0
+        assert calls == [(ModelSpec(), [LossSpec()], TrainConfig())]
+
+    def test_underflowing_cell_spread_rejected_without_output(self, tmp_path, capsys):
+        # three rows at 0 and three at 5e-162 share the first of 20 cells and
+        # every other row has one to itself: the mean cell spread squares to 0
+        data, out_dir = tmp_path / "s.csv", tmp_path / "run"
+        xs = ["0"] * 3 + ["5e-162"] * 3 + [repr(v) for v in np.linspace(0.1, 1.0, 14).tolist()]
+        data.write_text("x,y\n" + "".join(f"{x},{i}\n" for i, x in enumerate(xs)))
+        assert run(["train", "--data", data, "--feature-cols", "x", "--target-cols", "y",
+                    "--lambda", 20, "--out-dir", out_dir]) == 1
+        assert capsys.readouterr().err == ("error: the cells' feature spreads are too small "
+                                           "to square in float64\n")
         assert not out_dir.exists()
 
     def test_batch_size_above_training_rows_names_both(self, tmp_path, capsys):

@@ -35,6 +35,10 @@ class TestGroundTruth:
         expected = -x1 + x2**6 + x2**3 + 0.3
         assert ground_truth("synth-2d", np.array([[x1, x2]]))[0, 0] == pytest.approx(expected)
 
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="^unknown variant 'synth-3d'$"):
+            ground_truth("synth-3d", np.zeros((1, 3)))
+
 
 class TestGenerateSynth:
     def test_default_sizes(self):

@@ -15,35 +15,14 @@ from viloss import (
 )
 from viloss.grid import NORM_KINDS
 
+from oracles import brute_force_cells
+
 
 def make_1d(xs, ys=None):
     xs = np.asarray(xs, dtype=float)
     if ys is None:
         ys = np.zeros_like(xs)
     return Dataset(xs[:, None], np.asarray(ys, dtype=float)[:, None])
-
-
-def brute_force_cells(features, lam):
-    """Independent binning by direct interval tests (oracle)."""
-    lo, hi = features.min(axis=0), features.max(axis=0)
-    cells = {}
-    for i, x in enumerate(features):
-        key = []
-        for k in range(features.shape[1]):
-            if hi[k] == lo[k]:
-                key.append(0)
-                continue
-            width = (hi[k] - lo[k]) / lam
-            p = lam - 1  # closed last bin
-            for b in range(lam):
-                left = lo[k] + b * width
-                right = lo[k] + (b + 1) * width
-                if left <= x[k] < right:
-                    p = b
-                    break
-            key.append(p)
-        cells.setdefault(tuple(key), []).append(i)
-    return cells
 
 
 def cell_rows(grid):
@@ -187,6 +166,15 @@ class TestFitGrid:
         with pytest.raises(ValueError, match="^cell statistics overflowed float64: "
                                              "normalize the features and targets first$"):
             fit_grid(make_1d(xs, ys), 1)
+
+    def test_underflowing_mean_spread_rejected(self):
+        # already normalized: 0 and 5e-162 share the first of 4 cells, whose
+        # spread 2.5e-162 averages with two zero spreads to a sigma_x_bar
+        # whose square underflows to 0
+        ds = make_1d([0.0, 5e-162, 0.5, 1.0], [0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="^the cells' feature spreads are too small to "
+                                             "square in float64$"):
+            fit_grid(ds, 4)
 
     @staticmethod
     def _scaled(s):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -25,6 +26,8 @@ from viloss import (
 )
 from viloss.data import NormalizationRecord
 from viloss.models import Model, TrainingDiverged, init_model
+
+from oracles import finite_diff_param_grad
 
 
 class TestExpandPolynomial:
@@ -129,28 +132,6 @@ def _random_model(spec: ModelSpec, rng, input_dim: int, output_dim: int = 1) -> 
     return model
 
 
-def _fd_parameter_gradient(model, loss_spec, x, y, weight, h=1e-6):
-    def value(w_flat):
-        probe = Model(model.spec, w_flat[: model.weights.size].reshape(model.weights.shape),
-                      w_flat[model.weights.size:])
-        pred = probe.predict_batch(x)[0]
-        if loss_spec.base == "bce":
-            # BCE of the predicted probability, independent of the library's
-            # loss of the logit
-            return weight * -(y[0] * np.log(pred[0]) + (1 - y[0]) * np.log(1 - pred[0]))
-        values = batch_value_grad(loss_spec, pred[None], np.atleast_2d(y))
-        return weight * values[0]
-
-    w0 = np.concatenate([model.weights.ravel(), model.bias])
-    grad = np.zeros_like(w0)
-    for i in range(len(w0)):
-        up, down = w0.copy(), w0.copy()
-        up[i] += h
-        down[i] -= h
-        grad[i] = (value(up) - value(down)) / (2 * h)
-    return grad
-
-
 class TestParameterGradient:
     @pytest.mark.parametrize(
         "kind,loss",
@@ -168,7 +149,7 @@ class TestParameterGradient:
         w = float(rng.uniform(0.2, 3.0))
         dw, db = parameter_gradient(model, LossSpec(loss), x, y, weight=w)
         analytic = np.concatenate([dw.ravel(), db])
-        fd = _fd_parameter_gradient(model, LossSpec(loss), x, y, w)
+        fd = finite_diff_param_grad(model, LossSpec(loss), x, y, w)
         np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-7)
 
     def test_weight_scaling_is_exact(self):
@@ -610,6 +591,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{message}$"):
             TrainConfig(**{field: value})
 
+    def test_fields_are_frozen(self):
+        # an assignment would skip the checks above: epochs 0 used to train
+        # nothing and batch_size 0 to divide by zero inside train
+        cfg = TrainConfig(epochs=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.epochs = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.batch_size = 0
+
 
 class TestModelSpec:
     def test_logistic_single_output(self, tmp_path, monkeypatch):
@@ -634,6 +624,10 @@ class TestModelSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ModelSpec("mlp")
+
+    def test_polynomial_degree_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^degree must be >= 1$"):
+            ModelSpec("polynomial", 0)
 
     @pytest.mark.parametrize("kind", ["linear", "logistic"])
     def test_degree_only_for_polynomial(self, kind):
@@ -695,6 +689,15 @@ class TestSaveLoad:
         path.write_text("viloss_model_version=1\nlinear,1,2,1\nfeature_min=0.0,0.0\n"
                         "feature_max=1.0,1.0\ntarget_min=0.0\ntarget_max=1.0\n0.5\n")
         with pytest.raises(ValueError, match="expected 3 parameters, found 1"):
+            load_model(path)
+
+    def test_record_of_other_width_rejected(self, tmp_path):
+        # the spec line says one feature; feature_min holds two values
+        path = tmp_path / "model.txt"
+        path.write_text("viloss_model_version=1\nlinear,1,1,1\nfeature_min=0.0,0.0\n"
+                        "feature_max=1.0\ntarget_min=0.0\ntarget_max=1.0\n0.5\n0.25\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: normalization record does not match the model's dimensions")):
             load_model(path)
 
     def test_file_without_normalization_rejected(self, tmp_path):
