@@ -52,9 +52,9 @@ RESULT_HEADER = "dataset,model,loss,gamma_norm,lambda,seed,mape,mae"
 RESULT_HEADER_CLS = RESULT_HEADER + ",acc,prec,rec,f1"
 
 
-def _parse_int_list(text: str, flag: str, noun: str | None = None) -> list[int]:
-    """The distinct integers of a comma list given with ``flag``; when
-    ``noun`` names what they count, an empty list is rejected."""
+def _parse_int_list(text: str, flag: str, noun: str) -> list[int]:
+    """The distinct integers of a comma list given with ``flag``; an empty
+    list is rejected, naming the flag and the ``noun`` it counts."""
     values = []
     for token in filter(None, (t.strip() for t in text.split(","))):
         try:
@@ -64,7 +64,7 @@ def _parse_int_list(text: str, flag: str, noun: str | None = None) -> list[int]:
         if value in values:
             raise ValueError(f"{flag}: {value} is listed twice")
         values.append(value)
-    if noun and not values:
+    if not values:
         raise ValueError(f"{flag} must name at least one {noun}")
     return values
 
@@ -98,7 +98,7 @@ def cmd_gen(args) -> None:
 
 def cmd_ld_sweep(args) -> None:
     dataset = _load_dataset(args)
-    candidates = _parse_int_list(args.candidates, "--candidates")
+    candidates = _parse_int_list(args.candidates, "--candidates", "candidate")
     lam_star, report = select_lambda(dataset, candidates, _feature_subset(args))
     table = "lambda,ld,nonempty_cells\n" + "".join(
         f"{entry.lam},{entry.ld!r},{entry.n_cells}\n" for entry in report

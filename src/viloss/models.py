@@ -72,7 +72,7 @@ def monomial_exponents(n_features: int, degree: int):
     return exps
 
 
-def expand_polynomial(features: np.ndarray, degree: int) -> np.ndarray:
+def expand_polynomial(features: np.ndarray, degree: int, out=None) -> np.ndarray:
     """Full-monomial basis (constant included) of one vector or a batch.
 
     A power table ``powers[p] = x ** np.full(d, p)`` for p = 0..degree
@@ -81,7 +81,8 @@ def expand_polynomial(features: np.ndarray, degree: int) -> np.ndarray:
     order. The table keeps the call shape of an (n, d) array raised to a
     length-d exponent array: numpy picks its ``pow`` loop by that shape,
     and a scalar exponent, ``x * x`` or a transposed table can differ from
-    it in the last bit.
+    it in the last bit. A batch's basis is written into ``out`` when it is
+    given, an (n, k) array or view of any strides, and ``out`` is returned.
     """
     features = np.asarray(features, dtype=np.float64)
     single = features.ndim == 1
@@ -89,7 +90,7 @@ def expand_polynomial(features: np.ndarray, degree: int) -> np.ndarray:
     n, d = x.shape
     powers = [x ** np.full(d, p) for p in range(degree + 1)]
     exponents = monomial_exponents(d, degree)
-    phi = np.empty((n, len(exponents)))
+    phi = np.empty((n, len(exponents))) if out is None else out
     for m, e in enumerate(exponents):
         column = phi[:, m]
         if d == 1:
@@ -111,10 +112,15 @@ class Model:
     def basis_dim(self) -> int:
         return self.weights.shape[1]
 
-    def expand(self, features: np.ndarray) -> np.ndarray:
+    def expand(self, features: np.ndarray, out=None) -> np.ndarray:
+        """The model's basis of ``features``; written into ``out`` and
+        returned when ``out`` is given (see ``expand_polynomial``)."""
         if self.spec.kind == "polynomial":
-            return expand_polynomial(features, self.spec.degree)
-        return np.asarray(features, dtype=np.float64)
+            return expand_polynomial(features, self.spec.degree, out)
+        if out is None:
+            return np.asarray(features, dtype=np.float64)
+        np.copyto(out, features)
+        return out
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         phi = np.atleast_2d(self.expand(features))
@@ -169,14 +175,22 @@ def _loss_groups(kind, specs: list[LossSpec]) -> list[tuple[LossSpec, slice]]:
     return [(specs[a], slice(a, b)) for a, b in zip(starts, starts[1:] + [len(specs)])]
 
 
+def _affine_basis(model: Model, features) -> np.ndarray:
+    """The model's basis of ``features`` with a constant-1 column last: an
+    (n, basis + 1) array whose last column the bias weighs. The basis is
+    written straight into it through ``Model.expand``."""
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    phi = np.empty((len(x), model.basis_dim + 1))
+    model.expand(x, out=phi[:, :-1])
+    phi[:, -1] = 1.0
+    return phi
+
+
 def _step_views(params, grad):
-    """What a step reads of ``params`` (R, out, basis + 1) and writes of its
-    gradient buffer ``grad``: the weights transposed (R, basis, out), the
-    bias (R, 1, out), ``grad`` itself and its weight and bias parts. They
-    stay valid while both arrays are only updated in place."""
-    k = params.shape[2] - 1
-    return (params[:, :, :k].transpose(0, 2, 1), params[:, None, :, k],
-            grad, grad[:, :, :k], grad[:, :, k])
+    """What a step reads of ``params`` (R, out, basis + 1) and writes: the
+    parameters transposed (R, basis + 1, out) and the gradient buffer
+    ``grad``. They stay valid while both arrays are only updated in place."""
+    return params.transpose(0, 2, 1), grad
 
 
 def _batch_step(groups, params, views, phi, y, w, z, g, lr):
@@ -184,28 +198,31 @@ def _batch_step(groups, params, views, phi, y, w, z, g, lr):
 
     ``params`` (R, out, basis + 1) holds each run's weights with its bias as
     the last column, ``views`` its views from ``_step_views``, ``phi`` (B,
-    basis) the batch's features, ``y`` (R, B, out) its targets repeated per
-    run, ``w`` (R, B) each run's sample weights and ``groups`` the slices of
-    runs that share a loss (see ``_loss_groups``). Writes the outputs into
-    ``z`` (R, B, out), their loss gradients into ``g`` (R, B, out) and the
-    weighted gradient sums into the gradient buffer of ``views``, then
-    subtracts ``lr`` times their batch mean from ``params``. It writes only
-    into the arrays it is given and computes no loss value. Each sample's gradient is formed
-    first and its weight multiplies it last, so a weighted sample's gradient
-    is exactly w_i times its unweighted one. Runs never mix: a non-finite
-    value in one run leaves the others' results unchanged.
+    basis + 1) the batch's rows of ``_affine_basis``, whose constant-1 last
+    column the bias weighs, ``y`` (R, B, out) its targets repeated per run,
+    ``w`` (R, B) each run's sample weights and ``groups`` the slices of runs
+    that share a loss (see ``_loss_groups``). One matmul writes the outputs
+    into ``z`` (R, B, out), their loss gradients go into ``g`` (R, B, out),
+    one contraction writes the weighted gradient sums, bias included, into
+    the gradient buffer of ``views``, and ``lr`` times their batch mean is
+    subtracted from ``params``. It writes only into the arrays it is given
+    and computes no loss value. Each sample's gradient is formed first and
+    its weight multiplies it last, so a weighted sample's gradient is
+    exactly w_i times its unweighted one. Runs never mix: a non-finite value
+    in one run leaves the others' results unchanged. At batch 1 every
+    result is bit for bit that of adding the bias to the outputs and
+    summing its gradient apart; at batch > 1 the bias gradient is summed in
+    the contraction's order, and results agree with that to rtol 1e-12.
     """
-    weights_t, bias, grad, grad_weights, grad_bias = views
-    np.matmul(phi, weights_t, out=z)
-    z += bias
+    params_t, grad = views
+    np.matmul(phi, params_t, out=z)
     if groups[0][0].base == "bce":  # a stack is all bce or all regression (check_loss_pairing)
         bce_grad(z, y, out=g)
     else:
         np.subtract(z, y, out=g)  # one residual for the stack, then each group's gradient
         for spec, runs in groups:
             residual_grad(spec, g[runs])
-    np.einsum("rbo,bk,rb->rok", g, phi, w, out=grad_weights)
-    np.einsum("rbo,rb->ro", g, w, out=grad_bias)
+    np.einsum("rbo,bk,rb->rok", g, phi, w, out=grad)
     grad *= lr
     grad /= len(phi)
     params -= grad
@@ -215,7 +232,7 @@ def parameter_gradient(model: Model, loss_spec: LossSpec, features, target, weig
     """Gradient of weight * loss(y_hat(x), y) w.r.t. (W, b) for one sample:
     the step that ``train`` runs, for one run on a batch of one, at a
     learning rate of 1 on a copy of the parameters."""
-    phi = np.atleast_2d(model.expand(features))
+    phi = _affine_basis(model, features)
     y = np.atleast_2d(np.asarray(target, dtype=np.float64))[None]
     groups = _loss_groups(model.spec.kind, [loss_spec])
     w = np.array([[weight]], dtype=np.float64)
@@ -251,9 +268,13 @@ def train(
     that run alone. The batch parameter gradient is the mean over the batch
     of weight_i times each sample's loss gradient. Each run's weights and
     bias live in one (out, basis + 1) row of a parameter array, the bias
-    last. The batch bounds, the step's views of the parameters and its
-    buffers are built once; a step computes gradients only, in place
-    (``_batch_step``), and the loss values of an epoch, at the parameters
+    last, and the basis is built once with a constant-1 column last
+    (``_affine_basis``), so the bias is that column's weight. The step's
+    views of the parameters, its buffers and each batch's views of them are
+    built once; an epoch gathers its order's targets and weights into
+    buffers, and a step gathers its rows of the basis, runs one matmul and
+    one contraction and computes gradients only, in place
+    (``_batch_step``). The loss values of an epoch, at the parameters
     each batch saw, are computed once when it ends, for the history and the
     divergence check. Returns one (model, report) per run, in the order of
     ``runs``.
@@ -277,7 +298,7 @@ def train(
         check_binary_targets(dataset.targets)
 
     template = init_model(model_spec, dataset.feature_dim, dataset.target_dim)
-    phi = np.atleast_2d(template.expand(dataset.features))
+    phi = _affine_basis(template, dataset.features)
     R, k, bs = len(specs), template.basis_dim, config.batch_size
     # the targets once per run (a view when there is one run), so the loss
     # sees operands of one shape and takes numpy's fast non-broadcast path
@@ -288,9 +309,13 @@ def train(
     z = np.empty(y.shape)  # each sample's output at the step that used it
     g = np.empty((R, bs, dataset.target_dim))  # a batch's loss gradients
     values = np.empty((R, n))
+    # an epoch's sample order and its targets and weights in that order
+    order, y_e, w_e = np.arange(n), np.empty_like(y), np.empty_like(w)
 
     starts = np.arange(0, n, bs)  # each batch's first sample; the last batch may be partial
-    batches = [(a, min(a + bs, n), g[:, : min(bs, n - a)]) for a in starts.tolist()]
+    stops = np.minimum(starts + bs, n)
+    batches = [(order[a:b], y_e[:, a:b], w_e[:, a:b], z[:, a:b], g[:, : b - a])
+               for a, b in zip(starts.tolist(), stops.tolist())]
     history = np.empty((R, config.epochs))
     rng = np.random.default_rng(config.seed)
     lr = config.learning_rate
@@ -299,12 +324,14 @@ def train(
     # ends and the check below names it, so numpy's warnings are noise here
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            order = rng.permutation(n) if config.shuffle else np.arange(n)
-            y_e, w_e = y.take(order, axis=1), w.take(order, axis=1)
-            for start, stop, g_batch in batches:
-                _batch_step(groups, params, views, phi.take(order[start:stop], axis=0),
-                            y_e[:, start:stop], w_e[:, start:stop], z[:, start:stop],
-                            g_batch, lr)
+            if config.shuffle:
+                order[:] = rng.permutation(n)
+            # order is a permutation, so "clip" never fires; it lets take
+            # write straight into out=
+            y.take(order, axis=1, out=y_e, mode="clip")
+            w.take(order, axis=1, out=w_e, mode="clip")
+            for rows, y_b, w_b, z_b, g_b in batches:
+                _batch_step(groups, params, views, phi.take(rows, axis=0), y_b, w_b, z_b, g_b, lr)
             # the loss values of the epoch at the parameters each batch saw
             for spec, runs in groups:
                 values[runs] = batch_value_grad(spec, z[runs], y_e[runs])
@@ -314,7 +341,7 @@ def train(
                 j = int(bad.any(axis=0).argmax())
                 r = int(bad[:, j].argmax())
                 raise TrainingDiverged(f"run {r} ({specs[r].base}): non-finite loss at epoch "
-                                       f"{epoch}, batch starting at {batches[j][0]}")
+                                       f"{epoch}, batch starting at {starts[j]}")
             history[:, epoch] = batch_loss.sum(axis=1) / n
 
     return [(Model(model_spec, params[r, :, :k].copy(), params[r, :, k].copy()),

@@ -128,6 +128,15 @@ class TestLdSweep:
                     "--target-cols", "y", "--feature-subset", ","]) == 1
         assert capsys.readouterr().err == "error: --feature-subset must name at least one feature\n"
 
+    @pytest.mark.parametrize("value", ["", ","])
+    def test_empty_candidates_name_the_flag(self, tmp_path, capsys, value):
+        data = tmp_path / "s.csv"
+        run(["gen", "--out", data])
+        capsys.readouterr()
+        assert run(["ld-sweep", "--data", data, "--feature-cols", "x1",
+                    "--target-cols", "y", "--candidates", value]) == 1
+        assert capsys.readouterr() == ("", "error: --candidates must name at least one candidate\n")
+
     @pytest.mark.parametrize("flag,value,message", [
         ("--candidates", "2,2", "--candidates: 2 is listed twice"),
         ("--candidates", "2,x", "--candidates: 'x' is not an integer"),

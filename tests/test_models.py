@@ -98,6 +98,50 @@ class TestExpandPolynomial:
         assert expand_polynomial(np.zeros(input_dim), degree).shape == (model.basis_dim,)
 
 
+class TestAffineBasis:
+    """``train`` steps on the basis with a constant-1 column last, written
+    into one (n, k + 1) buffer through ``out=`` views."""
+
+    @pytest.mark.parametrize("spec,d", [(ModelSpec("linear"), 3), (ModelSpec("polynomial", 1), 2),
+                                        (ModelSpec("polynomial", 4), 3)])
+    def test_out_view_gets_the_allocating_bits(self, spec, d):
+        rng = np.random.default_rng(41)
+        x = rng.uniform(-2.0, 2.0, (57, d)) * 10.0 ** rng.integers(-60, 60, (57, d))
+        x[rng.random(x.shape) < 0.2] = -0.0
+        model = init_model(spec, d, 1)
+        k = model.basis_dim
+        buffer = np.full((len(x), k + 1), 7.0)
+        view = buffer[:, :k]  # rows k + 1 apart: not contiguous
+        with np.errstate(all="ignore"):
+            want = model.expand(x)
+            assert model.expand(x, out=view) is view
+            assert view.tobytes() == np.ascontiguousarray(want).tobytes()
+            if spec.kind == "polynomial":
+                view[...] = 0.0
+                assert expand_polynomial(x, spec.degree, out=view) is view
+                assert view.tobytes() == want.tobytes()
+        assert (buffer[:, k] == 7.0).all()
+        affine = models._affine_basis(model, x)
+        assert affine.tobytes() == np.column_stack([want, np.ones(len(x))]).tobytes()
+
+    def test_train_holds_one_basis_array(self):
+        # the basis costs one (n, k + 1) array: expanding into a separate
+        # (n, k) array and copying it would cost both
+        rng = np.random.default_rng(43)
+        n, spec = 2000, ModelSpec("polynomial", 10)
+        ds = Dataset(rng.uniform(0.0, 1.0, (n, 2)), rng.uniform(0.0, 1.0, (n, 1)))
+        k = init_model(spec, 2, 1).basis_dim
+        cfg = TrainConfig(epochs=1, batch_size=50, learning_rate=0.01)
+        tracemalloc.start()
+        try:
+            train(spec, ds, [(LossSpec("mse"), None)], cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        basis = n * (k + 1) * 8
+        assert basis <= peak < basis + n * k * 8
+
+
 class TestPredict:
     def test_zero_linear_model(self):
         model = init_model(ModelSpec("linear"), 3, 2)
@@ -492,8 +536,26 @@ def _allocating_loss_grad(spec, y_hat, y):
 
 def _allocating_step(groups, params, phi, y, w, lr):
     # the step as it was before it worked in place: fresh outputs, one
-    # gradient per loss group copied into a fresh array, the update after
-    k = phi.shape[1]
+    # gradient per loss group copied into a fresh array, the update after;
+    # phi ends in a constant-1 column, whose weight is the bias
+    z = np.matmul(phi, params.transpose(0, 2, 1))
+    g = np.empty_like(z)
+    for spec, runs in groups:
+        g[runs] = _allocating_loss_grad(spec, z[runs], y[runs])
+    grad = np.empty_like(params)
+    np.einsum("rbo,bk,rb->rok", g, phi, w, out=grad)
+    grad *= lr
+    grad /= len(phi)
+    params -= grad
+    return z
+
+
+def _two_contraction_step(groups, params, phi, y, w, lr):
+    # the step with the bias apart: phi without its constant column, the
+    # bias added to the outputs and its gradient summed by a contraction of
+    # its own
+    k = phi.shape[1] - 1
+    phi = phi[:, :k]
     z = np.matmul(phi, params[:, :, :k].transpose(0, 2, 1)) + params[:, None, :, k]
     g = np.empty_like(z)
     for spec, runs in groups:
@@ -515,49 +577,88 @@ _ORACLE_STACKS = {
 }
 
 
+def _wild_run(stack):
+    # the run whose parameters start out huge or infinite: the quartic goes
+    # non-finite within a few steps, bce at once
+    return 0 if stack == "bce" else _ORACLE_STACKS[stack].index(LossSpec("lqr"))
+
+
+def _step_against(oracle, stack, out, bs, check):
+    """Three shuffled epochs of ``models._batch_step`` on the affine basis of
+    a 23-row stack, next to ``oracle(groups, params, phi, y, w, lr)`` on
+    its own copy of the parameters. After each step, ``check(z, want_z,
+    params, want)``. Returns the step's final parameters."""
+    specs = _ORACLE_STACKS[stack]
+    groups = models._loss_groups("logistic" if stack == "bce" else "linear", specs)
+    rng = np.random.default_rng(31)
+    R, n, k, lr = len(specs), 23, 4, 0.02
+    phi = np.column_stack([rng.uniform(-1.0, 1.0, size=(n, k)), np.ones(n)])
+    y = rng.normal(scale=0.5, size=(R, n, out))
+    if stack == "bce":
+        y = (y > 0).astype(float)
+    w = rng.uniform(0.0, 2.0, size=(R, n))
+    w[:, ::4] = 0.0
+    params = rng.normal(scale=0.3, size=(R, out, k + 1))
+    params[_wild_run(stack)] *= np.inf if stack == "bce" else 1e154
+    want = params.copy()
+    grad = np.empty_like(params)
+    views = models._step_views(params, grad)
+    z, g = np.empty((R, n, out)), np.empty((R, bs, out))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(3):
+            order = rng.permutation(n)
+            y_e, w_e = y.take(order, axis=1), w.take(order, axis=1)
+            for start in range(0, n, bs):
+                stop = min(start + bs, n)
+                rows = order[start:stop]
+                models._batch_step(groups, params, views, phi.take(rows, axis=0),
+                                   y_e[:, start:stop], w_e[:, start:stop], z[:, start:stop],
+                                   g[:, : stop - start], lr)
+                want_z = oracle(groups, want, phi.take(rows, axis=0),
+                                y_e[:, start:stop], w_e[:, start:stop], lr)
+                check(z[:, start:stop], want_z, params, want)
+    return params
+
+
+_ORACLE_CASES = [("loss-major", 1), ("loss-major", 2), ("interleaved", 1), ("interleaved", 2),
+                 ("bce", 1)]
+
+
 class TestStepOracle:
     """The in-place step against the allocating one it replaced: the same
     operations in the same order, so every parameter and output is equal
-    bit for bit."""
+    bit for bit. The bias is the weight of the basis's constant-1 column;
+    a step that keeps it apart agrees bit for bit at batch 1 and to rtol
+    1e-12 on larger batches, where the bias gradient is summed in the
+    contraction's order."""
 
     @pytest.mark.parametrize("bs", [1, 5, 7])  # 23 rows: 7 leaves a partial last batch
-    @pytest.mark.parametrize("stack,out", [("loss-major", 1), ("loss-major", 2),
-                                           ("interleaved", 1), ("interleaved", 2), ("bce", 1)])
+    @pytest.mark.parametrize("stack,out", _ORACLE_CASES)
     def test_step_matches_the_allocating_step(self, stack, out, bs):
-        specs = _ORACLE_STACKS[stack]
-        groups = models._loss_groups("logistic" if stack == "bce" else "linear", specs)
-        rng = np.random.default_rng(31)
-        R, n, k, lr = len(specs), 23, 4, 0.02
-        phi = rng.uniform(-1.0, 1.0, size=(n, k))
-        y = rng.normal(scale=0.5, size=(R, n, out))
-        if stack == "bce":
-            y = (y > 0).astype(float)
-        w = rng.uniform(0.0, 2.0, size=(R, n))
-        w[:, ::4] = 0.0
-        params = rng.normal(scale=0.3, size=(R, out, k + 1))
-        # one run goes non-finite: the quartic within a few steps, bce at once
-        wild = 0 if stack == "bce" else specs.index(LossSpec("lqr"))
-        params[wild] *= np.inf if stack == "bce" else 1e154
-        want = params.copy()
-        grad = np.empty_like(params)
-        views = models._step_views(params, grad)
-        z, g = np.empty((R, n, out)), np.empty((R, bs, out))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for epoch in range(3):
-                order = rng.permutation(n)
-                y_e, w_e = y.take(order, axis=1), w.take(order, axis=1)
-                for start in range(0, n, bs):
-                    stop = min(start + bs, n)
-                    rows = phi.take(order[start:stop], axis=0)
-                    models._batch_step(groups, params, views, rows, y_e[:, start:stop],
-                                       w_e[:, start:stop], z[:, start:stop],
-                                       g[:, : stop - start], lr)
-                    want_z = _allocating_step(groups, want, rows, y_e[:, start:stop],
-                                              w_e[:, start:stop], lr)
-                    np.testing.assert_array_equal(z[:, start:stop], want_z)
-                    np.testing.assert_array_equal(params, want)
+        def check(z, want_z, params, want):
+            np.testing.assert_array_equal(z, want_z)
+            np.testing.assert_array_equal(params, want)
+
+        params = _step_against(_allocating_step, stack, out, bs, check)
+        wild = _wild_run(stack)
         assert not np.isfinite(params[wild]).any()
         assert np.isfinite(np.delete(params, wild, axis=0)).all()
+
+    @pytest.mark.parametrize("bs", [1, 5, 7])
+    @pytest.mark.parametrize("stack,out", _ORACLE_CASES)
+    def test_affine_step_matches_the_two_contraction_step(self, stack, out, bs):
+        finite = np.arange(len(_ORACLE_STACKS[stack])) != _wild_run(stack)
+
+        def check(z, want_z, params, want):
+            if bs == 1:
+                np.testing.assert_array_equal(z, want_z)
+                np.testing.assert_array_equal(params, want)
+            else:
+                np.testing.assert_allclose(z[finite], want_z[finite], rtol=1e-12, atol=0)
+                np.testing.assert_allclose(params[finite], want[finite], rtol=1e-12, atol=0)
+
+        params = _step_against(_two_contraction_step, stack, out, bs, check)
+        assert np.isfinite(params[finite]).all() and not np.isfinite(params[~finite]).any()
 
     @pytest.mark.parametrize("base,v", [("mse", 1), ("mse", 2), ("huber", 1), ("huber", 2),
                                         ("lqr", 1), ("lqr", 2), ("bce", 1)])

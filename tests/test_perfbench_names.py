@@ -70,6 +70,32 @@ def test_traced_csv_pipeline_records_rows_and_ess(monkeypatch, tmp_path):
     assert values["data.load_csv"] == [60, 60, 60]
     assert values["grid.compute_weights"] and np.isfinite(values["grid.compute_weights"]).all()
 
+def test_traced_train_records_one_basis(monkeypatch, tmp_path):
+    # models.basis_bytes reads the nbytes of what Model.expand returns:
+    # train expands once, into the (n, k) view of its (n, k + 1) basis
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent))
+    module = importlib.import_module("perfbench.tracer")
+    NAME, PARENT, VALUE, tracer = module.NAME, module.PARENT, module.VALUE, module.Tracer(viloss)
+    data = tmp_path / "s.csv"
+    assert viloss.cli.main(["gen", "--variant", "synth-2d", "--n", "60", "--out", str(data)]) == 0
+    tracer.install()
+    try:
+        code = viloss.cli.main(["train", "--data", str(data), "--feature-cols", "x1,x2",
+                                "--target-cols", "y", "--model", "polynomial", "--degree", "3",
+                                "--epochs", "1", "--batch-size", "1",
+                                "--out-dir", str(tmp_path / "run")])
+    finally:
+        tracer.remove()
+    assert code == 0
+    spans = tracer.spans
+    [train_idx] = [i for i, span in enumerate(spans) if span[NAME] == "models.train"]
+    n = spans[train_idx][VALUE]  # the step count: one epoch of batches of 1
+    k = viloss.models.init_model(viloss.ModelSpec("polynomial", 3), 2, 1).basis_dim
+    assert n > 0 and k == 10
+    assert [span[VALUE] for span in spans if span[NAME] == "models.expand"
+            and span[PARENT] == train_idx] == [n * k * 8]
+
+
 def test_workloads_find_every_cli_name():
     names = set(re.findall(r"\bcli\.([A-Za-z_]\w*)", (PERFBENCH / "workloads.py").read_text()))
     assert {"Dataset", "LAMBDA_CANDIDATES", "split"} <= names  # the regex still sees the calls
