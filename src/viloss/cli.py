@@ -39,6 +39,7 @@ from .models import (
     MODEL_KINDS,
     ModelSpec,
     TrainConfig,
+    TrainingDiverged,
     check_binary_targets,
     check_loss_pairing,
     load_model,
@@ -281,8 +282,11 @@ def _repro_rows(name: str, seeds: list[int], epochs: int | None) -> tuple[str, l
     for seed in seeds:
         cfg = TrainConfig(epochs=150 if epochs is None else epochs, batch_size=exp.batch_size,
                           learning_rate=exp.learning_rate, seed=seed)
-        _, results = _run_experiment(_repro_dataset(name, seed), name, exp.model_spec,
-                                     exp.variants(), exp.lam, None, cfg)
+        try:
+            _, results = _run_experiment(_repro_dataset(name, seed), name, exp.model_spec,
+                                         exp.variants(), exp.lam, None, cfg)
+        except TrainingDiverged as exc:  # name the data seed that diverged
+            raise TrainingDiverged(f"seed {seed}: {exc}") from None
         rows += [row for row, _ in results]
     return _result_header(exp.model_spec), rows
 

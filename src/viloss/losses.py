@@ -10,8 +10,9 @@ Values and gradients take separate paths. The step
 ``bce_grad`` or ``residual_grad``, the only gradient code. ``train`` takes
 values from ``batch_value_grad`` once per epoch and loss group, for the
 loss history and the divergence check. Nothing here weights a sample: the
-weight ``mu / (1 + gamma)`` multiplies each sample's parameter gradient
-last, inside the step, and never reads a loss value.
+weight ``mu / (1 + gamma)``, times lr / B, scales each sample's loss
+gradient inside the step before one matmul with the basis, and never
+reads a loss value.
 """
 
 from __future__ import annotations

@@ -188,33 +188,32 @@ def _affine_basis(model: Model, features) -> np.ndarray:
 
 def _step_views(params, grad):
     """What a step reads of ``params`` (R, out, basis + 1) and writes: the
-    parameters transposed (R, basis + 1, out) and the gradient buffer
-    ``grad``. They stay valid while both arrays are only updated in place."""
-    return params.transpose(0, 2, 1), grad
+    parameters transposed (R, basis + 1, out), the gradient buffer ``grad``
+    and its transpose, valid while both are only updated in place."""
+    return params.transpose(0, 2, 1), grad, grad.transpose(0, 2, 1)
 
 
-def _batch_step(groups, params, views, phi, y, w, z, g, lr):
+def _batch_step(groups, params, views, phi, y, w, z, g):
     """One SGD step of R stacked runs over one shared batch, in place.
 
     ``params`` (R, out, basis + 1) holds each run's weights with its bias as
     the last column, ``views`` its views from ``_step_views``, ``phi`` (B,
     basis + 1) the batch's rows of ``_affine_basis``, whose constant-1 last
     column the bias weighs, ``y`` (R, B, out) its targets repeated per run,
-    ``w`` (R, B) each run's sample weights and ``groups`` the slices of runs
-    that share a loss (see ``_loss_groups``). One matmul writes the outputs
-    into ``z`` (R, B, out), their loss gradients go into ``g`` (R, B, out),
-    one contraction writes the weighted gradient sums, bias included, into
-    the gradient buffer of ``views``, and ``lr`` times their batch mean is
-    subtracted from ``params``. It writes only into the arrays it is given
-    and computes no loss value. Each sample's gradient is formed first and
-    its weight multiplies it last, so a weighted sample's gradient is
-    exactly w_i times its unweighted one. Runs never mix: a non-finite value
-    in one run leaves the others' results unchanged. At batch 1 every
-    result is bit for bit that of adding the bias to the outputs and
-    summing its gradient apart; at batch > 1 the bias gradient is summed in
-    the contraction's order, and results agree with that to rtol 1e-12.
+    ``w`` (R, B) each run's sample weights times lr / B and ``groups`` the
+    slices of runs that share a loss (see ``_loss_groups``). One matmul
+    writes the outputs into ``z`` (R, B, out), their loss gradients go into
+    ``g`` (R, B, out) and are scaled by ``w``, and one BLAS matmul of the
+    basis with them writes the update, bias included, to subtract from
+    ``params``. It writes only into the arrays it is given and computes no
+    loss value. Runs never mix: a non-finite value in one run leaves the
+    others' results unchanged. As the weight scales the loss gradient
+    before the basis does, a weighted sample's weight gradient is within 2
+    ulp of w_i times its unweighted one and its bias gradient is exactly
+    that; results agree to rtol 1e-12 with summing gradient, basis and
+    weight products and scaling the sum by lr / B.
     """
-    params_t, grad = views
+    params_t, grad, grad_t = views
     np.matmul(phi, params_t, out=z)
     if groups[0][0].base == "bce":  # a stack is all bce or all regression (check_loss_pairing)
         bce_grad(z, y, out=g)
@@ -222,9 +221,8 @@ def _batch_step(groups, params, views, phi, y, w, z, g, lr):
         np.subtract(z, y, out=g)  # one residual for the stack, then each group's gradient
         for spec, runs in groups:
             residual_grad(spec, g[runs])
-    np.einsum("rbo,bk,rb->rok", g, phi, w, out=grad)
-    grad *= lr
-    grad /= len(phi)
+    g *= w[:, :, None]
+    np.matmul(phi.T, g, out=grad_t)
     params -= grad
 
 
@@ -239,7 +237,7 @@ def parameter_gradient(model: Model, loss_spec: LossSpec, features, target, weig
     params = np.concatenate([model.weights, model.bias[:, None]], axis=1)[None]
     grad = np.empty_like(params)
     _batch_step(groups, params, _step_views(params, grad), phi, y, w,
-                np.empty(y.shape), np.empty(y.shape), 1.0)
+                np.empty(y.shape), np.empty(y.shape))
     return grad[0, :, :-1], grad[0, :, -1]
 
 
@@ -270,14 +268,13 @@ def train(
     bias live in one (out, basis + 1) row of a parameter array, the bias
     last, and the basis is built once with a constant-1 column last
     (``_affine_basis``), so the bias is that column's weight. The step's
-    views of the parameters, its buffers and each batch's views of them are
-    built once; an epoch gathers its order's targets and weights into
-    buffers, and a step gathers its rows of the basis, runs one matmul and
-    one contraction and computes gradients only, in place
-    (``_batch_step``). The loss values of an epoch, at the parameters
-    each batch saw, are computed once when it ends, for the history and the
-    divergence check. Returns one (model, report) per run, in the order of
-    ``runs``.
+    views, buffers and each batch's views of them are built once; an epoch
+    gathers its order's targets and weights into buffers and scales the
+    weights by lr / (each sample's batch size), and a step gathers its rows
+    of the basis for ``_batch_step``. The loss values of an epoch, at the
+    parameters each batch saw, are computed once when it ends, for the
+    history and the divergence check. Returns one (model, report) per run,
+    in the order of ``runs``.
     """
     n = dataset.n
     if config.batch_size > n:
@@ -309,16 +306,17 @@ def train(
     z = np.empty(y.shape)  # each sample's output at the step that used it
     g = np.empty((R, bs, dataset.target_dim))  # a batch's loss gradients
     values = np.empty((R, n))
-    # an epoch's sample order and its targets and weights in that order
-    order, y_e, w_e = np.arange(n), np.empty_like(y), np.empty_like(w)
+    # an epoch's sample order, its targets and weights in that order, and
+    # the weights scaled for the step
+    order, y_e, w_e, ws_e = np.arange(n), np.empty_like(y), np.empty_like(w), np.empty_like(w)
 
     starts = np.arange(0, n, bs)  # each batch's first sample; the last batch may be partial
     stops = np.minimum(starts + bs, n)
-    batches = [(order[a:b], y_e[:, a:b], w_e[:, a:b], z[:, a:b], g[:, : b - a])
+    scale = np.repeat(config.learning_rate / (stops - starts), stops - starts)
+    batches = [(order[a:b], y_e[:, a:b], ws_e[:, a:b], z[:, a:b], g[:, : b - a])
                for a, b in zip(starts.tolist(), stops.tolist())]
     history = np.empty((R, config.epochs))
     rng = np.random.default_rng(config.seed)
-    lr = config.learning_rate
 
     # a diverging run keeps stepping on non-finite values until the epoch
     # ends and the check below names it, so numpy's warnings are noise here
@@ -330,8 +328,9 @@ def train(
             # write straight into out=
             y.take(order, axis=1, out=y_e, mode="clip")
             w.take(order, axis=1, out=w_e, mode="clip")
+            np.multiply(w_e, scale, out=ws_e)
             for rows, y_b, w_b, z_b, g_b in batches:
-                _batch_step(groups, params, views, phi.take(rows, axis=0), y_b, w_b, z_b, g_b, lr)
+                _batch_step(groups, params, views, phi.take(rows, axis=0), y_b, w_b, z_b, g_b)
             # the loss values of the epoch at the parameters each batch saw
             for spec, runs in groups:
                 values[runs] = batch_value_grad(spec, z[runs], y_e[runs])

@@ -646,6 +646,16 @@ class TestRepro:
         assert "run 6 (lqr): non-finite loss at epoch 10, batch starting at 111" in err
         assert not (out_dir / "results.csv").exists()
 
+    def test_divergence_names_the_seed(self, tmp_path, capsys):
+        # seed 0 trains; the error names seed 11, the one that diverged
+        out_dir = tmp_path / "r"
+        code = run(["repro", "--name", "synth-1d", "--seeds", "0,11",
+                    "--epochs", 20, "--out-dir", out_dir])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: seed 11: run 6 (lqr): non-finite loss "
+                                           "at epoch 10, batch starting at 111\n")
+        assert not (out_dir / "results.csv").exists()
+
     @pytest.mark.parametrize("seeds", ["", ","])
     def test_empty_seed_list_rejected(self, tmp_path, capsys, seeds):
         out_dir = tmp_path / "r"

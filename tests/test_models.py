@@ -197,6 +197,9 @@ class TestParameterGradient:
         np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-7)
 
     def test_weight_scaling_is_exact(self):
+        # the weight scales the loss gradient before the basis does: the
+        # weight gradient is within 2 ulp of w times the unweighted one, and
+        # the bias gradient, on the basis's 1.0, is exactly that
         rng = np.random.default_rng(33)
         model = _random_model(ModelSpec("linear"), rng, 3, 2)
         x, y = rng.normal(size=3), rng.normal(size=2)
@@ -204,7 +207,7 @@ class TestParameterGradient:
             base_dw, base_db = parameter_gradient(model, LossSpec(loss), x, y, weight=1.0)
             w = 2.7182818
             dw, db = parameter_gradient(model, LossSpec(loss), x, y, weight=w)
-            np.testing.assert_array_equal(dw, w * base_dw)
+            np.testing.assert_array_max_ulp(dw, w * base_dw, maxulp=2)
             np.testing.assert_array_equal(db, w * base_db)
             dw, db = parameter_gradient(model, LossSpec(loss), x, y, weight=0.0)
             np.testing.assert_array_equal(dw, 0.0)
@@ -270,6 +273,23 @@ class TestTrain:
         np.testing.assert_allclose(m1.weights, m2.weights, rtol=1e-12)
         np.testing.assert_allclose(m1.bias, m2.bias, rtol=1e-12)
 
+    def test_partial_last_batch_steps_by_its_own_mean(self):
+        # 23 unshuffled rows in batches of 7: the last batch holds 2 rows,
+        # so its step is lr / 2 times their weighted gradient sum
+        rng = np.random.default_rng(47)
+        ds = Dataset(rng.uniform(-1, 1, size=(23, 2)), rng.normal(size=(23, 1)))
+        w = rng.uniform(0.0, 2.0, size=23)
+        cfg = TrainConfig(epochs=2, batch_size=7, learning_rate=0.05, shuffle=False)
+        [(model, _)] = train(ModelSpec("linear"), ds, [(LossSpec("mse"), w)], cfg)
+        groups = models._loss_groups("linear", [LossSpec("mse")])
+        phi, want = np.column_stack([ds.features, np.ones(23)]), np.zeros((1, 1, 3))
+        for _, a in np.ndindex(cfg.epochs, 4):
+            rows = slice(7 * a, 7 * a + 7)
+            _einsum_step(groups, want, phi[rows], ds.targets[None, rows], w[None, rows],
+                         cfg.learning_rate)
+        np.testing.assert_allclose(model.weights, want[0, :, :2], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(model.bias, want[0, :, 2], rtol=1e-12, atol=0)
+
     def test_duplication_equals_weighting(self):
         # 3-sample instance: duplicating sample 2 three times with unit weight
         # gives the same full-batch gradient sum as weighting it 3x
@@ -297,7 +317,10 @@ class TestTrain:
 
     def test_one_step_matches_parameter_gradient(self):
         # one unshuffled step on one row from the zero init moves the
-        # parameters by exactly -lr times the single-sample gradient
+        # parameters by -lr times the single-sample gradient: the step rounds
+        # w * lr, the loss gradient times it and the basis times that, three
+        # roundings against parameter_gradient's three in another order;
+        # 3000 random draws of this loop reached 3 ulp
         rng = np.random.default_rng(41)
         combos = [("linear", "mse"), ("linear", "huber"), ("polynomial", "lqr"),
                   ("polynomial", "mse"), ("logistic", "bce")]
@@ -312,8 +335,8 @@ class TestTrain:
             [(model, report)] = train(spec, Dataset(x, y), [(LossSpec(loss), np.array([w]))], cfg)
             model0 = init_model(spec, 2, 1)
             dw, db = parameter_gradient(model0, LossSpec(loss), x[0], y[0], weight=w)
-            np.testing.assert_array_equal(model.weights, -cfg.learning_rate * dw)
-            np.testing.assert_array_equal(model.bias, -cfg.learning_rate * db)
+            np.testing.assert_array_max_ulp(model.weights, -cfg.learning_rate * dw, maxulp=3)
+            np.testing.assert_array_max_ulp(model.bias, -cfg.learning_rate * db, maxulp=3)
             z = model0.expand(x) @ model0.weights.T + model0.bias  # the logit for bce
             values = batch_value_grad(LossSpec(loss), z, y)
             assert report.loss_history == [w * values[0]]
@@ -535,9 +558,22 @@ def _allocating_loss_grad(spec, y_hat, y):
 
 
 def _allocating_step(groups, params, phi, y, w, lr):
-    # the step as it was before it worked in place: fresh outputs, one
-    # gradient per loss group copied into a fresh array, the update after;
-    # phi ends in a constant-1 column, whose weight is the bias
+    # the step's operations in its order on fresh arrays: one gradient per
+    # loss group copied into a fresh array, scaled by w * lr / B, then one
+    # matmul with the basis; phi ends in a constant-1 column, whose weight
+    # is the bias
+    z = np.matmul(phi, params.transpose(0, 2, 1))
+    g = np.empty_like(z)
+    for spec, runs in groups:
+        g[runs] = _allocating_loss_grad(spec, z[runs], y[runs])
+    g *= (w * (lr / len(phi)))[:, :, None]
+    params -= np.matmul(phi.T, g).transpose(0, 2, 1)
+    return z
+
+
+def _einsum_step(groups, params, phi, y, w, lr):
+    # the step as one contraction of gradient, basis and weight, scaled by
+    # lr and the batch mean after
     z = np.matmul(phi, params.transpose(0, 2, 1))
     g = np.empty_like(z)
     for spec, runs in groups:
@@ -612,8 +648,8 @@ def _step_against(oracle, stack, out, bs, check):
                 stop = min(start + bs, n)
                 rows = order[start:stop]
                 models._batch_step(groups, params, views, phi.take(rows, axis=0),
-                                   y_e[:, start:stop], w_e[:, start:stop], z[:, start:stop],
-                                   g[:, : stop - start], lr)
+                                   y_e[:, start:stop], w_e[:, start:stop] * (lr / len(rows)),
+                                   z[:, start:stop], g[:, : stop - start])
                 want_z = oracle(groups, want, phi.take(rows, axis=0),
                                 y_e[:, start:stop], w_e[:, start:stop], lr)
                 check(z[:, start:stop], want_z, params, want)
@@ -624,13 +660,25 @@ _ORACLE_CASES = [("loss-major", 1), ("loss-major", 2), ("interleaved", 1), ("int
                  ("bce", 1)]
 
 
+def _close_on_finite_runs(stack):
+    """A ``_step_against`` check: the runs that stay finite agree to rtol
+    1e-12."""
+    finite = np.arange(len(_ORACLE_STACKS[stack])) != _wild_run(stack)
+
+    def check(z, want_z, params, want):
+        np.testing.assert_allclose(z[finite], want_z[finite], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(params[finite], want[finite], rtol=1e-12, atol=0)
+
+    return check
+
+
 class TestStepOracle:
-    """The in-place step against the allocating one it replaced: the same
-    operations in the same order, so every parameter and output is equal
-    bit for bit. The bias is the weight of the basis's constant-1 column;
-    a step that keeps it apart agrees bit for bit at batch 1 and to rtol
-    1e-12 on larger batches, where the bias gradient is summed in the
-    contraction's order."""
+    """The in-place step against the allocating one: the same operations in
+    the same order, so every parameter and output is equal bit for bit. The
+    step scales each loss gradient by w * lr / B before one matmul with the
+    basis; a step that contracts gradient, basis and weight in one einsum
+    and scales by lr / B after, and one that also keeps the bias apart,
+    agree with it to rtol 1e-12 on the runs that stay finite."""
 
     @pytest.mark.parametrize("bs", [1, 5, 7])  # 23 rows: 7 leaves a partial last batch
     @pytest.mark.parametrize("stack,out", _ORACLE_CASES)
@@ -646,19 +694,13 @@ class TestStepOracle:
 
     @pytest.mark.parametrize("bs", [1, 5, 7])
     @pytest.mark.parametrize("stack,out", _ORACLE_CASES)
+    def test_step_matches_the_einsum_step(self, stack, out, bs):
+        _step_against(_einsum_step, stack, out, bs, _close_on_finite_runs(stack))
+
+    @pytest.mark.parametrize("bs", [1, 5, 7])
+    @pytest.mark.parametrize("stack,out", _ORACLE_CASES)
     def test_affine_step_matches_the_two_contraction_step(self, stack, out, bs):
-        finite = np.arange(len(_ORACLE_STACKS[stack])) != _wild_run(stack)
-
-        def check(z, want_z, params, want):
-            if bs == 1:
-                np.testing.assert_array_equal(z, want_z)
-                np.testing.assert_array_equal(params, want)
-            else:
-                np.testing.assert_allclose(z[finite], want_z[finite], rtol=1e-12, atol=0)
-                np.testing.assert_allclose(params[finite], want[finite], rtol=1e-12, atol=0)
-
-        params = _step_against(_two_contraction_step, stack, out, bs, check)
-        assert np.isfinite(params[finite]).all() and not np.isfinite(params[~finite]).any()
+        _step_against(_two_contraction_step, stack, out, bs, _close_on_finite_runs(stack))
 
     @pytest.mark.parametrize("base,v", [("mse", 1), ("mse", 2), ("huber", 1), ("huber", 2),
                                         ("lqr", 1), ("lqr", 2), ("bce", 1)])

@@ -2,8 +2,8 @@
 the localized-deviation table of the lambda sweep and the l1/l2 weights of a
 normalized synth-2d training split, on both ways ``_assign_cells`` ranks
 cell keys (a dense table when ``lam ** d <= n``, else ``np.unique``). Also
-the benchmark's recorded ``repro`` results, so numeric drift in training
-fails the suite and not only a benchmark run."""
+the benchmark's recorded ``repro`` and batch-500 ``train`` results, so
+numeric drift in training fails the suite and not only a benchmark run."""
 
 import importlib
 import json
@@ -70,3 +70,15 @@ def test_repro_matches_reference(oracle, tmp_path, experiment):
     assert code == 0
     text = (tmp_path / "results.csv").read_text()
     assert oracle.results_problems(text, ref["repro"][experiment][str(seed)]) == []
+
+
+def test_large_batch_train_matches_reference(oracle, tmp_path):
+    # the benchmark's csv-large-batch train at batch 500, on the data seed
+    # its seed 0 draws, matches its recorded row through its own check
+    workload = oracle.CsvLargeBatch(0, False, tmp_path)
+    workload.generate()
+    code, _ = oracle.quiet(workload.argv("train"))
+    assert code == 0
+    text = (workload.run_dir / "results.csv").read_text()
+    ref = json.loads(oracle.REFERENCE.read_text())
+    assert oracle.results_problems(text, ref["csv-large-batch"][str(workload.data_seed)]) == []
