@@ -5,14 +5,17 @@ A ``LossSpec`` is the loss alone: its base and, for Huber, its threshold.
 Every loss reads the model's linear output. BCE reads it as the logit of
 the logistic model, so it needs no clip and is finite for any finite logit.
 
-Values and gradients take separate paths. The step
-(``viloss.models._batch_step``) computes gradients only, in place, with
-``bce_grad`` or ``residual_grad``, the only gradient code. ``train`` takes
-values from ``batch_value_grad`` once per epoch and loss group, for the
-loss history and the divergence check. Nothing here weights a sample: the
-weight ``mu / (1 + gamma)``, times lr / B, scales each sample's loss
-gradient inside the step before one matmul with the basis, and never
-reads a loss value.
+Values and gradients take separate paths. A loss's gradient w.r.t. its v
+outputs is a constant c (``GRAD_CONSTANT``) times a non-linear part, over
+v; for bce of the logit z the part is tanh(z / 2) + 1 - 2y, as sigmoid(z)
+= (tanh(z / 2) + 1) / 2, and its target operand holds 2y
+(``grad_targets``). The SGD step (``viloss.models._batch_step``) computes
+only the part, in place on its (batch, runs * v) stack, with
+``residual_grad`` or ``bce_grad``, the only gradient code; ``train`` folds
+c / v with lr / B into the factor of each epoch's weights ``mu / (1 +
+gamma)``, exactly when v is a power of two. No weight reads a loss value.
+``train`` takes values from ``batch_value_grad`` once per epoch and loss
+group, for the loss history and the divergence check.
 """
 
 from __future__ import annotations
@@ -36,39 +39,34 @@ class LossSpec:
             raise ValueError("delta must be positive")
 
 
-def sigmoid(z, out=None):
-    """The logistic function 1 / (1 + exp(-z)) of a float array, in a form
-    that cannot overflow, written into ``out`` when it is given."""
+GRAD_CONSTANT = {"mse": 2.0, "huber": 1.0, "lqr": 4.0, "bce": 0.5}
+
+
+def grad_targets(spec: LossSpec, y: np.ndarray) -> np.ndarray:
+    """The target operand of the loss's gradient: 2y for bce, else y."""
+    return 2.0 * y if spec.base == "bce" else y
+
+
+def bce_grad(z, y2, out=None):
+    """tanh(z / 2) + 1 - y2, the BCE gradient w.r.t. the logit z over its
+    constant 1/2 when ``y2`` holds twice the target, written into ``out``
+    when it is given."""
     out = np.multiply(z, 0.5, out=out)
     np.tanh(out, out=out)
     out += 1.0
-    out *= 0.5
-    return out
-
-
-def bce_grad(z, y, out=None):
-    """sigmoid(z) - y, the BCE gradient w.r.t. the logit z, written into
-    ``out`` when it is given."""
-    out = sigmoid(z, out)
-    out -= y
+    out -= y2
     return out
 
 
 def residual_grad(spec: LossSpec, r: np.ndarray) -> np.ndarray:
-    """Turn the residual r = y_hat - y (..., v) of a regression loss into
-    its gradient w.r.t. y_hat, in place, and return it."""
-    if spec.base == "mse":
-        r *= 2.0
-    elif spec.base == "lqr":
+    """Turn the residual r = y_hat - y of a regression loss into the
+    non-linear part of its gradient w.r.t. y_hat, in place, and return it:
+    r**3 for lqr, r clipped to [-delta, delta] for huber, r for mse."""
+    if spec.base == "lqr":
         np.power(r, 3, out=r)
-        r *= 4.0
-    else:
-        d = spec.delta
-        np.maximum(r, -d, out=r)  # r inside the threshold, else d * sign(r)
-        np.minimum(r, d, out=r)
-    v = r.shape[-1]
-    if v != 1:  # the mean over one output is that output
-        r /= v
+    elif spec.base == "huber":
+        np.maximum(r, -spec.delta, out=r)  # r inside the threshold, else delta * sign(r)
+        np.minimum(r, spec.delta, out=r)
     return r
 
 

@@ -10,7 +10,8 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .data import Dataset, NormalizationRecord
-from .losses import LossSpec, batch_value_grad, bce_grad, residual_grad, sigmoid
+from .losses import (GRAD_CONSTANT, LossSpec, batch_value_grad, bce_grad, grad_targets,
+                     residual_grad)
 
 MODEL_KINDS = ("linear", "polynomial", "logistic")
 
@@ -127,8 +128,8 @@ class Model:
         if phi.shape[1] != self.basis_dim:
             raise ValueError(f"expected basis dim {self.basis_dim}, got {phi.shape[1]}")
         z = phi @ self.weights.T + self.bias
-        if self.spec.kind == "logistic":
-            return sigmoid(z)
+        if self.spec.kind == "logistic":  # the sigmoid, in a form that cannot overflow
+            return 0.5 * (np.tanh(0.5 * z) + 1.0)
         return z
 
 
@@ -167,12 +168,12 @@ def check_binary_targets(targets: np.ndarray) -> None:
         raise ValueError("logistic models require targets in {0, 1}")
 
 
-def _loss_groups(kind, specs: list[LossSpec]) -> list[tuple[LossSpec, slice]]:
+def _loss_groups(kind, specs: list[LossSpec], v: int) -> list[tuple[LossSpec, slice]]:
     """Split the stack, after ``check_loss_pairing``, into its runs of
-    consecutive equal loss specs: each one's spec and slice, in order."""
+    consecutive equal loss specs: each one's spec and columns, v per run."""
     check_loss_pairing(kind, specs)
     starts = [r for r in range(len(specs)) if r == 0 or specs[r] != specs[r - 1]]
-    return [(specs[a], slice(a, b)) for a, b in zip(starts, starts[1:] + [len(specs)])]
+    return [(specs[a], slice(a * v, b * v)) for a, b in zip(starts, starts[1:] + [len(specs)])]
 
 
 def _affine_basis(model: Model, features) -> np.ndarray:
@@ -186,43 +187,46 @@ def _affine_basis(model: Model, features) -> np.ndarray:
     return phi
 
 
-def _step_views(params, grad):
-    """What a step reads of ``params`` (R, out, basis + 1) and writes: the
-    parameters transposed (R, basis + 1, out), the gradient buffer ``grad``
-    and its transpose, valid while both are only updated in place."""
-    return params.transpose(0, 2, 1), grad, grad.transpose(0, 2, 1)
+def _step_scale(specs: list[LossSpec], v: int, lr: float, sizes) -> np.ndarray:
+    """The (n, R * v) factor of each sample's weight in the step: lr / (its
+    batch's size) times its run's ``GRAD_CONSTANT`` over v, if finite."""
+    c = np.array([GRAD_CONSTANT[spec.base] for spec in specs])
+    with np.errstate(over="ignore"):
+        scale = (lr / sizes)[:, None] * c / v
+    if not np.isfinite(scale).all():
+        base = specs[int((~np.isfinite(scale)).any(axis=0).argmax())].base
+        raise ValueError(f"learning rate {lr!r} times the {base} loss's gradient constant "
+                         f"{GRAD_CONSTANT[base]:g} overflows float64")
+    return np.repeat(scale, v, axis=1)
 
 
-def _batch_step(groups, params, views, phi, y, w, z, g):
+def _batch_step(groups, params, grad, phi, y, ws, z, g):
     """One SGD step of R stacked runs over one shared batch, in place.
 
-    ``params`` (R, out, basis + 1) holds each run's weights with its bias as
-    the last column, ``views`` its views from ``_step_views``, ``phi`` (B,
-    basis + 1) the batch's rows of ``_affine_basis``, whose constant-1 last
-    column the bias weighs, ``y`` (R, B, out) its targets repeated per run,
-    ``w`` (R, B) each run's sample weights times lr / B and ``groups`` the
-    slices of runs that share a loss (see ``_loss_groups``). One matmul
-    writes the outputs into ``z`` (R, B, out), their loss gradients go into
-    ``g`` (R, B, out) and are scaled by ``w``, and one BLAS matmul of the
-    basis with them writes the update, bias included, to subtract from
-    ``params``. It writes only into the arrays it is given and computes no
-    loss value. Runs never mix: a non-finite value in one run leaves the
-    others' results unchanged. As the weight scales the loss gradient
-    before the basis does, a weighted sample's weight gradient is within 2
-    ulp of w_i times its unweighted one and its bias gradient is exactly
-    that; results agree to rtol 1e-12 with summing gradient, basis and
-    weight products and scaling the sum by lr / B.
+    ``params`` (R * v, basis + 1) holds each run's v rows of weights, its
+    bias last, and ``grad`` is a buffer of its shape; ``phi`` (B, basis +
+    1) holds the batch's rows of ``_affine_basis``. ``y``, ``ws``, ``z``
+    and ``g`` are (B, R * v), run r in columns r * v to r * v + v - 1: the
+    targets (``grad_targets``), the weights times ``_step_scale``, and
+    buffers for the outputs and gradients; ``groups`` holds the columns of
+    the runs that share a loss. One BLAS dot writes the outputs, each
+    loss's non-linear gradient part (none for mse) goes into ``g``, ``ws``
+    scales it, and a second dot with the basis writes the update, bias
+    included. It computes no loss value, and runs never mix: a non-finite
+    value in one run leaves the others unchanged. A weighted sample's
+    weight gradient is within 2 ulp of w_i times its unweighted one, its
+    bias gradient exactly that; results agree to rtol 1e-12 with summing
+    the products per run and scaling the sum by lr / B.
     """
-    params_t, grad, grad_t = views
-    np.matmul(phi, params_t, out=z)
+    np.dot(phi, params.T, out=z)
     if groups[0][0].base == "bce":  # a stack is all bce or all regression (check_loss_pairing)
         bce_grad(z, y, out=g)
     else:
-        np.subtract(z, y, out=g)  # one residual for the stack, then each group's gradient
-        for spec, runs in groups:
-            residual_grad(spec, g[runs])
-    g *= w[:, :, None]
-    np.matmul(phi.T, g, out=grad_t)
+        np.subtract(z, y, out=g)  # one residual for the stack, then each group's part
+        for spec, cols in groups:
+            residual_grad(spec, g[:, cols])
+    g *= ws
+    np.dot(g.T, phi, out=grad)
     params -= grad
 
 
@@ -231,14 +235,13 @@ def parameter_gradient(model: Model, loss_spec: LossSpec, features, target, weig
     the step that ``train`` runs, for one run on a batch of one, at a
     learning rate of 1 on a copy of the parameters."""
     phi = _affine_basis(model, features)
-    y = np.atleast_2d(np.asarray(target, dtype=np.float64))[None]
-    groups = _loss_groups(model.spec.kind, [loss_spec])
-    w = np.array([[weight]], dtype=np.float64)
-    params = np.concatenate([model.weights, model.bias[:, None]], axis=1)[None]
+    y = grad_targets(loss_spec, np.atleast_2d(np.asarray(target, dtype=np.float64)))
+    groups = _loss_groups(model.spec.kind, [loss_spec], y.shape[1])
+    ws = weight * _step_scale([loss_spec], y.shape[1], 1.0, np.ones(1))
+    params = np.concatenate([model.weights, model.bias[:, None]], axis=1)
     grad = np.empty_like(params)
-    _batch_step(groups, params, _step_views(params, grad), phi, y, w,
-                np.empty(y.shape), np.empty(y.shape))
-    return grad[0, :, :-1], grad[0, :, -1]
+    _batch_step(groups, params, grad, phi, y, ws, np.empty(y.shape), np.empty(y.shape))
+    return grad[:, :-1], grad[:, -1]
 
 
 def _run_weights(weights, n: int) -> np.ndarray:
@@ -263,18 +266,17 @@ def train(
     a run. The model's input and output widths are the dataset's feature
     and target widths. All runs share the model spec, the data, the config
     and so the shuffle order, and each run's result equals a ``train`` of
-    that run alone. The batch parameter gradient is the mean over the batch
-    of weight_i times each sample's loss gradient. Each run's weights and
-    bias live in one (out, basis + 1) row of a parameter array, the bias
-    last, and the basis is built once with a constant-1 column last
-    (``_affine_basis``), so the bias is that column's weight. The step's
-    views, buffers and each batch's views of them are built once; an epoch
-    gathers its order's targets and weights into buffers and scales the
-    weights by lr / (each sample's batch size), and a step gathers its rows
-    of the basis for ``_batch_step``. The loss values of an epoch, at the
-    parameters each batch saw, are computed once when it ends, for the
-    history and the divergence check. Returns one (model, report) per run,
-    in the order of ``runs``.
+    that run alone to rtol 1e-12. The batch parameter gradient is the mean
+    over the batch of weight_i times each sample's loss gradient. Run r
+    owns rows r * v to r * v + v - 1 of the parameters (bias last, the
+    weight of the basis's constant-1 column, see ``_affine_basis``) and
+    those columns of the (n, R * v) outputs, targets and weights, so a
+    batch is a slice of rows. An epoch gathers its order's targets and
+    weights and scales the weights by ``_step_scale``; a step gathers its
+    basis rows for ``_batch_step``. The epoch's loss values, at the
+    parameters each batch saw, are computed when it ends, for the history
+    and the divergence check. Returns one (model, report) per run, in the
+    order of ``runs``.
     """
     n = dataset.n
     if config.batch_size > n:
@@ -289,31 +291,26 @@ def train(
         raise ValueError(
             f"run {r}: weight of sample {i} must be finite and non-negative, got {w[r, i]!r}"
         )
-    # each loss sees the slice of the stack its consecutive runs fill
-    groups = _loss_groups(model_spec.kind, specs)
+    R, v, bs = len(specs), dataset.target_dim, config.batch_size
+    groups = _loss_groups(model_spec.kind, specs, v)  # each loss's columns of the stack
     if model_spec.kind == "logistic":
         check_binary_targets(dataset.targets)
-
-    template = init_model(model_spec, dataset.feature_dim, dataset.target_dim)
-    phi = _affine_basis(template, dataset.features)
-    R, k, bs = len(specs), template.basis_dim, config.batch_size
-    # the targets once per run (a view when there is one run), so the loss
-    # sees operands of one shape and takes numpy's fast non-broadcast path
-    y = np.ascontiguousarray(np.broadcast_to(dataset.targets, (R,) + dataset.targets.shape))
-    params = np.zeros((R, dataset.target_dim, k + 1))  # each run's weights, then its bias
-    grad = np.empty_like(params)
-    views = _step_views(params, grad)
-    z = np.empty(y.shape)  # each sample's output at the step that used it
-    g = np.empty((R, bs, dataset.target_dim))  # a batch's loss gradients
-    values = np.empty((R, n))
-    # an epoch's sample order, its targets and weights in that order, and
-    # the weights scaled for the step
-    order, y_e, w_e, ws_e = np.arange(n), np.empty_like(y), np.empty_like(w), np.empty_like(w)
-
     starts = np.arange(0, n, bs)  # each batch's first sample; the last batch may be partial
     stops = np.minimum(starts + bs, n)
-    scale = np.repeat(config.learning_rate / (stops - starts), stops - starts)
-    batches = [(order[a:b], y_e[:, a:b], ws_e[:, a:b], z[:, a:b], g[:, : b - a])
+    scale = _step_scale(specs, v, config.learning_rate, np.repeat(stops - starts, stops - starts))
+
+    phi = _affine_basis(init_model(model_spec, dataset.feature_dim, v), dataset.features)
+    k = phi.shape[1] - 1
+    y = np.tile(grad_targets(specs[0], dataset.targets), R)  # run r in columns r*v .. r*v+v-1
+    w = np.repeat(w.T, v, axis=1)
+    params = np.zeros((R * v, k + 1))  # each run's v rows of weights, then its bias
+    grad = np.empty_like(params)
+    z = np.empty(y.shape)  # each sample's output at the step that used it
+    g = np.empty((bs, R * v))  # a batch's loss gradients
+    values = np.empty((R, n))
+    # an epoch's sample order, its targets and weights, and the weights scaled for the step
+    order, y_e, w_e, ws_e = np.arange(n), np.empty_like(y), np.empty_like(w), np.empty_like(w)
+    batches = [(order[a:b], y_e[a:b], ws_e[a:b], z[a:b], g[: b - a])
                for a, b in zip(starts.tolist(), stops.tolist())]
     history = np.empty((R, config.epochs))
     rng = np.random.default_rng(config.seed)
@@ -324,17 +321,19 @@ def train(
         for epoch in range(config.epochs):
             if config.shuffle:
                 order[:] = rng.permutation(n)
-            # order is a permutation, so "clip" never fires; it lets take
-            # write straight into out=
-            y.take(order, axis=1, out=y_e, mode="clip")
-            w.take(order, axis=1, out=w_e, mode="clip")
+            # order is a permutation: "clip" never fires, and lets take write into out=
+            y.take(order, axis=0, out=y_e, mode="clip")
+            w.take(order, axis=0, out=w_e, mode="clip")
             np.multiply(w_e, scale, out=ws_e)
-            for rows, y_b, w_b, z_b, g_b in batches:
-                _batch_step(groups, params, views, phi.take(rows, axis=0), y_b, w_b, z_b, g_b)
-            # the loss values of the epoch at the parameters each batch saw
-            for spec, runs in groups:
-                values[runs] = batch_value_grad(spec, z[runs], y_e[runs])
-            batch_loss = np.add.reduceat(w_e * values, starts, axis=1)
+            for rows, y_b, ws_b, z_b, g_b in batches:
+                _batch_step(groups, params, grad, phi.take(rows, axis=0), y_b, ws_b, z_b, g_b)
+            # the epoch's loss values at the parameters each batch saw (bce's y_e is 2y)
+            for spec, cols in groups:
+                y_g = 0.5 * y_e[:, cols] if spec.base == "bce" else y_e[:, cols]
+                values[cols.start // v : cols.stop // v] = batch_value_grad(
+                    spec, z[:, cols].reshape(n, -1, v), y_g.reshape(n, -1, v)).T
+            values *= w_e[:, ::v].T
+            batch_loss = np.add.reduceat(values, starts, axis=1)
             bad = ~np.isfinite(batch_loss)
             if bad.any():
                 j = int(bad.any(axis=0).argmax())
@@ -343,6 +342,7 @@ def train(
                                        f"{epoch}, batch starting at {starts[j]}")
             history[:, epoch] = batch_loss.sum(axis=1) / n
 
+    params = params.reshape(R, v, k + 1)
     return [(Model(model_spec, params[r, :, :k].copy(), params[r, :, k].copy()),
              TrainReport(history[r].tolist())) for r in range(R)]
 

@@ -1,9 +1,10 @@
 """Reference implementations the tests compare the library against, each
-written once and independent of the library's code path."""
+written once and independent of the library's code path, and the loss
+gradient as the library's step forms it, which they are compared with."""
 
 import numpy as np
 
-from viloss.losses import batch_value_grad
+from viloss.losses import GRAD_CONSTANT, batch_value_grad, bce_grad, grad_targets, residual_grad
 from viloss.models import Model
 
 
@@ -53,3 +54,30 @@ def finite_diff_param_grad(model, loss_spec, x, y, weight, h=1e-6):
         down[i] -= h
         grad[i] = (value(up) - value(down)) / (2 * h)
     return grad
+
+
+def allocating_loss_grad(spec, y_hat, y):
+    """The gradient of the loss w.r.t. y_hat (..., v), by its formulas on
+    fresh arrays: 2r, 4r**3 or r clipped to [-delta, delta] with r = y_hat -
+    y, or sigmoid(y_hat) - y for bce of the logit, over v."""
+    if spec.base == "bce":
+        return 0.5 * (1.0 + np.tanh(0.5 * y_hat)) - y
+    r = y_hat - y
+    if spec.base == "mse":
+        grad = 2.0 * r
+    elif spec.base == "lqr":
+        grad = 4.0 * r**3
+    else:
+        d = spec.delta
+        grad = np.minimum(np.maximum(r, -d), d)
+    v = y.shape[-1]
+    return grad if v == 1 else grad / v
+
+
+def in_place_gradient(spec, y_hat, y):
+    """The same gradient as the step forms it: the loss's constant times
+    the non-linear part that ``residual_grad`` or ``bce_grad`` leaves in
+    place, over v (the step folds the constant over v into its weights)."""
+    part = (bce_grad(y_hat, grad_targets(spec, y), out=np.empty_like(y)) if spec.base == "bce"
+            else residual_grad(spec, y_hat - y))
+    return GRAD_CONSTANT[spec.base] * part / y.shape[-1]

@@ -1,8 +1,10 @@
-"""Outputs do not depend on how many threads BLAS runs. The SGD step's
-gradient is one BLAS matmul, so a ``train`` at batch 500 on a degree-6
-basis, a shape OpenBLAS splits across threads, and a short ``repro`` write
-the same bytes under 1 and under 2 BLAS threads. Each run is a fresh
-process, since BLAS reads its thread count when it loads."""
+"""Outputs do not depend on how many threads BLAS runs. The SGD step is
+two BLAS dots over the (batch, runs * outputs) stack, so a ``train`` at
+batch 500 on a degree-6 basis, a shape OpenBLAS splits across threads,
+with one output and with two, and a short ``repro`` of a regression and
+of the logistic experiment write the same bytes under 1 and under 2 BLAS
+threads. Each run is a fresh process, since BLAS reads its thread count
+when it loads."""
 
 import os
 import subprocess
@@ -26,18 +28,27 @@ def _outputs(argv, out_dir, threads):
             if path.name in ("results.csv", "model.txt")}
 
 
-@pytest.mark.parametrize("command", ["train", "repro"])
+_CASES = {
+    # poly-6 on two features at batch 500
+    "train": (["--feature-cols", "x1,x2", "--target-cols", "y", "--model", "polynomial",
+               "--degree", "6"], ["model.txt", "results.csv"]),
+    # two outputs, so each run owns two columns of the stack
+    "train-two-targets": (["--feature-cols", "x1", "--target-cols", "y,x2", "--model",
+                           "polynomial", "--degree", "6"], ["model.txt", "results.csv"]),
+    "repro": (["repro", "--name", "synth-2d", "--epochs", "2"], ["results.csv"]),
+    "repro-logistic": (["repro", "--name", "logistic-synth", "--epochs", "2"], ["results.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", list(_CASES))
 def test_outputs_do_not_depend_on_blas_threads(tmp_path, command):
-    if command == "train":
+    argv, names = _CASES[command]
+    if command.startswith("train"):
         data = tmp_path / "synth2d.csv"
         assert main(["gen", "--variant", "synth-2d", "--n", "1500", "--seed", "0",
                      "--out", str(data)]) == 0
-        argv = ["train", "--data", str(data), "--feature-cols", "x1,x2", "--target-cols", "y",
-                "--model", "polynomial", "--degree", "6", "--lambda", "10", "--epochs", "3",
+        argv = ["train", "--data", str(data), *argv, "--lambda", "10", "--epochs", "3",
                 "--lr", "0.1", "--batch-size", "500"]
-        names = ["model.txt", "results.csv"]
-    else:
-        argv, names = ["repro", "--name", "synth-2d", "--epochs", "2"], ["results.csv"]
     one, two = (_outputs(argv, tmp_path / f"threads-{t}", t) for t in (1, 2))
     assert sorted(one) == names
     assert one == two

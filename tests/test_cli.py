@@ -313,6 +313,19 @@ class TestTrainCommand:
         assert out_dir.is_dir()
         assert not any((out_dir / name).exists() for name in names)
 
+    def test_overflowing_step_scale_rejected_without_outputs(self, tmp_path, capsys):
+        # mse's gradient constant 2 times lr 1e308 is inf, and a sample of
+        # weight 0 (synth-2d at lambda 10 has some) would step by 0 * inf
+        data, out_dir = tmp_path / "s.csv", tmp_path / "run"
+        run(["gen", "--variant", "synth-2d", "--n", 300, "--out", data])
+        capsys.readouterr()
+        assert run(["train", "--data", data, "--feature-cols", "x1,x2", "--target-cols", "y",
+                    "--lambda", 10, "--lr", "1e308", "--epochs", 1, "--out-dir", out_dir]) == 1
+        assert capsys.readouterr() == ("", "error: learning rate 1e+308 times the mse loss's "
+                                           "gradient constant 2 overflows float64\n")
+        assert not (out_dir / "results.csv").exists()
+        assert not (out_dir / "model.txt").exists()
+
     def test_one_row_csv_fails_without_results(self, tmp_path, capsys):
         data = tmp_path / "one.csv"
         data.write_text("x1,y\n0.5,1.0\n")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from viloss import Dataset, LossSpec, ModelSpec, TrainConfig, batch_value_grad, train
 from viloss import losses
-from viloss.losses import bce_grad, residual_grad
+from viloss.losses import GRAD_CONSTANT, bce_grad, residual_grad
+
+from oracles import allocating_loss_grad, in_place_gradient
 
 
 def finite_diff_grad(spec, y_hat, y, h=1e-6):
@@ -55,9 +58,9 @@ class TestBaseLossValues:
         y = np.array([[1.0], [0.0], [0.0], [1.0]])
         with np.errstate(all="raise"):
             values = batch_value_grad(LossSpec("bce"), y_hat, y)
-            grads = bce_grad(y_hat, y, out=np.empty_like(y))
+            grads = bce_grad(y_hat, 2.0 * y, out=np.empty_like(y))
         np.testing.assert_array_equal(values, [0.0, 0.0, 1000.0, 1000.0])
-        np.testing.assert_array_equal(grads[:, 0], [0.0, 0.0, 1.0, -1.0])
+        np.testing.assert_array_equal(GRAD_CONSTANT["bce"] * grads[:, 0], [0.0, 0.0, 1.0, -1.0])
 
     def test_bce_requires_scalar_output(self):
         with pytest.raises(ValueError):
@@ -88,6 +91,8 @@ class TestBaseLossValues:
 
 
 class TestGradients:
+    # the gradient identity on the code the step runs: each loss's constant
+    # times its in-place non-linear part, over v, is its gradient
     @pytest.mark.parametrize("base", ["mse", "huber", "lqr"])
     def test_matches_finite_differences(self, base):
         rng = np.random.default_rng(17)
@@ -96,7 +101,8 @@ class TestGradients:
             v = rng.integers(1, 5)
             y_hat = rng.normal(size=v)
             y = rng.normal(size=v)
-            grads = residual_grad(spec, (y_hat - y)[None])
+            grads = in_place_gradient(spec, y_hat[None], y[None])
+            np.testing.assert_array_equal(grads, allocating_loss_grad(spec, y_hat[None], y[None]))
             fd = finite_diff_grad(spec, y_hat, y)
             np.testing.assert_allclose(grads[0], fd, rtol=1e-4, atol=1e-6)
 
@@ -106,7 +112,8 @@ class TestGradients:
         for _ in range(20):
             y_hat = rng.uniform(-6.0, 6.0, size=1)  # a logit
             y = np.array([float(rng.integers(0, 2))])
-            grads = bce_grad(y_hat[None], y[None], out=np.empty((1, 1)))
+            grads = in_place_gradient(spec, y_hat[None], y[None])
+            np.testing.assert_array_equal(grads, allocating_loss_grad(spec, y_hat[None], y[None]))
             fd = finite_diff_grad(spec, y_hat, y)
             np.testing.assert_allclose(grads[0], fd, rtol=1e-4, atol=1e-6)
 
@@ -139,7 +146,7 @@ class TestWeightedLoss:
         spec = LossSpec("mse")
         y_hat, y = np.array([[1.5, -0.5]]), np.array([[1.0, 0.0]])
         values = batch_value_grad(spec, y_hat, y)
-        grads = residual_grad(spec, y_hat - y)
+        grads = in_place_gradient(spec, y_hat, y)
         value, grad = weighted_step(spec, [1.5, -0.5], [1.0, 0.0], 1.0)
         assert value == values[0]
         np.testing.assert_array_equal(grad, grads[0])
@@ -155,13 +162,17 @@ class TestWeightedLoss:
         np.testing.assert_array_equal(grad, 0.0)
 
     def test_gradient_scales_bit_for_bit(self):
+        # the step folds each loss's constant over v into the weight's scale,
+        # exactly when v is a power of two
         rng = np.random.default_rng(19)
-        for base_kind in ("mse", "huber", "lqr"):
-            y_hat, y = rng.normal(size=3), rng.normal(size=3)
-            values = batch_value_grad(LossSpec(base_kind), y_hat[None], y[None])
-            grads = residual_grad(LossSpec(base_kind), (y_hat - y)[None])
+        for base_kind, v in itertools.product(("mse", "huber", "lqr"), (1, 2)):
+            spec = LossSpec(base_kind)
+            y_hat, y = rng.normal(size=v), rng.normal(size=v)
+            values = batch_value_grad(spec, y_hat[None], y[None])
+            grads = in_place_gradient(spec, y_hat[None], y[None])
+            np.testing.assert_array_equal(grads, allocating_loss_grad(spec, y_hat[None], y[None]))
             w = float(rng.uniform(0.1, 5.0))
-            value, grad = weighted_step(LossSpec(base_kind), y_hat, y, w)
+            value, grad = weighted_step(spec, y_hat, y, w)
             np.testing.assert_array_equal(grad, w * grads[0])
             assert value == w * values[0]
 
