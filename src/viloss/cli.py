@@ -15,6 +15,7 @@ working directory and writes byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -346,7 +347,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process: parsing leaves it as it
+    is, so each ``main`` call reads a fresh namespace from the same tree."""
     parser = _ArgumentParser(
         prog="viloss",
         description="Variation-incentive loss re-weighting toolkit. An argument @FILE "

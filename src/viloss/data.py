@@ -211,14 +211,19 @@ def generate_binary_clusters(spec: BinarySynthSpec) -> Dataset:
     y = (rng.random(n) < 0.05).astype(np.float64)
 
     x = np.empty((n, 2))
+    positive = y == 1
     in_cluster = rng.random(n) < 0.8
-    for i in range(n):
-        if y[i] == 1:
-            x[i] = rng.normal(0.75, 0.1, 2)
-        elif in_cluster[i]:
-            x[i] = rng.normal(0.25, 0.08, 2)
+    cluster, background = ~positive & in_cluster, ~positive & ~in_cluster
+    # row by row, in row order, a row draws two standard normals or two
+    # uniforms: one call draws each run of consecutive rows of one kind
+    edges = [0, *(np.flatnonzero(background[1:] != background[:-1]) + 1).tolist(), n]
+    for a, b in zip(edges, edges[1:]):
+        if background[a]:
+            rng.random(out=x[a:b])
         else:
-            x[i] = rng.uniform(0.0, 1.0, 2)
+            rng.standard_normal(out=x[a:b])
+    x[positive] = 0.75 + 0.1 * x[positive]  # as rng.normal(loc, scale) forms loc + scale * z
+    x[cluster] = 0.25 + 0.08 * x[cluster]
     x = np.clip(x, 0.0, 1.0)
 
     flip = rng.random(n) < 0.02

@@ -9,11 +9,16 @@ Values and gradients take separate paths. A loss's gradient w.r.t. its v
 outputs is a constant c (``GRAD_CONSTANT``) times a non-linear part, over
 v; for bce of the logit z the part is tanh(z / 2) + 1 - 2y, as sigmoid(z)
 = (tanh(z / 2) + 1) / 2, and its target operand holds 2y
-(``grad_targets``). The SGD step (``viloss.models._batch_step``) computes
-only the part, in place on its (batch, runs * v) stack, with
-``residual_grad`` or ``bce_grad``, the only gradient code; ``train`` folds
-c / v with lr / B into the factor of each epoch's weights ``mu / (1 +
-gamma)``, exactly when v is a power of two. No weight reads a loss value.
+(``grad_targets``). The parts are the only gradient code, and are
+defined once, here: ``residual_ops`` lists the in-place ops of a
+regression loss's part (none for mse), which ``residual_grad`` applies to
+a residual, and ``bce_grad`` forms bce's. The SGD step
+(``viloss.models._batch_step``) computes only the part, in place on its
+(batch, runs * v) stack: it applies each non-mse group's
+``residual_ops`` to that group's column view, built once per ``train``
+call, or calls ``bce_grad``. ``train`` folds c / v with lr / B into the
+factor of each epoch's weights ``mu / (1 + gamma)``, exactly when v is a
+power of two. No weight reads a loss value.
 ``train`` takes values from ``batch_value_grad`` once per epoch and loss
 group, for the loss history and the divergence check.
 """
@@ -51,22 +56,30 @@ def bce_grad(z, y2, out=None):
     """tanh(z / 2) + 1 - y2, the BCE gradient w.r.t. the logit z over its
     constant 1/2 when ``y2`` holds twice the target, written into ``out``
     when it is given."""
-    out = np.multiply(z, 0.5, out=out)
-    np.tanh(out, out=out)
+    out = np.multiply(z, 0.5, out)
+    np.tanh(out, out)
     out += 1.0
     out -= y2
     return out
 
 
-def residual_grad(spec: LossSpec, r: np.ndarray) -> np.ndarray:
-    """Turn the residual r = y_hat - y of a regression loss into the
-    non-linear part of its gradient w.r.t. y_hat, in place, and return it:
-    r**3 for lqr, r clipped to [-delta, delta] for huber, r for mse."""
+def residual_ops(spec: LossSpec) -> list[tuple[np.ufunc, float]]:
+    """The in-place ops that turn the residual r = y_hat - y of a regression
+    loss into the non-linear part of its gradient w.r.t. y_hat, each applied
+    as ``ufunc(r, c, out=r)``: r**3 for lqr, r clipped to [-delta, delta]
+    for huber, and none for mse, whose part is r itself."""
     if spec.base == "lqr":
-        np.power(r, 3, out=r)
-    elif spec.base == "huber":
-        np.maximum(r, -spec.delta, out=r)  # r inside the threshold, else delta * sign(r)
-        np.minimum(r, spec.delta, out=r)
+        return [(np.power, 3.0)]
+    if spec.base == "huber":  # r inside the threshold, else delta * sign(r)
+        return [(np.maximum, -spec.delta), (np.minimum, spec.delta)]
+    return []
+
+
+def residual_grad(spec: LossSpec, r: np.ndarray) -> np.ndarray:
+    """Apply ``residual_ops(spec)`` to the residual ``r`` in place, and
+    return it."""
+    for ufunc, c in residual_ops(spec):
+        ufunc(r, c, out=r)
     return r
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import Dataset, NormalizationRecord
 from .losses import (GRAD_CONSTANT, LossSpec, batch_value_grad, bce_grad, grad_targets,
-                     residual_grad)
+                     residual_ops)
 
 MODEL_KINDS = ("linear", "polynomial", "logistic")
 
@@ -200,33 +200,53 @@ def _step_scale(specs: list[LossSpec], v: int, lr: float, sizes) -> np.ndarray:
     return np.repeat(scale, v, axis=1)
 
 
-def _batch_step(groups, params, grad, phi, y, ws, z, g):
+_BLOCK_BYTES = 1 << 16  # the basis bytes ``train`` gathers at once, unless one batch needs more
+
+
+def _gradient_views(groups, g):
+    """The gradient operands of a step on ``g`` (B, R * v): ``g``, its
+    transpose, and each non-mse loss group's column view of ``g`` with an op
+    of ``residual_ops``, or None in place of those for a bce stack (a stack
+    is all bce or all regression, ``check_loss_pairing``)."""
+    if groups[0][0].base == "bce":
+        return g, g.T, None
+    ops = []
+    for spec, cols in groups:
+        part = g[:, cols]
+        ops += [(ufunc, part, c) for ufunc, c in residual_ops(spec)]  # none for mse
+    return g, g.T, ops
+
+
+def _batch_step(params, params_t, grad, phi, y, ws, z, g, g_t, ops):
     """One SGD step of R stacked runs over one shared batch, in place.
 
     ``params`` (R * v, basis + 1) holds each run's v rows of weights, its
-    bias last, and ``grad`` is a buffer of its shape; ``phi`` (B, basis +
-    1) holds the batch's rows of ``_affine_basis``. ``y``, ``ws``, ``z``
-    and ``g`` are (B, R * v), run r in columns r * v to r * v + v - 1: the
-    targets (``grad_targets``), the weights times ``_step_scale``, and
-    buffers for the outputs and gradients; ``groups`` holds the columns of
-    the runs that share a loss. One BLAS dot writes the outputs, each
-    loss's non-linear gradient part (none for mse) goes into ``g``, ``ws``
-    scales it, and a second dot with the basis writes the update, bias
-    included. It computes no loss value, and runs never mix: a non-finite
-    value in one run leaves the others unchanged. A weighted sample's
-    weight gradient is within 2 ulp of w_i times its unweighted one, its
-    bias gradient exactly that; results agree to rtol 1e-12 with summing
-    the products per run and scaling the sum by lr / B.
+    bias last, ``params_t`` is its transpose and ``grad`` a buffer of its
+    shape; ``phi`` (B, basis + 1) holds the batch's rows of
+    ``_affine_basis``. ``y``, ``ws``, ``z`` and ``g`` are (B, R * v), run r
+    in columns r * v to r * v + v - 1: the targets (``grad_targets``), the
+    weights times ``_step_scale``, and buffers for the outputs and
+    gradients; ``g_t`` and ``ops`` come from ``_gradient_views(groups,
+    g)``. Every operand is a prebuilt array or view, so the step runs only
+    its BLAS and ufunc calls: one dot writes the outputs, the residual (or
+    ``bce_grad``) goes into ``g`` and each non-mse group's ops turn its
+    columns into the loss's non-linear part, ``ws`` scales it, and a second
+    dot with the basis writes the update, bias included. It computes no
+    loss value, and runs never mix: a non-finite value in one run leaves
+    the others unchanged. A weighted sample's weight gradient is within 2
+    ulp of w_i times its unweighted one, its bias gradient exactly that;
+    results agree to rtol 1e-12 with summing the products per run and
+    scaling the sum by lr / B.
     """
-    np.dot(phi, params.T, out=z)
-    if groups[0][0].base == "bce":  # a stack is all bce or all regression (check_loss_pairing)
-        bce_grad(z, y, out=g)
+    phi.dot(params_t, z)
+    if ops is None:
+        bce_grad(z, y, g)
     else:
-        np.subtract(z, y, out=g)  # one residual for the stack, then each group's part
-        for spec, cols in groups:
-            residual_grad(spec, g[:, cols])
+        np.subtract(z, y, g)
+        for ufunc, part, c in ops:
+            ufunc(part, c, out=part)  # a positional out is deprecated for maximum and minimum
     g *= ws
-    np.dot(g.T, phi, out=grad)
+    g_t.dot(phi, grad)
     params -= grad
 
 
@@ -240,7 +260,8 @@ def parameter_gradient(model: Model, loss_spec: LossSpec, features, target, weig
     ws = weight * _step_scale([loss_spec], y.shape[1], 1.0, np.ones(1))
     params = np.concatenate([model.weights, model.bias[:, None]], axis=1)
     grad = np.empty_like(params)
-    _batch_step(groups, params, grad, phi, y, ws, np.empty(y.shape), np.empty(y.shape))
+    _batch_step(params, params.T, grad, phi, y, ws, np.empty(y.shape),
+                *_gradient_views(groups, np.empty(y.shape)))
     return grad[:, :-1], grad[:, -1]
 
 
@@ -272,11 +293,14 @@ def train(
     weight of the basis's constant-1 column, see ``_affine_basis``) and
     those columns of the (n, R * v) outputs, targets and weights, so a
     batch is a slice of rows. An epoch gathers its order's targets and
-    weights and scales the weights by ``_step_scale``; a step gathers its
-    basis rows for ``_batch_step``. The epoch's loss values, at the
-    parameters each batch saw, are computed when it ends, for the history
-    and the divergence check. Returns one (model, report) per run, in the
-    order of ``runs``.
+    weights and scales the weights by ``_step_scale``. One ``take`` gathers
+    the basis rows of a block of consecutive batches into a buffer of at
+    most ``_BLOCK_BYTES``, or of one batch, and each step runs
+    ``_batch_step`` on its views of that buffer, of the epoch's arrays and
+    of the gradient buffer, all built once per call. The epoch's loss
+    values, at the parameters each batch saw, are computed when it ends,
+    for the history and the divergence check. Returns one (model, report)
+    per run, in the order of ``runs``.
     """
     n = dataset.n
     if config.batch_size > n:
@@ -310,8 +334,20 @@ def train(
     values = np.empty((R, n))
     # an epoch's sample order, its targets and weights, and the weights scaled for the step
     order, y_e, w_e, ws_e = np.arange(n), np.empty_like(y), np.empty_like(w), np.empty_like(w)
-    batches = [(order[a:b], y_e[a:b], ws_e[a:b], z[a:b], g[: b - a])
-               for a, b in zip(starts.tolist(), stops.tolist())]
+    # a gather block holds the basis rows of consecutive batches: as many as
+    # fit in _BLOCK_BYTES, at least one; each step reads a fixed view of it
+    per_block = max(1, _BLOCK_BYTES // (bs * phi[0].nbytes))
+    block = np.empty((min(per_block * bs, n), k + 1))
+    head = (params, params.T, grad)
+    tails = {size: _gradient_views(groups, g[:size]) for size in set((stops - starts).tolist())}
+    bounds = list(zip(starts.tolist(), stops.tolist()))  # each batch's first and end sample
+    blocks = []  # (the block's rows of order, its view of block, its batches' step arguments)
+    for j in range(0, len(bounds), per_block):
+        batches = bounds[j : j + per_block]
+        a0, a1 = batches[0][0], batches[-1][1]
+        steps = [(*head, block[a - a0 : b - a0], y_e[a:b], ws_e[a:b], z[a:b], *tails[b - a])
+                 for a, b in batches]
+        blocks.append((order[a0:a1], block[: a1 - a0], steps))
     history = np.empty((R, config.epochs))
     rng = np.random.default_rng(config.seed)
 
@@ -325,8 +361,10 @@ def train(
             y.take(order, axis=0, out=y_e, mode="clip")
             w.take(order, axis=0, out=w_e, mode="clip")
             np.multiply(w_e, scale, out=ws_e)
-            for rows, y_b, ws_b, z_b, g_b in batches:
-                _batch_step(groups, params, grad, phi.take(rows, axis=0), y_b, ws_b, z_b, g_b)
+            for rows, basis, steps in blocks:
+                phi.take(rows, axis=0, out=basis, mode="clip")
+                for args in steps:
+                    _batch_step(*args)
             # the epoch's loss values at the parameters each batch saw (bce's y_e is 2y)
             for spec, cols in groups:
                 y_g = 0.5 * y_e[:, cols] if spec.base == "bce" else y_e[:, cols]

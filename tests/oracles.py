@@ -32,6 +32,26 @@ def brute_force_cells(features, lam):
     return cells
 
 
+def binary_clusters_row_loop(spec):
+    """``generate_binary_clusters`` drawn row by row, with each row's own
+    ``normal`` or ``uniform`` call."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n
+    y = (rng.random(n) < 0.05).astype(np.float64)
+    x = np.empty((n, 2))
+    in_cluster = rng.random(n) < 0.8
+    for i in range(n):
+        if y[i] == 1:
+            x[i] = rng.normal(0.75, 0.1, 2)
+        elif in_cluster[i]:
+            x[i] = rng.normal(0.25, 0.08, 2)
+        else:
+            x[i] = rng.uniform(0.0, 1.0, 2)
+    x = np.clip(x, 0.0, 1.0)
+    flip = rng.random(n) < 0.02
+    return x, np.where(flip, 1.0 - y, y)
+
+
 def finite_diff_param_grad(model, loss_spec, x, y, weight, h=1e-6):
     """Central-difference gradient of weight * loss(y_hat(x), y) w.r.t. the
     model's flattened (W, b)."""

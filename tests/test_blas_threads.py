@@ -1,10 +1,10 @@
 """Outputs do not depend on how many threads BLAS runs. The SGD step is
 two BLAS dots over the (batch, runs * outputs) stack, so a ``train`` at
 batch 500 on a degree-6 basis, a shape OpenBLAS splits across threads,
-with one output and with two, and a short ``repro`` of a regression and
-of the logistic experiment write the same bytes under 1 and under 2 BLAS
-threads. Each run is a fresh process, since BLAS reads its thread count
-when it loads."""
+with one output and with two, and a short ``repro`` of synth-1d (batch 1,
+with the huber and lqr ops), of synth-2d and of the logistic experiment
+write the same bytes under 1 and under 2 BLAS threads. Each run is a
+fresh process, since BLAS reads its thread count when it loads."""
 
 import os
 import subprocess
@@ -36,6 +36,7 @@ _CASES = {
     "train-two-targets": (["--feature-cols", "x1", "--target-cols", "y,x2", "--model",
                            "polynomial", "--degree", "6"], ["model.txt", "results.csv"]),
     "repro": (["repro", "--name", "synth-2d", "--epochs", "2"], ["results.csv"]),
+    "repro-batch-1": (["repro", "--name", "synth-1d", "--epochs", "2"], ["results.csv"]),
     "repro-logistic": (["repro", "--name", "logistic-synth", "--epochs", "2"], ["results.csv"]),
 }
 

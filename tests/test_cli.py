@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,9 @@ from viloss import (
 from viloss import __version__, cli
 from viloss.cli import main
 from viloss.data import BinarySynthSpec, generate_binary_clusters
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv):
@@ -866,6 +873,28 @@ class TestManifest:
         lines = self._rerun(["repro", *argv], "--out-dir", a, b)
         self._same_files(a, b, ["results.csv", "manifest.txt"])
         assert ("--epochs" in argv) == any(line.startswith("epochs=") for line in lines)
+
+    def test_calls_in_one_process_leak_nothing(self, tmp_path):
+        # main parses with one argument tree per process: a switch or a
+        # command of one call must not reach the next, whose outputs are
+        # what a fresh process writes
+        data = tmp_path / "s.csv"
+        run(["gen", "--variant", "synth-2d", "--n", 60, "--out", data])
+        train = ["train", "--data", data, "--feature-cols", "x1,x2", "--target-cols", "y",
+                 "--model", "polynomial", "--degree", 2, "--epochs", 2]
+        assert run([*train, "--no-shuffle", "--out-dir", tmp_path / "unshuffled"]) == 0
+        assert run([*train, "--out-dir", tmp_path / "after-train"]) == 0
+        assert run(["repro", "--name", "synth-1d", "--seeds", 0, "--epochs", 1,
+                    "--out-dir", tmp_path / "repro"]) == 0
+        assert run([*train, "--out-dir", tmp_path / "after-repro"]) == 0
+        fresh = tmp_path / "fresh"
+        code = "import sys; from viloss.cli import main; sys.exit(main(sys.argv[1:]))"
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        subprocess.run([sys.executable, "-c", code, *map(str, train), "--out-dir", str(fresh)],
+                       env=dict(os.environ, PYTHONPATH=path), check=True, capture_output=True)
+        assert "no-shuffle" in (tmp_path / "unshuffled" / "manifest.txt").read_text().split()
+        for name in ("after-train", "after-repro"):
+            self._same_files(tmp_path / name, fresh, ["results.csv", "model.txt", "manifest.txt"])
 
     @pytest.mark.parametrize("value", ["runs#1.csv", " s.csv", "a\nb.csv"])
     def test_value_a_line_cannot_hold_rejected_before_the_run(self, tmp_path, capsys, value):

@@ -19,6 +19,8 @@ from viloss import (
 from viloss import data
 from viloss.data import BinarySynthSpec, generate_binary_clusters, save_csv
 
+from oracles import binary_clusters_row_loop
+
 
 class TestGroundTruth:
     def test_synth_1d_at_one(self):
@@ -110,6 +112,17 @@ class TestBinaryClusters:
     def test_imbalance(self):
         ds = generate_binary_clusters(BinarySynthSpec(seed=0))
         assert 0.02 < ds.targets.mean() < 0.12
+
+    @pytest.mark.parametrize("n,seeds", [(1, 300), (7, 300), (50, 300), (2000, 100)])
+    def test_matches_the_row_loop(self, n, seeds):
+        # each run of same-kind rows is drawn in one call: the same stream
+        # and the same loc + scale * z as a normal or uniform call per row
+        for seed in range(seeds):
+            spec = BinarySynthSpec(n=n, seed=seed)
+            ds = generate_binary_clusters(spec)
+            x, y = binary_clusters_row_loop(spec)
+            assert ds.features.tobytes() == x.tobytes()
+            assert ds.targets.tobytes() == y[:, None].tobytes()
 
     def test_seed_determinism(self):
         a = generate_binary_clusters(BinarySynthSpec(seed=9))

@@ -289,6 +289,43 @@ class TestTrain:
         np.testing.assert_allclose(model.weights, want[:, :2], rtol=1e-12, atol=0)
         np.testing.assert_allclose(model.bias, want[:, 2], rtol=1e-12, atol=0)
 
+    # (rows, batch size, block rows): batch 1 over several blocks; a partial
+    # last batch with two batches a block; a batch larger than the block;
+    # bs = n; and n smaller than the block
+    @pytest.mark.parametrize("n,bs,block", [(40, 1, 6), (23, 7, 14), (23, 7, 5), (23, 23, 8),
+                                            (23, 3, 100)])
+    def test_gather_block_matches_a_per_step_gather(self, monkeypatch, n, bs, block):
+        # train gathers the basis rows of the whole batches that fit in
+        # _BLOCK_BYTES at once: each step sees its batch's rows of the epoch's
+        # order, and the results equal those of a block of one batch, where
+        # each step gathers its own rows, bit for bit
+        rng = np.random.default_rng(53)
+        spec = ModelSpec("polynomial", 2)
+        ds = Dataset(rng.uniform(-1, 1, size=(n, 2)), rng.normal(scale=0.3, size=(n, 2)))
+        runs = [(LossSpec("mse"), None), (LossSpec("huber", 0.5), rng.uniform(0, 2, n)),
+                (LossSpec("lqr"), rng.uniform(0, 2, n))]
+        cfg = TrainConfig(epochs=3, batch_size=bs, learning_rate=0.05, seed=17)
+        basis = models._affine_basis(init_model(spec, 2, 2), ds.features)
+        seen = []
+        step = models._batch_step
+
+        def recording(params, params_t, grad, phi, *operands):
+            seen.append(phi.copy())
+            return step(params, params_t, grad, phi, *operands)
+
+        monkeypatch.setattr(models, "_batch_step", recording)
+        monkeypatch.setattr(models, "_BLOCK_BYTES", block * basis[0].nbytes)
+        blocked = train(spec, ds, runs, cfg)
+        shuffle = np.random.default_rng(cfg.seed)
+        orders = [shuffle.permutation(n) for _ in range(cfg.epochs)]
+        want = [basis[order[a : a + bs]] for order in orders for a in range(0, n, bs)]
+        assert [phi.tobytes() for phi in seen] == [phi.tobytes() for phi in want]
+        monkeypatch.setattr(models, "_BLOCK_BYTES", 0)  # a block of one batch
+        for (model, report), (ref, ref_report) in zip(blocked, train(spec, ds, runs, cfg)):
+            assert model.weights.tobytes() == ref.weights.tobytes()
+            assert model.bias.tobytes() == ref.bias.tobytes()
+            assert report.loss_history == ref_report.loss_history
+
     def test_duplication_equals_weighting(self):
         # 3-sample instance: duplicating sample 2 three times with unit weight
         # gives the same full-batch gradient sum as weighting it 3x
@@ -467,9 +504,9 @@ class TestLockstep:
         seen = []
         step = models._batch_step
 
-        def recording(groups, params, *batch):
+        def recording(params, *operands):
             seen.append((params[:, :-1].copy(), params[:, -1].copy()))  # one row per run
-            return step(groups, params, *batch)
+            return step(params, *operands)
 
         monkeypatch.setattr(models, "_batch_step", recording)
         exp = cli.REPRO_EXPERIMENTS["synth-1d"]
@@ -495,9 +532,9 @@ class TestLockstep:
         seen = []
         step = models._batch_step
 
-        def recording(groups, params, *batch):
+        def recording(params, *operands):
             seen.append(params.copy())
-            return step(groups, params, *batch)
+            return step(params, *operands)
 
         monkeypatch.setattr(models, "_batch_step", recording)
         rng = np.random.default_rng(29)
@@ -621,6 +658,8 @@ def _two_contraction_step(specs, params, phi, y, w, lr):
     phi, k = phi[:, :-1], phi.shape[1] - 1
     z = np.matmul(phi, p[:, :, :k].transpose(0, 2, 1)) + p[:, None, :, k]
     return _contract(specs, p, phi, y, w, z, lr)
+
+
 _HUBER = LossSpec("huber", 0.5)
 _ORACLE_STACKS = {
     "loss-major": [LossSpec("mse")] * 2 + [_HUBER] * 2 + [LossSpec("lqr")] * 2,
@@ -662,8 +701,8 @@ def _step_against(oracle, stack, out, bs, check):
                 rows = order[start : start + bs]
                 b = slice(start, start + len(rows))
                 ws = w[rows] * models._step_scale(specs, out, lr, np.full(len(rows), len(rows)))
-                models._batch_step(groups, params, grad, phi[rows], y2[rows], ws, z[b],
-                                   g[: len(rows)])
+                models._batch_step(params, params.T, grad, phi[rows], y2[rows], ws, z[b],
+                                   *models._gradient_views(groups, g[: len(rows)]))
                 want_z = oracle(specs, want, phi[rows], y[rows], w[rows], lr)
                 check(z[b], want_z, params, want)
     return params.reshape(R, out, k + 1)
