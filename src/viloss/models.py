@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .data import Dataset, NormalizationRecord
-from .losses import (GRAD_CONSTANT, LossSpec, batch_value_grad, bce_grad, grad_targets,
+from .losses import (GRAD_CONSTANT, LossSpec, batch_value_grad, bce_ops, grad_targets,
                      residual_ops)
 
 MODEL_KINDS = ("linear", "polynomial", "logistic")
@@ -179,11 +179,16 @@ def _loss_groups(kind, specs: list[LossSpec], v: int) -> list[tuple[LossSpec, sl
 def _affine_basis(model: Model, features) -> np.ndarray:
     """The model's basis of ``features`` with a constant-1 column last: an
     (n, basis + 1) array whose last column the bias weighs. The basis is
-    written straight into it through ``Model.expand``."""
+    written straight into it through ``Model.expand``. A logistic model's
+    is halved, for the half logit that bce's part reads: a step on it gives
+    the bits of one on the whole basis with bce's constant 1/2, unless a
+    basis value, product, logit or partial sum is subnormal or overflows."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     phi = np.empty((len(x), model.basis_dim + 1))
     model.expand(x, out=phi[:, :-1])
     phi[:, -1] = 1.0
+    if model.spec.kind == "logistic":
+        phi *= 0.5
     return phi
 
 
@@ -203,49 +208,46 @@ def _step_scale(specs: list[LossSpec], v: int, lr: float, sizes) -> np.ndarray:
 _BLOCK_BYTES = 1 << 16  # the basis bytes ``train`` gathers at once, unless one batch needs more
 
 
-def _gradient_views(groups, g):
-    """The gradient operands of a step on ``g`` (B, R * v): ``g``, its
-    transpose, and each non-mse loss group's column view of ``g`` with an op
-    of ``residual_ops``, or None in place of those for a bce stack (a stack
-    is all bce or all regression, ``check_loss_pairing``)."""
-    if groups[0][0].base == "bce":
-        return g, g.T, None
-    ops = []
-    for spec, cols in groups:
-        part = g[:, cols]
-        ops += [(ufunc, part, c) for ufunc, c in residual_ops(spec)]  # none for mse
-    return g, g.T, ops
+def _part_ops(groups, g) -> list[tuple]:
+    """Each loss group's ``residual_ops`` on its columns of the (B, R * v)
+    gradient buffer ``g``: none for mse or bce."""
+    return [op for spec, cols in groups for op in residual_ops(spec, g[:, cols])]
 
 
-def _batch_step(params, params_t, grad, phi, y, ws, z, g, g_t, ops):
+def _step_ops(bce: bool, z, y, ws, g, parts) -> list[tuple]:
+    """A step's ufunc calls on its (B, R * v) outputs ``z``, target operand
+    ``y`` (``grad_targets``), scaled weights ``ws`` and gradient buffer
+    ``g``: bce's part (``bce_ops``), or the residual z - y and ``parts``
+    (``_part_ops`` on ``g``), then the scaling by ``ws``."""
+    head = bce_ops(z, y, g) if bce else [(np.subtract, z, y, g), *parts]
+    return head + [(np.multiply, g, ws, g)]
+
+
+def _batch_step(params, params_t, grad, phi, z, g_t, ops):
     """One SGD step of R stacked runs over one shared batch, in place.
 
     ``params`` (R * v, basis + 1) holds each run's v rows of weights, its
     bias last, ``params_t`` is its transpose and ``grad`` a buffer of its
     shape; ``phi`` (B, basis + 1) holds the batch's rows of
-    ``_affine_basis``. ``y``, ``ws``, ``z`` and ``g`` are (B, R * v), run r
-    in columns r * v to r * v + v - 1: the targets (``grad_targets``), the
-    weights times ``_step_scale``, and buffers for the outputs and
-    gradients; ``g_t`` and ``ops`` come from ``_gradient_views(groups,
-    g)``. Every operand is a prebuilt array or view, so the step runs only
-    its BLAS and ufunc calls: one dot writes the outputs, the residual (or
-    ``bce_grad``) goes into ``g`` and each non-mse group's ops turn its
-    columns into the loss's non-linear part, ``ws`` scales it, and a second
-    dot with the basis writes the update, bias included. It computes no
-    loss value, and runs never mix: a non-finite value in one run leaves
-    the others unchanged. A weighted sample's weight gradient is within 2
-    ulp of w_i times its unweighted one, its bias gradient exactly that;
+    ``_affine_basis``. ``z`` is a buffer for the (B, R * v) outputs, run r
+    in columns r * v to r * v + v - 1, and ``g_t`` the transpose of the
+    gradient buffer that ``ops`` (``_step_ops``) fill. Every operand is a
+    prebuilt array or view, so the step runs only its BLAS and ufunc calls:
+    one dot writes the outputs, the ufunc calls turn them into each loss's
+    non-linear gradient part times the scaled weights, and a second dot
+    with the basis writes the update, bias included. It computes no loss
+    value, and runs never mix: a non-finite value in one run leaves the
+    others unchanged. A weighted sample's weight gradient is within 2 ulp
+    of w_i times its unweighted one, its bias gradient exactly that;
     results agree to rtol 1e-12 with summing the products per run and
     scaling the sum by lr / B.
     """
     phi.dot(params_t, z)
-    if ops is None:
-        bce_grad(z, y, g)
-    else:
-        np.subtract(z, y, g)
-        for ufunc, part, c in ops:
-            ufunc(part, c, out=part)  # a positional out is deprecated for maximum and minimum
-    g *= ws
+    for ufunc, a, b, out in ops:  # out by keyword: numpy deprecates it positional for maximum
+        if b is None:
+            ufunc(a, out=out)
+        else:
+            ufunc(a, b, out=out)
     g_t.dot(phi, grad)
     params -= grad
 
@@ -259,9 +261,9 @@ def parameter_gradient(model: Model, loss_spec: LossSpec, features, target, weig
     groups = _loss_groups(model.spec.kind, [loss_spec], y.shape[1])
     ws = weight * _step_scale([loss_spec], y.shape[1], 1.0, np.ones(1))
     params = np.concatenate([model.weights, model.bias[:, None]], axis=1)
-    grad = np.empty_like(params)
-    _batch_step(params, params.T, grad, phi, y, ws, np.empty(y.shape),
-                *_gradient_views(groups, np.empty(y.shape)))
+    grad, z, g = np.empty_like(params), np.empty(y.shape), np.empty(y.shape)
+    _batch_step(params, params.T, grad, phi, z, g.T, _step_ops(
+        loss_spec.base == "bce", z, y, ws, g, _part_ops(groups, g)))
     return grad[:, :-1], grad[:, -1]
 
 
@@ -290,17 +292,18 @@ def train(
     that run alone to rtol 1e-12. The batch parameter gradient is the mean
     over the batch of weight_i times each sample's loss gradient. Run r
     owns rows r * v to r * v + v - 1 of the parameters (bias last, the
-    weight of the basis's constant-1 column, see ``_affine_basis``) and
-    those columns of the (n, R * v) outputs, targets and weights, so a
-    batch is a slice of rows. An epoch gathers its order's targets and
-    weights and scales the weights by ``_step_scale``. One ``take`` gathers
-    the basis rows of a block of consecutive batches into a buffer of at
-    most ``_BLOCK_BYTES``, or of one batch, and each step runs
-    ``_batch_step`` on its views of that buffer, of the epoch's arrays and
-    of the gradient buffer, all built once per call. The epoch's loss
-    values, at the parameters each batch saw, are computed when it ends,
-    for the history and the divergence check. Returns one (model, report)
-    per run, in the order of ``runs``.
+    weight of the basis's constant-1 column, see ``_affine_basis``, whose
+    halving gives a logistic model's outputs as half logits) and those
+    columns of the (n, R * v) outputs, targets and weights, so a batch is a
+    slice of rows. An epoch gathers its order's targets and weights and
+    scales the weights by ``_step_scale``. One ``take`` gathers the basis
+    rows of a block of consecutive batches into a buffer of at most
+    ``_BLOCK_BYTES``, or of one batch, and each step runs ``_batch_step`` on
+    its views of that buffer, of the epoch's arrays and of the gradient
+    buffer, and its ``_step_ops`` on them, all built once per call. The
+    epoch's loss values, at the parameters each batch saw, are computed
+    when it ends, for the history and the divergence check. Returns one
+    (model, report) per run, in the order of ``runs``.
     """
     n = dataset.n
     if config.batch_size > n:
@@ -338,15 +341,19 @@ def train(
     # fit in _BLOCK_BYTES, at least one; each step reads a fixed view of it
     per_block = max(1, _BLOCK_BYTES // (bs * phi[0].nbytes))
     block = np.empty((min(per_block * bs, n), k + 1))
+    bce = model_spec.kind == "logistic"  # a stack is all bce or all regression
     head = (params, params.T, grad)
-    tails = {size: _gradient_views(groups, g[:size]) for size in set((stops - starts).tolist())}
+    # each batch size's view of g, its transpose and its groups' part ops
+    tails = {size: (g[:size], g[:size].T, _part_ops(groups, g[:size]))
+             for size in set((stops - starts).tolist())}
     bounds = list(zip(starts.tolist(), stops.tolist()))  # each batch's first and end sample
     blocks = []  # (the block's rows of order, its view of block, its batches' step arguments)
     for j in range(0, len(bounds), per_block):
         batches = bounds[j : j + per_block]
         a0, a1 = batches[0][0], batches[-1][1]
-        steps = [(*head, block[a - a0 : b - a0], y_e[a:b], ws_e[a:b], z[a:b], *tails[b - a])
-                 for a, b in batches]
+        steps = [(*head, block[a - a0 : b - a0], z_b, g_t,
+                  _step_ops(bce, z_b, y_e[a:b], ws_e[a:b], g_b, parts))
+                 for a, b in batches for z_b in [z[a:b]] for g_b, g_t, parts in [tails[b - a]]]
         blocks.append((order[a0:a1], block[: a1 - a0], steps))
     history = np.empty((R, config.epochs))
     rng = np.random.default_rng(config.seed)
@@ -365,11 +372,12 @@ def train(
                 phi.take(rows, axis=0, out=basis, mode="clip")
                 for args in steps:
                     _batch_step(*args)
-            # the epoch's loss values at the parameters each batch saw (bce's y_e is 2y)
+            # the epoch's loss values at the parameters each batch saw; for
+            # bce, z holds the half logit and y_e twice the target
+            outputs, targets = (2.0 * z, 0.5 * y_e) if bce else (z, y_e)
             for spec, cols in groups:
-                y_g = 0.5 * y_e[:, cols] if spec.base == "bce" else y_e[:, cols]
-                values[cols.start // v : cols.stop // v] = batch_value_grad(
-                    spec, z[:, cols].reshape(n, -1, v), y_g.reshape(n, -1, v)).T
+                values[cols.start // v : cols.stop // v] = batch_value_grad(spec,
+                    outputs[:, cols].reshape(n, -1, v), targets[:, cols].reshape(n, -1, v)).T
             values *= w_e[:, ::v].T
             batch_loss = np.add.reduceat(values, starts, axis=1)
             bad = ~np.isfinite(batch_loss)

@@ -4,8 +4,11 @@ gradient as the library's step forms it, which they are compared with."""
 
 import numpy as np
 
-from viloss.losses import GRAD_CONSTANT, batch_value_grad, bce_grad, grad_targets, residual_grad
+from viloss.losses import batch_value_grad, bce_ops, residual_ops
 from viloss.models import Model
+
+# each loss's gradient constant as the paper states it, on the whole basis
+PAPER_CONSTANT = {"mse": 2.0, "huber": 1.0, "lqr": 4.0, "bce": 0.5}
 
 
 def brute_force_cells(features, lam):
@@ -94,10 +97,23 @@ def allocating_loss_grad(spec, y_hat, y):
     return grad if v == 1 else grad / v
 
 
+def run_ops(ops):
+    """Run in-place ufunc calls ``(ufunc, a, b, out)`` as the SGD step does."""
+    for ufunc, a, b, out in ops:
+        if b is None:
+            ufunc(a, out=out)
+        else:
+            ufunc(a, b, out=out)
+
+
 def in_place_gradient(spec, y_hat, y):
-    """The same gradient as the step forms it: the loss's constant times
-    the non-linear part that ``residual_grad`` or ``bce_grad`` leaves in
-    place, over v (the step folds the constant over v into its weights)."""
-    part = (bce_grad(y_hat, grad_targets(spec, y), out=np.empty_like(y)) if spec.base == "bce"
-            else residual_grad(spec, y_hat - y))
-    return GRAD_CONSTANT[spec.base] * part / y.shape[-1]
+    """The same gradient as the step forms it: the paper's constant times
+    the non-linear part that the library's in-place calls write, over v
+    (the step folds the constant over v into its weights). bce's calls
+    read the half logit and twice the target."""
+    part = np.empty_like(y)
+    if spec.base == "bce":
+        run_ops(bce_ops(0.5 * y_hat, 2.0 * y, part))
+    else:
+        run_ops([(np.subtract, y_hat, y, part)] + residual_ops(spec, part))
+    return PAPER_CONSTANT[spec.base] * part / y.shape[-1]

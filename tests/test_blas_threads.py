@@ -1,10 +1,11 @@
 """Outputs do not depend on how many threads BLAS runs. The SGD step is
 two BLAS dots over the (batch, runs * outputs) stack, so a ``train`` at
 batch 500 on a degree-6 basis, a shape OpenBLAS splits across threads,
-with one output and with two, and a short ``repro`` of synth-1d (batch 1,
-with the huber and lqr ops), of synth-2d and of the logistic experiment
-write the same bytes under 1 and under 2 BLAS threads. Each run is a
-fresh process, since BLAS reads its thread count when it loads."""
+with one output and with two, a logistic ``train`` at batch 500 on its
+halved basis, and a short ``repro`` of synth-1d (batch 1, with the huber
+and lqr ops), of synth-2d and of the logistic experiment write the same
+bytes under 1 and under 2 BLAS threads. Each run is a fresh process, since
+BLAS reads its thread count when it loads."""
 
 import os
 import subprocess
@@ -13,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from viloss import save_csv
 from viloss.cli import main
+from viloss.data import BinarySynthSpec, generate_binary_clusters
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -35,6 +38,9 @@ _CASES = {
     # two outputs, so each run owns two columns of the stack
     "train-two-targets": (["--feature-cols", "x1", "--target-cols", "y,x2", "--model",
                            "polynomial", "--degree", "6"], ["model.txt", "results.csv"]),
+    # binary targets
+    "train-logistic": (["--feature-cols", "x1,x2", "--target-cols", "y", "--model", "logistic",
+                        "--loss", "bce"], ["model.txt", "results.csv"]),
     "repro": (["repro", "--name", "synth-2d", "--epochs", "2"], ["results.csv"]),
     "repro-batch-1": (["repro", "--name", "synth-1d", "--epochs", "2"], ["results.csv"]),
     "repro-logistic": (["repro", "--name", "logistic-synth", "--epochs", "2"], ["results.csv"]),
@@ -44,10 +50,14 @@ _CASES = {
 @pytest.mark.parametrize("command", list(_CASES))
 def test_outputs_do_not_depend_on_blas_threads(tmp_path, command):
     argv, names = _CASES[command]
-    if command.startswith("train"):
+    if command == "train-logistic":
+        data = tmp_path / "binary.csv"
+        save_csv(generate_binary_clusters(BinarySynthSpec(n=1500, seed=0)), data)
+    elif command.startswith("train"):
         data = tmp_path / "synth2d.csv"
         assert main(["gen", "--variant", "synth-2d", "--n", "1500", "--seed", "0",
                      "--out", str(data)]) == 0
+    if command.startswith("train"):
         argv = ["train", "--data", str(data), *argv, "--lambda", "10", "--epochs", "3",
                 "--lr", "0.1", "--batch-size", "500"]
     one, two = (_outputs(argv, tmp_path / f"threads-{t}", t) for t in (1, 2))

@@ -27,7 +27,7 @@ from viloss import (
 from viloss.data import NormalizationRecord
 from viloss.models import Model, TrainingDiverged, init_model
 
-from oracles import allocating_loss_grad, finite_diff_param_grad, in_place_gradient
+from oracles import PAPER_CONSTANT, allocating_loss_grad, finite_diff_param_grad, in_place_gradient
 
 
 class TestExpandPolynomial:
@@ -100,10 +100,11 @@ class TestExpandPolynomial:
 
 class TestAffineBasis:
     """``train`` steps on the basis with a constant-1 column last, written
-    into one (n, k + 1) buffer through ``out=`` views."""
+    into one (n, k + 1) buffer through ``out=`` views, and halved for a
+    logistic model."""
 
     @pytest.mark.parametrize("spec,d", [(ModelSpec("linear"), 3), (ModelSpec("polynomial", 1), 2),
-                                        (ModelSpec("polynomial", 4), 3)])
+                                        (ModelSpec("polynomial", 4), 3), (ModelSpec("logistic"), 2)])
     def test_out_view_gets_the_allocating_bits(self, spec, d):
         rng = np.random.default_rng(41)
         x = rng.uniform(-2.0, 2.0, (57, d)) * 10.0 ** rng.integers(-60, 60, (57, d))
@@ -122,7 +123,9 @@ class TestAffineBasis:
                 assert view.tobytes() == want.tobytes()
         assert (buffer[:, k] == 7.0).all()
         affine = models._affine_basis(model, x)
-        assert affine.tobytes() == np.column_stack([want, np.ones(len(x))]).tobytes()
+        whole = np.column_stack([want, np.ones(len(x))])
+        half = spec.kind == "logistic"
+        assert affine.tobytes() == (0.5 * whole if half else whole).tobytes()
 
     def test_train_holds_one_basis_array(self):
         # the basis costs one (n, k + 1) array: expanding into a separate
@@ -590,7 +593,7 @@ class TestLockstep:
 
 def _allocating_part(spec, y_hat, y):
     # each loss's non-linear gradient part on fresh arrays: its gradient is
-    # GRAD_CONSTANT times this over v
+    # PAPER_CONSTANT times this over v
     if spec.base == "bce":
         return (np.tanh(0.5 * y_hat) + 1.0) - 2.0 * y
     r = y_hat - y
@@ -602,9 +605,9 @@ def _allocating_part(spec, y_hat, y):
 
 
 # The oracles below step ``params`` (R * v, basis + 1), run r's v rows
-# first, in place, on the batch's basis rows ``phi`` (B, basis + 1), whose
-# constant-1 last column the bias weighs, and its sample-major targets and
-# weights ``y`` and ``w`` (B, R * v), and return the outputs (B, R * v).
+# first, in place, on the batch's whole basis rows ``phi`` (B, basis + 1),
+# whose constant-1 last column the bias weighs, and its sample-major targets
+# and weights ``y`` and ``w`` (B, R * v), and return the outputs (B, R * v).
 
 
 def _allocating_step(specs, params, phi, y, w, lr):
@@ -616,48 +619,41 @@ def _allocating_step(specs, params, phi, y, w, lr):
     g = np.empty_like(z)
     for r, spec in enumerate(specs):
         cols = slice(r * v, r * v + v)
-        scale = lr / len(phi) * losses.GRAD_CONSTANT[spec.base] / v
+        scale = lr / len(phi) * PAPER_CONSTANT[spec.base] / v
         g[:, cols] = _allocating_part(spec, z[:, cols], y[:, cols]) * (w[:, cols] * scale)
     params -= np.dot(g.T, phi)
     return z
 
 
-def _per_run(specs, params, y, w):
-    """The operands in a per-run layout: the parameters as an (R, v, basis
-    + 1) view, the targets (R, B, v) and the weights (R, B)."""
-    p = params.reshape(len(specs), -1, params.shape[1])
-    return p, y.reshape(len(y), *p.shape[:2]).transpose(1, 0, 2), w[:, :: p.shape[1]].T
-
-
-def _contract(specs, p, phi, y, w, z, lr):
-    # each run's loss gradients contracted with basis and weight in one
-    # einsum (a second one for the bias when phi has no constant column),
-    # scaled by lr and the batch mean after; returns z sample-major
-    g = np.stack([allocating_loss_grad(spec, z[r], y[r]) for r, spec in enumerate(specs)])
-    k = phi.shape[1]
-    grad = np.zeros_like(p)
-    np.einsum("rbo,bk,rb->rok", g, phi, w, out=grad[:, :, :k])
-    if k < p.shape[2]:
-        np.einsum("rbo,rb->ro", g, w, out=grad[:, :, k])
-    grad *= lr
-    grad /= len(phi)
-    p -= grad
-    return z.transpose(1, 0, 2).reshape(len(phi), -1)
-
-
 def _einsum_step(specs, params, phi, y, w, lr):
-    # the step as one contraction of gradient, basis and weight per run
-    p, y, w = _per_run(specs, params, y, w)
-    return _contract(specs, p, phi, y, w, np.matmul(phi, p.transpose(0, 2, 1)), lr)
+    # each run's update as one contraction of loss gradient, basis and
+    # weight, scaled by lr / B after
+    v = len(params) // len(specs)
+    z = phi @ params.T
+    for r, spec in enumerate(specs):
+        cols = slice(r * v, r * v + v)
+        g = allocating_loss_grad(spec, z[:, cols], y[:, cols])
+        params[cols] -= lr / len(phi) * np.einsum("bo,bk,b->ok", g, phi, w[:, r * v])
+    return z
 
 
 def _two_contraction_step(specs, params, phi, y, w, lr):
-    # the einsum step with the bias apart: phi without its constant column
-    # and the bias added to the outputs
-    p, y, w = _per_run(specs, params, y, w)
-    phi, k = phi[:, :-1], phi.shape[1] - 1
-    z = np.matmul(phi, p[:, :, :k].transpose(0, 2, 1)) + p[:, None, :, k]
-    return _contract(specs, p, phi, y, w, z, lr)
+    # the paper's update in plain loops, the bias apart from the features:
+    # for each run and sample, the loss gradient times the sample's features
+    # for the weights and times 1 for the bias, times w_i, summed over the
+    # batch and scaled by lr / B
+    v, k = len(params) // len(specs), phi.shape[1] - 1
+    x = phi[:, :k]
+    z = x @ params[:, :k].T + params[:, k]
+    update = np.zeros_like(params)
+    for r, spec in enumerate(specs):
+        for i in range(len(x)):
+            grad = allocating_loss_grad(spec, z[i, r * v : r * v + v], y[i, r * v : r * v + v])
+            for o in range(v):
+                update[r * v + o, :k] += grad[o] * x[i] * w[i, r * v]
+                update[r * v + o, k] += grad[o] * w[i, r * v]
+    params -= update * lr / len(x)
+    return z
 
 
 _HUBER = LossSpec("huber", 0.5)
@@ -675,22 +671,27 @@ def _wild_run(stack):
 
 
 def _step_against(oracle, stack, out, bs, check):
-    """Three shuffled epochs of ``models._batch_step`` on the affine basis of
-    a 23-row stack, next to ``oracle(specs, params, phi, y, w, lr)`` on its
-    own copy of the parameters. After each step, ``check(z, want_z, params,
-    want)``. Returns the step's final parameters as (R, out, basis + 1)."""
-    specs = _ORACLE_STACKS[stack]
-    groups = models._loss_groups("logistic" if stack == "bce" else "linear", specs, out)
+    """Three shuffled epochs of ``models._batch_step`` on ``_affine_basis``
+    of a 23-row stack (a logistic model's for bce, a linear one's else),
+    next to ``oracle(specs, params, phi, y, w, lr)`` on the whole affine
+    basis and its own copy of the parameters. After each step, ``check(z,
+    want_z, params, want)``, with z the outputs as the loss values read
+    them: twice the half logit that a bce step stores. Returns the step's
+    final parameters as (R, out, basis + 1)."""
+    specs, bce = _ORACLE_STACKS[stack], stack == "bce"
+    groups = models._loss_groups("logistic" if bce else "linear", specs, out)
     rng = np.random.default_rng(31)
     R, n, k, lr = len(specs), 23, 4, 0.02
-    phi = np.column_stack([rng.uniform(-1.0, 1.0, size=(n, k)), np.ones(n)])
+    x = rng.uniform(-1.0, 1.0, size=(n, k))
+    phi = np.column_stack([x, np.ones(n)])
+    basis = models._affine_basis(init_model(ModelSpec("logistic" if bce else "linear"), k, out), x)
     y = rng.normal(scale=0.5, size=(n, R * out))
-    if stack == "bce":
+    if bce:
         y = (y > 0).astype(float)
     w = np.repeat(rng.uniform(0.0, 2.0, size=(n, R)), out, axis=1)
     w[::4] = 0.0
     params = rng.normal(scale=0.3, size=(R * out, k + 1))
-    params.reshape(R, out, k + 1)[_wild_run(stack)] *= np.inf if stack == "bce" else 1e154
+    params.reshape(R, out, k + 1)[_wild_run(stack)] *= np.inf if bce else 1e154
     want = params.copy()
     grad, y2 = np.empty_like(params), losses.grad_targets(specs[0], y)
     z, g = np.empty((n, R * out)), np.empty((bs, R * out))
@@ -699,12 +700,12 @@ def _step_against(oracle, stack, out, bs, check):
             order = rng.permutation(n)
             for start in range(0, n, bs):
                 rows = order[start : start + bs]
-                b = slice(start, start + len(rows))
+                b, g_b = slice(start, start + len(rows)), g[: len(rows)]
                 ws = w[rows] * models._step_scale(specs, out, lr, np.full(len(rows), len(rows)))
-                models._batch_step(params, params.T, grad, phi[rows], y2[rows], ws, z[b],
-                                   *models._gradient_views(groups, g[: len(rows)]))
+                ops = models._step_ops(bce, z[b], y2[rows], ws, g_b, models._part_ops(groups, g_b))
+                models._batch_step(params, params.T, grad, basis[rows], z[b], g_b.T, ops)
                 want_z = oracle(specs, want, phi[rows], y[rows], w[rows], lr)
-                check(z[b], want_z, params, want)
+                check(2.0 * z[b] if bce else z[b], want_z, params, want)
     return params.reshape(R, out, k + 1)
 
 
@@ -727,13 +728,15 @@ def _close_on_finite_runs(stack, out):
 
 class TestStepOracle:
     """The in-place step against the allocating one: the same operations in
-    the same order on the same 2-D, sample-major layout, so every parameter
-    and output is equal bit for bit. The step runs one dot for the
-    outputs, scales each loss's non-linear gradient part by w * lr / B
-    times the loss's constant over v, and runs one dot with the basis. A
-    per-run step that contracts gradient, basis and weight in one einsum
-    and scales by lr / B after, and one that also keeps the bias apart,
-    agree with it to rtol 1e-12 on the runs that stay finite."""
+    the same order on the same 2-D, sample-major layout, with the paper's
+    gradient constants on the whole basis, so every parameter and output is
+    equal bit for bit, though a bce step runs on the basis halved with a
+    constant of 1. The step runs one dot for the outputs, scales each
+    loss's non-linear gradient part by w * lr / B times the loss's constant
+    over v, and runs one dot with the basis. A per-run step that contracts
+    gradient, basis and weight in one einsum and scales by lr / B after,
+    and the paper's update in plain loops with the bias apart, agree with
+    it to rtol 1e-12 on the runs that stay finite."""
 
     @pytest.mark.parametrize("bs", [1, 5, 7])  # 23 rows: 7 leaves a partial last batch
     @pytest.mark.parametrize("stack,out", _ORACLE_CASES)
@@ -770,6 +773,33 @@ class TestStepOracle:
         with np.errstate(over="ignore", invalid="ignore"):
             np.testing.assert_array_equal(in_place_gradient(spec, y_hat, y),
                                           allocating_loss_grad(spec, y_hat, y))
+
+    @pytest.mark.parametrize("stack", list(_ORACLE_STACKS))
+    def test_step_constants_are_float64_0d_arrays(self, stack):
+        # a Python float operand costs a ufunc call more than its arithmetic
+        # on a few elements: every operand of the step's prebuilt calls is
+        # an array, and each constant a float64 0-d one
+        specs, bce = _ORACLE_STACKS[stack], stack == "bce"
+        groups = models._loss_groups("logistic" if bce else "linear", specs, 2 - bce)
+        z, y, ws, g = (np.zeros((5, len(specs) * (2 - bce))) for _ in range(4))
+        ops = models._step_ops(bce, z, y, ws, g, models._part_ops(groups, g))
+        operands = [x for _, a, b, out in ops for x in (a, b, out) if x is not None]
+        assert all(isinstance(x, np.ndarray) for x in operands)
+        constants = [x for x in operands if x.ndim == 0]
+        assert all(x.dtype == np.float64 for x in constants)
+        # bce's + 1, or huber's two bounds and lqr's exponent per group
+        assert len(constants) == {"loss-major": 3, "interleaved": 6, "bce": 1}[stack]
+
+    def test_power_by_a_0d_exponent_matches_the_float_exponent(self):
+        # lqr's part is r ** 3 with a 0-d exponent, which must give the bits
+        # that the exponent 3.0 gives
+        rng = np.random.default_rng(59)
+        r = rng.uniform(-1.0, 1.0, 10**5) * 10.0 ** rng.uniform(-120.0, 120.0, 10**5)
+        tiny = np.nextafter(0.0, 1.0)
+        r = np.concatenate([r, [np.inf, -np.inf, np.nan, 0.0, -0.0, tiny, -tiny, 1e-310, 1e103]])
+        [(ufunc, _, three, _)] = losses.residual_ops(LossSpec("lqr"), r)
+        with np.errstate(over="ignore", under="ignore"):
+            assert ufunc(r, three).tobytes() == np.power(r, 3.0).tobytes()
 
 
 class TestTrainConfig:
