@@ -50,8 +50,9 @@ from .models import (
 
 LAMBDA_CANDIDATES = [1, 2, 5, 10, 20, 50, 100]
 
-RESULT_HEADER = "dataset,model,loss,gamma_norm,lambda,seed,mape,mae"
-RESULT_HEADER_CLS = RESULT_HEADER + ",acc,prec,rec,f1"
+METRIC_HEADERS = ("mape,mae", "acc,prec,rec,f1")  # of each report _score returns, in order
+RESULT_HEADER = "dataset,model,loss,gamma_norm,lambda,seed," + METRIC_HEADERS[0]
+RESULT_HEADER_CLS = RESULT_HEADER + "," + METRIC_HEADERS[1]
 
 
 def _parse_int_list(text: str, flag: str, noun: str) -> list[int]:
@@ -118,52 +119,60 @@ def cmd_weigh(args) -> None:
     print(f"wrote {len(table)} weights to {args.out}")
 
 
-def _predict(model, record, features):
-    """Predictions of ``model`` on raw ``features``: the features pass
-    through the training normalization ``record``, and regression outputs
-    are mapped back to the targets' original units."""
-    pred = model.predict_batch(record.apply_features(features))
-    if model.spec.kind == "logistic":
-        return pred
-    return record.invert_targets(pred)
-
-
 def _weighting_columns(spec: LossSpec, norm: str | None, lam) -> str:
     """The loss, gamma_norm and lambda columns of a variant's results row."""
     return f"viloss_{spec.base},{norm},{lam}" if norm else f"{spec.base},none,none"
 
 
+def _prepare(dataset, seed, lam, subset, norms, mu_floor, scale_targets):
+    """The seeded 70/30 split of ``dataset``: its training rows min-max
+    normalized, targets too only if ``scale_targets``, and its raw test
+    rows. Each gamma norm of ``norms`` weighs the training rows through one
+    grid, fitted only if there is a norm. Returns (training set, test set,
+    {norm: weights})."""
+    train_set, test_set = split(dataset, 0.7, seed)
+    train_norm = normalize_minmax(train_set)
+    if not scale_targets:
+        train_norm.targets = train_set.targets
+    grid = fit_grid(train_norm, lam, subset, mu_floor=mu_floor) if norms else None
+    weights = {norm: compute_weights(grid, train_norm, norm).weight for norm in norms}
+    return train_norm, test_set, weights
+
+
+def _score(model, record, rows):
+    """The metric reports of ``model`` on the raw ``rows``, whose features
+    pass through the training normalization ``record``: regression metrics
+    in the targets' original units, then, for a logistic model, whose
+    labels must lie in {0, 1}, classification metrics of its probabilities."""
+    pred = model.predict_batch(record.apply_features(rows.features))
+    if model.spec.kind != "logistic":
+        return [regression_metrics(record.invert_targets(pred), rows.targets)]
+    check_binary_targets(rows.targets)
+    return [regression_metrics(pred, rows.targets), classification_metrics(pred, rows.targets)]
+
+
 def _run_experiment(dataset, name, model_spec, variants, lam, subset, cfg, mu_floor=0.0):
-    """Split, normalize, weight, train and evaluate every variant on one
-    split: the grid is fitted once, each gamma norm's weights are computed
-    once, and all variants train in lockstep in one ``train`` call. A
-    variant is a (LossSpec, gamma norm) pair, the norm None for a run
-    without weights.
+    """``_prepare`` one split, train every variant on it in lockstep in one
+    ``train`` call, and ``_score`` each on the test rows. A variant is a
+    (LossSpec, gamma norm) pair, the norm None for a run without weights.
+    A logistic run's raw labels are checked before the split and train
+    as they are, not min-max scaled.
 
     Returns the training split's normalization record and one (result row,
-    model) per variant, in order.
-    """
-    train_set, test_set = split(dataset, 0.7, cfg.seed)
-    train_norm = normalize_minmax(train_set)
-    record = train_norm.normalization
-
-    weights = {}
+    model) per variant, in order."""
+    logistic = model_spec.kind == "logistic"
+    if logistic:
+        check_binary_targets(dataset.targets)
     norms = list(dict.fromkeys(norm for _, norm in variants if norm))
-    if norms:
-        grid = fit_grid(train_norm, lam, subset, mu_floor=mu_floor)
-        weights = {norm: compute_weights(grid, train_norm, norm).weight for norm in norms}
+    train_set, test_set, weights = _prepare(dataset, cfg.seed, lam, subset, norms, mu_floor,
+                                            not logistic)
     runs = [(spec, weights.get(norm)) for spec, norm in variants]
-    trained = train(model_spec, train_norm, runs, cfg)
-
     results = []
-    for (spec, norm), (model, _) in zip(variants, trained):
+    for (spec, norm), (model, _) in zip(variants, train(model_spec, train_set, runs, cfg)):
         row = f"{name},{_model_name(model_spec)},{_weighting_columns(spec, norm, lam)},{cfg.seed}"
-        pred = _predict(model, record, test_set.features)
-        row += f",{regression_metrics(pred, test_set.targets).as_row()}"
-        if model_spec.kind == "logistic":
-            row += f",{classification_metrics(pred, test_set.targets).as_row()}"
-        results.append((row, model))
-    return record, results
+        reports = _score(model, train_set.normalization, test_set)
+        results.append((",".join([row, *(report.as_row() for report in reports)]), model))
+    return train_set.normalization, results
 
 
 def _result_header(spec: ModelSpec) -> str:
@@ -171,9 +180,7 @@ def _result_header(spec: ModelSpec) -> str:
 
 
 def _model_name(spec: ModelSpec) -> str:
-    if spec.kind == "polynomial":
-        return f"poly-{spec.degree}"
-    return spec.kind
+    return f"poly-{spec.degree}" if spec.kind == "polynomial" else spec.kind
 
 
 def _write_run(args, run) -> None:
@@ -211,13 +218,8 @@ def cmd_train(args) -> None:
         check_loss_pairing(args.model, [loss_spec])  # before the data are read
         variant = (loss_spec, args.gamma_norm if args.weighted == "on" else None)
         model_spec = ModelSpec(kind=args.model, degree=args.degree)
-        cfg = TrainConfig(
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            learning_rate=args.lr,
-            seed=args.seed,
-            shuffle=not args.no_shuffle,
-        )
+        cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr,
+                          seed=args.seed, shuffle=not args.no_shuffle)
         dataset = _load_dataset(args)
         record, [(row, model)] = _run_experiment(
             dataset, Path(args.data).stem, model_spec, [variant],
@@ -237,14 +239,9 @@ def cmd_eval(args) -> None:
     if dataset.target_dim != record.target_min.size:
         raise ValueError(f"{args.model} was trained on {record.target_min.size} target columns, "
                          f"--target-cols selects {dataset.target_dim}")
-    pred = _predict(model, record, dataset.features)
-    if model.spec.kind == "logistic":
-        check_binary_targets(dataset.targets)
-        print("acc,prec,rec,f1")
-        print(classification_metrics(pred, dataset.targets).as_row())
-    else:
-        print("mape,mae")
-        print(regression_metrics(pred, dataset.targets).as_row())
+    reports = _score(model, record, dataset)
+    print(METRIC_HEADERS[len(reports) - 1])
+    print(reports[-1].as_row())
 
 
 @dataclass(frozen=True)

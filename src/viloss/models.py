@@ -160,12 +160,15 @@ def check_loss_pairing(kind: str, specs: list[LossSpec]) -> None:
 
 def check_binary_targets(targets: np.ndarray) -> None:
     """Reject targets a logistic model can neither train on nor be scored
-    against: it has a single output, and its targets lie in {0, 1}."""
+    against: it has a single output, and its targets lie in {0, 1}. The
+    message names the first row whose target does not."""
     if targets.shape[1] != 1:
         raise ValueError(f"logistic models have a single output; the dataset has "
                          f"{targets.shape[1]} target columns")
-    if not np.isin(targets, (0.0, 1.0)).all():
-        raise ValueError("logistic models require targets in {0, 1}")
+    bad = ~np.isin(targets[:, 0], (0.0, 1.0))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"logistic models require targets in {{0, 1}}; row {i} has {targets[i, 0]}")
 
 
 def _loss_groups(kind, specs: list[LossSpec], v: int) -> list[tuple[LossSpec, slice]]:

@@ -358,6 +358,38 @@ class TestTrainCommand:
         for name in ("results.csv", "model.txt", "manifest.txt"):
             assert not (out_dir / name).exists()
 
+    def test_non_binary_labels_rejected_naming_the_row(self, tmp_path, capsys):
+        # min-max scaling maps labels {0, 2} onto {0, 1}; train used to fit
+        # those and score the model against the raw 2s. The raw rows are
+        # checked before the split, so the error names row 11 of the CSV's
+        # rows, the first 2, and not a row of either split
+        data, out_dir = tmp_path / "b.csv", tmp_path / "run"
+        labels = [0] * 10 + [2 * (i % 2) for i in range(10, 20)]
+        data.write_text("x1,y\n" + "".join(f"{i / 10},{y}.0\n" for i, y in enumerate(labels)))
+        assert run(["train", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
+                    "--model", "logistic", "--loss", "bce", "--epochs", 1,
+                    "--out-dir", out_dir]) == 1
+        assert capsys.readouterr() == ("", "error: logistic models require targets in {0, 1}; "
+                                           "row 11 has 2.0\n")
+        assert not out_dir.exists()
+
+    def test_one_class_training_split_trains(self, tmp_path, capsys):
+        # the seed-0 training split of these 30 rows has no positive: its
+        # labels, which are not min-max scaled, train as they are
+        data, out_dir = tmp_path / "b.csv", tmp_path / "run"
+        dataset = generate_binary_clusters(BinarySynthSpec(n=30, seed=1))
+        train_set, _ = split(dataset, 0.7, 0)
+        assert dataset.targets.max() == 1.0 and train_set.targets.max() == 0.0
+        save_csv(dataset, data)
+        assert run(["train", "--data", data, "--feature-cols", "x1,x2", "--target-cols", "y",
+                    "--model", "logistic", "--loss", "bce", "--batch-size", 5, "--epochs", 2,
+                    "--out-dir", out_dir]) == 0
+        [row] = (out_dir / "results.csv").read_text().splitlines()[1:]
+        assert row.startswith("b,logistic,viloss_bce,l2,2,0,")
+        assert capsys.readouterr().out == row + "\n"
+        assert run(["eval", "--data", data, "--feature-cols", "x1,x2", "--target-cols", "y",
+                    "--model", out_dir / "model.txt"]) == 0
+
     @pytest.mark.parametrize("model,loss", [("linear", "bce"), ("logistic", "mse")])
     def test_pairing_checked_before_data_read(self, tmp_path, capsys, model, loss):
         missing = tmp_path / "missing.csv"

@@ -452,6 +452,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="\\{0, 1\\}"):
             train(ModelSpec("logistic"), ds, [(LossSpec("bce"), None)], cfg)
 
+    def test_binary_target_check_names_the_first_row(self):
+        targets = np.array([[0.0], [1.0], [1.0], [2.0], [0.5]])
+        with pytest.raises(ValueError, match="^logistic models require targets in \\{0, 1\\}; "
+                                             "row 3 has 2.0$"):
+            models.check_binary_targets(targets)
+        models.check_binary_targets(targets[:3])  # one class or two, in {0, 1}
+        models.check_binary_targets(np.zeros((4, 1)))
+
     def test_batch_size_bounded_by_n(self):
         ds = _linear_1d_dataset(n=5)
         cfg = TrainConfig(epochs=1, batch_size=6)

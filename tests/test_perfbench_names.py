@@ -70,6 +70,24 @@ def test_traced_csv_pipeline_records_rows_and_ess(monkeypatch, tmp_path):
     assert values["data.load_csv"] == [60, 60, 60]
     assert values["grid.compute_weights"] and np.isfinite(values["grid.compute_weights"]).all()
 
+def test_regression_train_and_eval_score_once_each(monkeypatch, tmp_path):
+    # train and eval score through the metric names the tracer wraps, and a
+    # regression model is scored by regression metrics alone
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent))
+    tracer = importlib.import_module("perfbench.tracer").Tracer(viloss)
+    data, out_dir = tmp_path / "s.csv", tmp_path / "run"
+    columns = ["--data", str(data), "--feature-cols", "x1", "--target-cols", "y"]
+    assert viloss.cli.main(["gen", "--n", "60", "--out", str(data)]) == 0
+    tracer.install()
+    try:
+        codes = [viloss.cli.main(["train", *columns, "--epochs", "1", "--out-dir", str(out_dir)]),
+                 viloss.cli.main(["eval", *columns, "--model", str(out_dir / "model.txt")])]
+    finally:
+        tracer.remove()
+    assert codes == [0, 0]
+    assert [span[0] for span in tracer.spans].count("metrics.eval") == 2
+
+
 def test_traced_train_records_one_basis(monkeypatch, tmp_path):
     # models.basis_bytes reads the nbytes of what Model.expand returns:
     # train expands once, into the (n, k) view of its (n, k + 1) basis
