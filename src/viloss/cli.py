@@ -33,7 +33,7 @@ from .data import (
     save_csv,
     split,
 )
-from .grid import NORM_KINDS, compute_weights, fit_grid, select_lambda
+from .grid import NORM_KINDS, check_grid_args, compute_weights, fit_grid, select_lambda
 from .losses import BASE_KINDS, LossSpec
 from .metrics import classification_metrics, regression_metrics
 from .models import (
@@ -128,15 +128,19 @@ def _prepare(dataset, seed, lam, subset, norms, mu_floor, scale_targets):
     """The seeded 70/30 split of ``dataset``: its training rows min-max
     normalized, targets too only if ``scale_targets``, and its raw test
     rows. Each gamma norm of ``norms`` weighs the training rows through one
-    grid, fitted only if there is a norm. Returns (training set, test set,
-    {norm: weights})."""
+    grid, fitted only if there is a norm; without one, the grid arguments
+    are still checked, so a run records none that a weighted run would
+    reject. Returns (training set, test set, {norm: weights})."""
     train_set, test_set = split(dataset, 0.7, seed)
     train_norm = normalize_minmax(train_set)
     if not scale_targets:
         train_norm.targets = train_set.targets
-    grid = fit_grid(train_norm, lam, subset, mu_floor=mu_floor) if norms else None
-    weights = {norm: compute_weights(grid, train_norm, norm).weight for norm in norms}
-    return train_norm, test_set, weights
+    if not norms:
+        check_grid_args(train_norm, lam, subset, mu_floor)
+        return train_norm, test_set, {}
+    grid = fit_grid(train_norm, lam, subset, mu_floor=mu_floor)
+    return train_norm, test_set, {norm: compute_weights(grid, train_norm, norm).weight
+                                  for norm in norms}
 
 
 def _score(model, record, rows):

@@ -143,11 +143,10 @@ def _check_lam(lam, n: int) -> None:
                          f"lam * n must stay below 2**63")
 
 
-def _selected_features(dataset: Dataset, feature_subset: list[int] | None):
-    """The ``feature_subset`` columns of a non-empty ``dataset`` (its
-    feature array itself, uncopied, when the subset is None) and their
-    per-column (min, max); a subset that does not name distinct features,
-    or a column too narrow for the grid's statistics, is rejected."""
+def _feature_columns(dataset: Dataset, feature_subset: list[int] | None):
+    """The feature columns ``feature_subset`` selects from a non-empty
+    ``dataset``, all of them when it is None; a subset that does not name
+    distinct features is rejected."""
     if dataset.n == 0:
         raise ValueError("cannot fit a grid on an empty dataset")
     columns = range(dataset.feature_dim) if feature_subset is None else feature_subset
@@ -159,6 +158,26 @@ def _selected_features(dataset: Dataset, feature_subset: list[int] | None):
         if j < 0 or j >= dataset.feature_dim:
             raise ValueError(f"feature_subset index {j} out of range for "
                              f"{dataset.feature_dim} features")
+    return columns
+
+
+def check_grid_args(dataset: Dataset, lam, feature_subset: list[int] | None,
+                    mu_floor: float) -> None:
+    """Reject what ``fit_grid`` rejects in its arguments, short of the
+    columns' scale: a ``mu_floor`` that is not finite and >= 0, a bad
+    ``feature_subset`` (``_feature_columns``) or ``lam`` (``_check_lam``),
+    so a caller that fits no grid still refuses arguments no grid takes."""
+    if not (np.isfinite(mu_floor) and mu_floor >= 0):
+        raise ValueError(f"mu_floor must be finite and >= 0, got {mu_floor}")
+    _feature_columns(dataset, feature_subset)
+    _check_lam(lam, dataset.n)
+
+
+def _selected_features(dataset: Dataset, feature_subset: list[int] | None):
+    """The ``_feature_columns`` of ``dataset`` (its feature array itself,
+    uncopied, when the subset is None) and their per-column (min, max); a
+    column too narrow for the grid's statistics is rejected."""
+    columns = _feature_columns(dataset, feature_subset)
     sub = dataset.features if feature_subset is None else dataset.features[:, feature_subset]
     span = column_range(sub)
     _check_scale(span, "feature", columns)
@@ -201,14 +220,12 @@ def fit_grid(
     steps and skips the target statistics. The grid holds ``dataset``
     itself, uncopied.
     """
-    if not (np.isfinite(mu_floor) and mu_floor >= 0):
-        raise ValueError(f"mu_floor must be finite and >= 0, got {mu_floor}")
+    check_grid_args(dataset, lam, feature_subset, mu_floor)
     # Dataset guarantees finite values, so every sample lands in a bin, but
     # raw values far from 1 can overflow a range or a squared deviation, or
     # square into subnormals; such a grid is rejected rather than warned about
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sub, span = _selected_features(dataset, feature_subset)
-        _check_lam(lam, dataset.n)
         _check_scale(column_range(dataset.targets), "target", range(dataset.target_dim))
         idx = _bins(_unit_scaled(sub, span), lam)
         cell_of, count, sigma_x = _feature_cells(sub, idx, lam)

@@ -4,8 +4,10 @@ batch 500 on a degree-6 basis, a shape OpenBLAS splits across threads,
 with one output and with two, a logistic ``train`` at batch 500 on its
 halved basis, and a short ``repro`` of synth-1d (batch 1, with the huber
 and lqr ops), of synth-2d and of the logistic experiment write the same
-bytes under 1 and under 2 BLAS threads. Each run is a fresh process, since
-BLAS reads its thread count when it loads."""
+bytes under 1 and under 2 BLAS threads. So does a two-output degree-6
+``train`` whose test split, which it scores block by block of basis rows
+with one matrix product each, spans two and a half blocks. Each run is a
+fresh process, since BLAS reads its thread count when it loads."""
 
 import os
 import subprocess
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from viloss import save_csv
+from viloss import models, save_csv
 from viloss.cli import main
 from viloss.data import BinarySynthSpec, generate_binary_clusters
 
@@ -38,6 +40,9 @@ _CASES = {
     # two outputs, so each run owns two columns of the stack
     "train-two-targets": (["--feature-cols", "x1", "--target-cols", "y,x2", "--model",
                            "polynomial", "--degree", "6"], ["model.txt", "results.csv"]),
+    # two outputs of a 28-column basis, scored on 2.5 blocks of rows
+    "train-scored-in-blocks": (["--feature-cols", "x1,x2", "--target-cols", "y,x2", "--model",
+                                "polynomial", "--degree", "6"], ["model.txt", "results.csv"]),
     # binary targets
     "train-logistic": (["--feature-cols", "x1,x2", "--target-cols", "y", "--model", "logistic",
                         "--loss", "bce"], ["model.txt", "results.csv"]),
@@ -54,8 +59,10 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path, command):
         data = tmp_path / "binary.csv"
         save_csv(generate_binary_clusters(BinarySynthSpec(n=1500, seed=0)), data)
     elif command.startswith("train"):
+        # the 30% test split of n rows holds 2.5 blocks of a 28-column basis
+        n = round(2.5 * models._block_rows(28) / 0.3) if command.endswith("blocks") else 1500
         data = tmp_path / "synth2d.csv"
-        assert main(["gen", "--variant", "synth-2d", "--n", "1500", "--seed", "0",
+        assert main(["gen", "--variant", "synth-2d", "--n", str(n), "--seed", "0",
                      "--out", str(data)]) == 0
     if command.startswith("train"):
         argv = ["train", "--data", str(data), *argv, "--lambda", "10", "--epochs", "3",

@@ -333,6 +333,26 @@ class TestTrainCommand:
         assert not (out_dir / "results.csv").exists()
         assert not (out_dir / "model.txt").exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--lambda", 0], "lam must be a positive integer, got 0"),
+        (["--feature-subset", 7], "feature_subset index 7 out of range for 2 features"),
+        (["--mu-floor", -3], "mu_floor must be finite and >= 0, got -3.0"),
+        (["--lambda", 0, "--feature-subset", 7, "--mu-floor", -3],
+         "mu_floor must be finite and >= 0, got -3.0"),
+    ])
+    @pytest.mark.parametrize("weighted", ["off", "on"])
+    def test_grid_flags_checked_whether_or_not_weighted(self, tmp_path, capsys, flags, message,
+                                                        weighted):
+        # an unweighted run fits no grid, but its manifest records the grid
+        # flags: they must be ones a weighted re-run of it accepts
+        data, out_dir = tmp_path / "s.csv", tmp_path / "run"
+        run(["gen", "--variant", "synth-2d", "--n", 300, "--out", data])
+        capsys.readouterr()
+        assert run(["train", "--data", data, "--feature-cols", "x1,x2", "--target-cols", "y",
+                    "--weighted", weighted, *flags, "--epochs", 1, "--out-dir", out_dir]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out_dir.exists()
+
     def test_one_row_csv_fails_without_results(self, tmp_path, capsys):
         data = tmp_path / "one.csv"
         data.write_text("x1,y\n0.5,1.0\n")

@@ -179,6 +179,102 @@ def _random_model(spec: ModelSpec, rng, input_dim: int, output_dim: int = 1) -> 
     return model
 
 
+def _whole_prediction(model: Model, x) -> np.ndarray:
+    """``predict_batch`` on the whole (n, basis) matrix at once."""
+    z = np.atleast_2d(model.expand(x)) @ model.weights.T + model.bias
+    return 0.5 * (np.tanh(0.5 * z) + 1.0) if model.spec.kind == "logistic" else z
+
+
+class TestRowBlocks:
+    """``predict_batch`` and ``_affine_basis`` expand the basis one block of
+    rows at a time and give the bits of the whole-array computation."""
+
+    # one output is a BLAS gemv, whose bits depend on where a block starts
+    MODELS = [(ModelSpec("linear"), 3, 1), (ModelSpec("polynomial", 6), 2, 1),
+              (ModelSpec("polynomial", 6), 2, 2), (ModelSpec("logistic"), 2, 1)]
+
+    @pytest.mark.parametrize("spec,d,v", MODELS)
+    @pytest.mark.parametrize("blocks", [2.5, 2, "2 and a row"])
+    def test_prediction_matches_the_whole_product(self, spec, d, v, blocks):
+        # a last block of one row would go through another BLAS routine
+        rng = np.random.default_rng(47)
+        model = _random_model(spec, rng, d, v)
+        step = models._block_rows(model.basis_dim)
+        n = 2 * step + 1 if blocks == "2 and a row" else int(blocks * step)
+        x = rng.uniform(-1.5, 1.5, (n, d))
+        assert len(models._row_blocks(n, model.basis_dim)) == 2 + (blocks == 2.5)
+        got = model.predict_batch(x)
+        assert got.shape == (n, v)
+        assert got.tobytes() == _whole_prediction(model, x).tobytes()
+
+    @pytest.mark.parametrize("spec,d,v", MODELS)
+    def test_one_vector_is_a_batch_of_one(self, spec, d, v):
+        model = _random_model(spec, np.random.default_rng(53), d, v)
+        x = np.linspace(-1.0, 1.0, d)
+        got = model.predict_batch(x)
+        assert got.shape == (1, v)
+        assert got.tobytes() == _whole_prediction(model, x[None]).tobytes()
+
+    @pytest.mark.parametrize("spec,d,v", MODELS)
+    def test_zero_rows(self, spec, d, v):
+        model = _random_model(spec, np.random.default_rng(59), d, v)
+        assert model.predict_batch(np.empty((0, d))).shape == (0, v)
+        assert models._affine_basis(model, np.empty((0, d))).shape == (0, model.basis_dim + 1)
+
+    @pytest.mark.parametrize("spec,d,wrong,message", [
+        (ModelSpec("linear"), 2, 3, "expected basis dim 2, got 3"),
+        (ModelSpec("polynomial", 6), 2, 3, "expected basis dim 28, got 84"),
+    ])
+    def test_wrong_width_rejected_before_any_allocation(self, spec, d, wrong, message):
+        # a whole 84-column basis of these rows would be 67 MB
+        model = init_model(spec, d, 1)
+        x = np.zeros((100_000, wrong))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                model.predict_batch(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.parametrize("spec,d", [(ModelSpec("linear"), 3), (ModelSpec("polynomial", 6), 2),
+                                        (ModelSpec("logistic"), 2)])
+    def test_affine_basis_across_a_block_edge(self, spec, d):
+        rng = np.random.default_rng(61)
+        model = init_model(spec, d, 1)
+        n = models._block_rows(model.basis_dim) + 37
+        x = rng.uniform(-1.5, 1.5, (n, d))
+        whole = np.column_stack([model.expand(x), np.ones(n)])
+        want = 0.5 * whole if spec.kind == "logistic" else whole
+        assert models._affine_basis(model, x).tobytes() == want.tobytes()
+
+    def test_prediction_holds_the_output_and_a_block(self):
+        # 100k rows of a degree-6 basis of two features are 22.4 MB
+        model = _random_model(ModelSpec("polynomial", 6), np.random.default_rng(67), 2)
+        x = np.random.default_rng(71).uniform(0.0, 1.0, (100_000, 2))
+        tracemalloc.start()
+        try:
+            out = model.predict_batch(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        whole = len(x) * model.basis_dim * 8
+        assert whole == 22_400_000
+        assert out.nbytes <= peak < out.nbytes + 3 * models._BASIS_BLOCK_BYTES < whole / 5
+
+    def test_affine_basis_holds_its_result_and_a_block(self):
+        model = init_model(ModelSpec("polynomial", 6), 2, 1)
+        x = np.random.default_rng(73).uniform(0.0, 1.0, (100_000, 2))
+        tracemalloc.start()
+        try:
+            phi = models._affine_basis(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert phi.nbytes <= peak < phi.nbytes + models._BASIS_BLOCK_BYTES
+
+
 class TestParameterGradient:
     @pytest.mark.parametrize(
         "kind,loss",

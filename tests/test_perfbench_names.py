@@ -114,6 +114,41 @@ def test_traced_train_records_one_basis(monkeypatch, tmp_path):
             and span[PARENT] == train_idx] == [n * k * 8]
 
 
+def test_traced_blocks_sum_to_each_basis(monkeypatch, tmp_path):
+    # train and predict expand their basis one block of rows at a time, each
+    # block through Model.expand: a train's or a predict's models.expand
+    # spans sum to its rows times the basis width in bytes, as one call did
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent))
+    module = importlib.import_module("perfbench.tracer")
+    NAME, PARENT, VALUE, tracer = module.NAME, module.PARENT, module.VALUE, module.Tracer(viloss)
+    k = viloss.models.init_model(viloss.ModelSpec("polynomial", 6), 2, 1).basis_dim
+    n = 4 * viloss.models._block_rows(k)  # the 30% test split spans 2 blocks too
+    n_train = viloss.split(viloss.Dataset(np.zeros((n, 1)), np.zeros((n, 1))), 0.7, 0)[0].n
+    data, out_dir = tmp_path / "s.csv", tmp_path / "run"
+    columns = ["--data", str(data), "--feature-cols", "x1,x2", "--target-cols", "y"]
+    assert viloss.cli.main(["gen", "--variant", "synth-2d", "--n", str(n),
+                            "--out", str(data)]) == 0
+    tracer.install()
+    try:
+        codes = [viloss.cli.main(["train", *columns, "--model", "polynomial", "--degree", "6",
+                                  "--epochs", "1", "--batch-size", "500",
+                                  "--out-dir", str(out_dir)]),
+                 viloss.cli.main(["eval", *columns, "--model", str(out_dir / "model.txt")])]
+    finally:
+        tracer.remove()
+    assert codes == [0, 0]
+    spans = tracer.spans
+    blocks = {i: [] for i, span in enumerate(spans)
+              if span[NAME] in ("models.train", "models.predict")}
+    for span in spans:
+        if span[NAME] == "models.expand" and span[PARENT] in blocks:
+            blocks[span[PARENT]].append(span[VALUE])
+    rows = [n_train, n - n_train, n]  # train's basis, its test split's and eval's predictions
+    assert [spans[i][NAME] for i in blocks] == ["models.train", "models.predict", "models.predict"]
+    assert [sum(values) for values in blocks.values()] == [r * k * 8 for r in rows]
+    assert all(len(values) > 1 for values in blocks.values())
+
+
 def test_workloads_find_every_cli_name():
     names = set(re.findall(r"\bcli\.([A-Za-z_]\w*)", (PERFBENCH / "workloads.py").read_text()))
     assert {"Dataset", "LAMBDA_CANDIDATES", "split"} <= names  # the regex still sees the calls
