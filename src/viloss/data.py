@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import re
 import sys
 from contextlib import contextmanager
@@ -130,7 +131,16 @@ class SynthSpec:
         return 1 if self.variant == "synth-1d" else 2
 
 
+def check_integers(**settings) -> None:
+    """Reject a setting whose value is not an integer (2.5 and 1.0 are
+    not), naming it, before numpy meets it."""
+    for name, value in settings.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_size_and_seed(n, seed) -> None:
+    check_integers(n=n, seed=seed)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if seed < 0:

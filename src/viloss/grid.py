@@ -162,22 +162,24 @@ def _feature_columns(dataset: Dataset, feature_subset: list[int] | None):
 
 
 def check_grid_args(dataset: Dataset, lam, feature_subset: list[int] | None,
-                    mu_floor: float) -> None:
+                    mu_floor: float):
     """Reject what ``fit_grid`` rejects in its arguments, short of the
     columns' scale: a ``mu_floor`` that is not finite and >= 0, a bad
     ``feature_subset`` (``_feature_columns``) or ``lam`` (``_check_lam``),
-    so a caller that fits no grid still refuses arguments no grid takes."""
+    so a caller that fits no grid still refuses arguments no grid takes.
+    Returns the feature columns."""
     if not (np.isfinite(mu_floor) and mu_floor >= 0):
         raise ValueError(f"mu_floor must be finite and >= 0, got {mu_floor}")
-    _feature_columns(dataset, feature_subset)
-    _check_lam(lam, dataset.n)
-
-
-def _selected_features(dataset: Dataset, feature_subset: list[int] | None):
-    """The ``_feature_columns`` of ``dataset`` (its feature array itself,
-    uncopied, when the subset is None) and their per-column (min, max); a
-    column too narrow for the grid's statistics is rejected."""
     columns = _feature_columns(dataset, feature_subset)
+    _check_lam(lam, dataset.n)
+    return columns
+
+
+def _selected_features(dataset: Dataset, feature_subset: list[int] | None, columns):
+    """The ``columns`` of ``dataset`` that ``_feature_columns`` gave for
+    ``feature_subset`` (its feature array itself, uncopied, when the subset
+    is None) and their per-column (min, max); a column too narrow for the
+    grid's statistics is rejected."""
     sub = dataset.features if feature_subset is None else dataset.features[:, feature_subset]
     span = column_range(sub)
     _check_scale(span, "feature", columns)
@@ -220,12 +222,12 @@ def fit_grid(
     steps and skips the target statistics. The grid holds ``dataset``
     itself, uncopied.
     """
-    check_grid_args(dataset, lam, feature_subset, mu_floor)
+    columns = check_grid_args(dataset, lam, feature_subset, mu_floor)
     # Dataset guarantees finite values, so every sample lands in a bin, but
     # raw values far from 1 can overflow a range or a squared deviation, or
     # square into subnormals; such a grid is rejected rather than warned about
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sub, span = _selected_features(dataset, feature_subset)
+        sub, span = _selected_features(dataset, feature_subset, columns)
         _check_scale(column_range(dataset.targets), "target", range(dataset.target_dim))
         idx = _bins(_unit_scaled(sub, span), lam)
         cell_of, count, sigma_x = _feature_cells(sub, idx, lam)
@@ -346,7 +348,8 @@ def select_lambda(
     if not candidates:
         raise ValueError("candidates must be non-empty")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sub, span = _selected_features(dataset, feature_subset)
+        sub, span = _selected_features(dataset, feature_subset,
+                                       _feature_columns(dataset, feature_subset))
         unit = _unit_scaled(sub, span)
         report = []
         for lam in candidates:

@@ -9,9 +9,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .data import Dataset, NormalizationRecord
-from .losses import (GRAD_CONSTANT, LossSpec, batch_value_grad, bce_ops, grad_targets,
-                     residual_ops)
+from .data import Dataset, NormalizationRecord, check_integers
+from .losses import LossSpec, batch_value_grad
 
 MODEL_KINDS = ("linear", "polynomial", "logistic")
 
@@ -30,6 +29,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        check_integers(degree=self.degree)
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
         if self.kind != "polynomial" and self.degree != 1:
@@ -45,6 +45,7 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
+        check_integers(epochs=self.epochs, batch_size=self.batch_size, seed=self.seed)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -231,10 +232,11 @@ def _affine_basis(model: Model, features) -> np.ndarray:
     (n, basis + 1) array whose last column the bias weighs. The basis is
     written straight into it through ``Model.expand``, one ``_row_blocks``
     block of rows at a time, so a polynomial's power table stays the size
-    of one block. A logistic model's is halved, for the half logit that
-    bce's part reads: a step on it gives the bits of one on the whole basis
-    with bce's constant 1/2, unless a basis value, product, logit or partial
-    sum is subnormal or overflows."""
+    of one block. A logistic model's is halved, so its outputs are half
+    logits, which bce's part reads (``_step_ops``): halving is exact, so a
+    step on it gives the bits of one on the whole basis with bce's constant
+    1/2, unless a basis value, product, logit or partial sum is subnormal or
+    overflows."""
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     phi = np.empty((len(x), model.basis_dim + 1))
     for rows in _row_blocks(len(x), model.basis_dim):
@@ -243,6 +245,12 @@ def _affine_basis(model: Model, features) -> np.ndarray:
     if model.spec.kind == "logistic":
         phi *= 0.5
     return phi
+
+
+# each loss's gradient w.r.t. its v outputs is its constant here times the
+# non-linear part that ``_step_ops`` writes, over v: bce's is 1, on the half basis
+GRAD_CONSTANT = {"mse": 2.0, "huber": 1.0, "lqr": 4.0, "bce": 1.0}
+_ONE, _THREE = np.array(1.0), np.array(3.0)
 
 
 def _step_scale(specs: list[LossSpec], v: int, lr: float, sizes) -> np.ndarray:
@@ -262,17 +270,36 @@ _BLOCK_BYTES = 1 << 16  # the basis bytes ``train`` gathers at once, unless one 
 
 
 def _part_ops(groups, g) -> list[tuple]:
-    """Each loss group's ``residual_ops`` on its columns of the (B, R * v)
-    gradient buffer ``g``: none for mse or bce."""
-    return [op for spec, cols in groups for op in residual_ops(spec, g[:, cols])]
+    """The in-place calls that turn each loss group's columns r of the
+    (B, R * v) residual ``g`` = z - y into the non-linear part of its
+    gradient: r**3 for lqr, r clipped to [-delta, delta] for huber, and
+    none for mse, whose part is r itself, or for bce."""
+    ops = []
+    for spec, cols in groups:
+        r = g[:, cols]
+        if spec.base == "lqr":
+            ops.append((np.power, r, _THREE, r))
+        elif spec.base == "huber":  # r inside the threshold, else delta * sign(r)
+            ops += [(np.maximum, r, np.array(-spec.delta, np.float64), r),
+                    (np.minimum, r, np.array(spec.delta, np.float64), r)]
+    return ops
 
 
 def _step_ops(bce: bool, z, y, ws, g, parts) -> list[tuple]:
-    """A step's ufunc calls on its (B, R * v) outputs ``z``, target operand
-    ``y`` (``grad_targets``), scaled weights ``ws`` and gradient buffer
-    ``g``: bce's part (``bce_ops``), or the residual z - y and ``parts``
-    (``_part_ops`` on ``g``), then the scaling by ``ws``."""
-    head = bce_ops(z, y, g) if bce else [(np.subtract, z, y, g), *parts]
+    """A step's in-place ufunc calls ``(ufunc, a, b, out)``, which
+    ``_batch_step`` runs as ``ufunc(a, b, out=out)``, or ``ufunc(a,
+    out=out)`` if b is None. They write into the (B, R * v) buffer ``g``
+    each loss's non-linear gradient part of the outputs ``z`` and target
+    operand ``y``, then scale it by the weights ``ws``. A regression
+    stack's part starts as the residual z - y, which ``parts`` (``_part_ops``
+    on ``g``) turn into each group's. bce's gradient w.r.t. the logit x is
+    sigmoid(x) - t = (tanh(x / 2) + 1 - 2t) / 2. A logistic model's outputs
+    are half logits z = x / 2 (``_affine_basis``), so bce's part is tanh(z)
+    + 1 - y, three calls on the target operand y = 2t, and its constant is
+    1. Each constant operand is a float64 0-d array, which numpy takes
+    without the conversion a Python float costs on every call."""
+    head = ([(np.tanh, z, None, g), (np.add, g, _ONE, g), (np.subtract, g, y, g)] if bce
+            else [(np.subtract, z, y, g), *parts])
     return head + [(np.multiply, g, ws, g)]
 
 
@@ -310,13 +337,14 @@ def parameter_gradient(model: Model, loss_spec: LossSpec, features, target, weig
     the step that ``train`` runs, for one run on a batch of one, at a
     learning rate of 1 on a copy of the parameters."""
     phi = _affine_basis(model, features)
-    y = grad_targets(loss_spec, np.atleast_2d(np.asarray(target, dtype=np.float64)))
+    y = np.atleast_2d(np.asarray(target, dtype=np.float64))
     groups = _loss_groups(model.spec.kind, [loss_spec], y.shape[1])
+    bce = loss_spec.base == "bce"
     ws = weight * _step_scale([loss_spec], y.shape[1], 1.0, np.ones(1))
     params = np.concatenate([model.weights, model.bias[:, None]], axis=1)
     grad, z, g = np.empty_like(params), np.empty(y.shape), np.empty(y.shape)
     _batch_step(params, params.T, grad, phi, z, g.T, _step_ops(
-        loss_spec.base == "bce", z, y, ws, g, _part_ops(groups, g)))
+        bce, z, 2.0 * y if bce else y, ws, g, _part_ops(groups, g)))
     return grad[:, :-1], grad[:, -1]
 
 
@@ -345,18 +373,19 @@ def train(
     that run alone to rtol 1e-12. The batch parameter gradient is the mean
     over the batch of weight_i times each sample's loss gradient. Run r
     owns rows r * v to r * v + v - 1 of the parameters (bias last, the
-    weight of the basis's constant-1 column, see ``_affine_basis``, whose
-    halving gives a logistic model's outputs as half logits) and those
-    columns of the (n, R * v) outputs, targets and weights, so a batch is a
-    slice of rows. An epoch gathers its order's targets and weights and
-    scales the weights by ``_step_scale``. One ``take`` gathers the basis
-    rows of a block of consecutive batches into a buffer of at most
-    ``_BLOCK_BYTES``, or of one batch, and each step runs ``_batch_step`` on
-    its views of that buffer, of the epoch's arrays and of the gradient
-    buffer, and its ``_step_ops`` on them, all built once per call. The
-    epoch's loss values, at the parameters each batch saw, are computed
-    when it ends, for the history and the divergence check. Returns one
-    (model, report) per run, in the order of ``runs``.
+    weight of the basis's constant-1 column, see ``_affine_basis``) and
+    those columns of the (n, R * v) outputs, targets and weights, so a
+    batch is a slice of rows. An epoch gathers its order's targets and
+    weights and scales the weights by ``_step_scale``. One ``take`` gathers
+    the basis rows of a block of consecutive batches into a buffer of at
+    most ``_BLOCK_BYTES``, or of one batch, and each step runs
+    ``_batch_step`` on its views of that buffer, of the epoch's arrays and
+    of the gradient buffer, and its ``_step_ops`` on them. These operands
+    are built once per call, one set per batch of the epoch, so they hold
+    about 1 to 1.5 KB for each of the n / batch_size batches. The epoch's
+    loss values, at the parameters each batch saw, are computed when it
+    ends, for the history and the divergence check. Returns one (model,
+    report) per run, in the order of ``runs``.
     """
     n = dataset.n
     if config.batch_size > n:
@@ -373,7 +402,8 @@ def train(
         )
     R, v, bs = len(specs), dataset.target_dim, config.batch_size
     groups = _loss_groups(model_spec.kind, specs, v)  # each loss's columns of the stack
-    if model_spec.kind == "logistic":
+    bce = model_spec.kind == "logistic"  # a stack is all bce or all regression
+    if bce:
         check_binary_targets(dataset.targets)
     starts = np.arange(0, n, bs)  # each batch's first sample; the last batch may be partial
     stops = np.minimum(starts + bs, n)
@@ -381,7 +411,8 @@ def train(
 
     phi = _affine_basis(init_model(model_spec, dataset.feature_dim, v), dataset.features)
     k = phi.shape[1] - 1
-    y = np.tile(grad_targets(specs[0], dataset.targets), R)  # run r in columns r*v .. r*v+v-1
+    # bce's target operand, 2y; run r in columns r*v .. r*v+v-1
+    y = np.tile(2.0 * dataset.targets if bce else dataset.targets, R)
     w = np.repeat(w.T, v, axis=1)
     params = np.zeros((R * v, k + 1))  # each run's v rows of weights, then its bias
     grad = np.empty_like(params)
@@ -394,7 +425,6 @@ def train(
     # fit in _BLOCK_BYTES, at least one; each step reads a fixed view of it
     per_block = max(1, _BLOCK_BYTES // (bs * phi[0].nbytes))
     block = np.empty((min(per_block * bs, n), k + 1))
-    bce = model_spec.kind == "logistic"  # a stack is all bce or all regression
     head = (params, params.T, grad)
     # each batch size's view of g, its transpose and its groups' part ops
     tails = {size: (g[:size], g[:size].T, _part_ops(groups, g[:size]))

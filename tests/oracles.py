@@ -4,7 +4,8 @@ gradient as the library's step forms it, which they are compared with."""
 
 import numpy as np
 
-from viloss.losses import batch_value_grad, bce_ops, residual_ops
+from viloss import models
+from viloss.losses import batch_value_grad
 from viloss.models import Model
 
 # each loss's gradient constant as the paper states it, on the whole basis
@@ -109,11 +110,10 @@ def run_ops(ops):
 def in_place_gradient(spec, y_hat, y):
     """The same gradient as the step forms it: the paper's constant times
     the non-linear part that the library's in-place calls write, over v
-    (the step folds the constant over v into its weights). bce's calls
-    read the half logit and twice the target."""
-    part = np.empty_like(y)
-    if spec.base == "bce":
-        run_ops(bce_ops(0.5 * y_hat, 2.0 * y, part))
-    else:
-        run_ops([(np.subtract, y_hat, y, part)] + residual_ops(spec, part))
+    (the step folds the constant over v into its weights, here 1). bce's
+    calls read the half logit and twice the target."""
+    part, bce = np.empty_like(y), spec.base == "bce"
+    ops = models._step_ops(bce, 0.5 * y_hat if bce else y_hat, 2.0 * y if bce else y,
+                           np.array(1.0), part, models._part_ops([(spec, slice(None))], part))
+    run_ops(ops)
     return PAPER_CONSTANT[spec.base] * part / y.shape[-1]

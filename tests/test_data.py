@@ -81,6 +81,9 @@ class TestGenerateSynth:
         ("n", 0, "n must be >= 1, got 0"),
         ("n", -3, "n must be >= 1, got -3"),
         ("seed", -2, "seed must be >= 0, got -2"),
+        ("n", 2.5, "n must be an integer, got 2.5"),
+        ("n", 100.0, "n must be an integer, got 100.0"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
         ("noise_sigma", -1.0, "noise_sigma must be finite and >= 0, got -1.0"),
         ("noise_sigma", float("nan"), "noise_sigma must be finite and >= 0, got nan"),
         ("noise_sigma", float("inf"), "noise_sigma must be finite and >= 0, got inf"),
@@ -133,6 +136,8 @@ class TestBinaryClusters:
     @pytest.mark.parametrize("field,value,message", [
         ("n", 0, "n must be >= 1, got 0"),
         ("seed", -1, "seed must be >= 0, got -1"),
+        ("n", 2.5, "n must be an integer, got 2.5"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
     ])
     def test_out_of_range_field_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

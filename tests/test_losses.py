@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from viloss import Dataset, LossSpec, ModelSpec, TrainConfig, batch_value_grad, train
-from viloss import losses
+from viloss import models
 
 from oracles import allocating_loss_grad, in_place_gradient
 
@@ -27,7 +27,8 @@ class TestBaseLossValues:
         y_hat, y = np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]])
         values = batch_value_grad(LossSpec("mse"), y_hat, y)
         assert values[0] == 0.0
-        assert losses.residual_ops(LossSpec("mse"), y_hat - y) == []  # the part is the residual
+        # mse's part is the residual itself: no calls
+        assert models._part_ops([(LossSpec("mse"), slice(None))], y_hat - y) == []
         np.testing.assert_array_equal(in_place_gradient(LossSpec("mse"), y_hat, y), 0.0)
 
     def test_mse_hand_value(self):
@@ -85,8 +86,8 @@ class TestBaseLossValues:
         def no_gradients(*args, **kwargs):
             raise AssertionError("a loss value read a gradient")
 
-        monkeypatch.setattr(losses, "residual_ops", no_gradients)
-        monkeypatch.setattr(losses, "bce_ops", no_gradients)
+        monkeypatch.setattr(models, "_part_ops", no_gradients)
+        monkeypatch.setattr(models, "_step_ops", no_gradients)
         np.testing.assert_array_equal(batch_value_grad(spec, y_hat, y), want)
 
 

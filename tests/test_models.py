@@ -16,7 +16,6 @@ from viloss import (
     expand_polynomial,
     fit_grid,
     load_model,
-    losses,
     models,
     normalize_minmax,
     parameter_gradient,
@@ -275,24 +274,28 @@ class TestRowBlocks:
         assert phi.nbytes <= peak < phi.nbytes + models._BASIS_BLOCK_BYTES
 
 
+_FD_CASES = [
+    ("linear", "mse", 1), ("linear", "huber", 1), ("linear", "lqr", 1),
+    ("polynomial", "mse", 1), ("polynomial", "huber", 1), ("polynomial", "lqr", 1),
+    ("logistic", "bce", 1),
+] + [(kind, loss, 2) for kind in ("linear", "polynomial") for loss in ("mse", "huber", "lqr")]
+
+
 class TestParameterGradient:
-    @pytest.mark.parametrize(
-        "kind,loss",
-        [
-            ("linear", "mse"), ("linear", "huber"), ("linear", "lqr"),
-            ("polynomial", "mse"), ("polynomial", "huber"), ("polynomial", "lqr"),
-            ("logistic", "bce"),
-        ],
-    )
-    def test_matches_finite_differences(self, kind, loss):
+    @pytest.mark.parametrize("kind,loss,out", _FD_CASES, ids=[
+        f"{kind}-{loss}" + ("" if out == 1 else f"-{out}-outputs") for kind, loss, out in _FD_CASES
+    ])
+    def test_matches_finite_differences(self, kind, loss, out):
+        # two outputs check the step's 1 / v, and huber's clip at delta 0.3
         rng = np.random.default_rng(hash((kind, loss)) % 2**31)
-        model = _random_model(ModelSpec(kind, degree=3 if kind == "polynomial" else 1), rng, 2)
+        model = _random_model(ModelSpec(kind, degree=3 if kind == "polynomial" else 1), rng, 2, out)
         x = rng.uniform(0, 1, size=2)
-        y = np.array([float(rng.integers(0, 2))]) if loss == "bce" else rng.normal(size=1)
+        y = np.array([float(rng.integers(0, 2))]) if loss == "bce" else rng.normal(size=out)
         w = float(rng.uniform(0.2, 3.0))
-        dw, db = parameter_gradient(model, LossSpec(loss), x, y, weight=w)
+        spec = LossSpec(loss, delta=1.0 if out == 1 else 0.3)
+        dw, db = parameter_gradient(model, spec, x, y, weight=w)
         analytic = np.concatenate([dw.ravel(), db])
-        fd = finite_diff_param_grad(model, LossSpec(loss), x, y, w)
+        fd = finite_diff_param_grad(model, spec, x, y, w)
         np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-7)
 
     def test_weight_scaling_is_exact(self):
@@ -797,7 +800,7 @@ def _step_against(oracle, stack, out, bs, check):
     params = rng.normal(scale=0.3, size=(R * out, k + 1))
     params.reshape(R, out, k + 1)[_wild_run(stack)] *= np.inf if bce else 1e154
     want = params.copy()
-    grad, y2 = np.empty_like(params), losses.grad_targets(specs[0], y)
+    grad, y2 = np.empty_like(params), 2.0 * y if bce else y
     z, g = np.empty((n, R * out)), np.empty((bs, R * out))
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(3):
@@ -901,7 +904,7 @@ class TestStepOracle:
         r = rng.uniform(-1.0, 1.0, 10**5) * 10.0 ** rng.uniform(-120.0, 120.0, 10**5)
         tiny = np.nextafter(0.0, 1.0)
         r = np.concatenate([r, [np.inf, -np.inf, np.nan, 0.0, -0.0, tiny, -tiny, 1e-310, 1e103]])
-        [(ufunc, _, three, _)] = losses.residual_ops(LossSpec("lqr"), r)
+        [(ufunc, _, three, _)] = models._part_ops([(LossSpec("lqr"), slice(None))], r[:, None])
         with np.errstate(over="ignore", under="ignore"):
             assert ufunc(r, three).tobytes() == np.power(r, 3.0).tobytes()
 
@@ -917,6 +920,11 @@ class TestTrainConfig:
         ("learning_rate", float("nan"), "learning_rate must be finite and positive"),
         ("learning_rate", float("inf"), "learning_rate must be finite and positive"),
         ("seed", -1, "seed must be >= 0, got -1"),
+        ("epochs", 2.5, "epochs must be an integer, got 2.5"),
+        ("batch_size", 2.5, "batch_size must be an integer, got 2.5"),
+        ("batch_size", 1.0, "batch_size must be an integer, got 1.0"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", "0", "seed must be an integer, got '0'"),
     ])
     def test_values_that_train_nothing_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -959,6 +967,13 @@ class TestModelSpec:
     def test_polynomial_degree_below_one_rejected(self):
         with pytest.raises(ValueError, match="^degree must be >= 1$"):
             ModelSpec("polynomial", 0)
+
+    @pytest.mark.parametrize("kind,degree", [("polynomial", 2.5), ("polynomial", 6.0),
+                                             ("linear", 1.0), ("logistic", None)])
+    def test_degree_must_be_an_integer(self, kind, degree):
+        # a float degree used to pass and fail inside train, at math.comb
+        with pytest.raises(ValueError, match=f"^degree must be an integer, got {degree!r}$"):
+            ModelSpec(kind, degree)
 
     @pytest.mark.parametrize("kind", ["linear", "logistic"])
     def test_degree_only_for_polynomial(self, kind):
