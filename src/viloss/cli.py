@@ -130,11 +130,13 @@ def _prepare(dataset, seed, lam, subset, norms, mu_floor, scale_targets):
     rows. Each gamma norm of ``norms`` weighs the training rows through one
     grid, fitted only if there is a norm; without one, the grid arguments
     are still checked, so a run records none that a weighted run would
-    reject. Returns (training set, test set, {norm: weights})."""
+    reject. Returns (training set, test set, {norm: weights}); both sets
+    are read-only ``Dataset``s, so unscaled targets make a new training set
+    from the normalized features and the raw targets."""
     train_set, test_set = split(dataset, 0.7, seed)
     train_norm = normalize_minmax(train_set)
     if not scale_targets:
-        train_norm.targets = train_set.targets
+        train_norm = Dataset(train_norm.features, train_set.targets, train_norm.normalization)
     if not norms:
         check_grid_args(train_norm, lam, subset, mu_floor)
         return train_norm, test_set, {}

@@ -16,7 +16,7 @@ import numpy as np
 SYNTH_DEFAULT_N = {"synth-1d": 300, "synth-2d": 1000}
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NormalizationRecord:
     """Per-column min/max fitted on the training rows only."""
 
@@ -46,27 +46,41 @@ def _minmax_apply(values, lo, hi):
     return out
 
 
-@dataclass
+def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A read-only view of each of ``arrays``; the arrays themselves keep
+    their flags."""
+    views = tuple(a.view() for a in arrays)
+    for view in views:
+        view.setflags(write=False)
+    return views
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Feature matrix (n, m) plus aligned target matrix (n, v)."""
+    """Feature matrix (n, m) plus aligned target matrix (n, v), checked once
+    when built and fixed after: both are read-only views of the arrays given
+    (not copies, when those are float64), and no field can be reassigned.
+    Two datasets are equal only if they are the same object."""
 
     features: np.ndarray
     targets: np.ndarray
     normalization: NormalizationRecord | None = None
 
     def __post_init__(self):
-        self.features = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
-        self.targets = np.asarray(self.targets, dtype=np.float64)
-        if self.targets.ndim == 1:
-            self.targets = self.targets[:, None]
-        if self.features.shape[0] != self.targets.shape[0]:
+        features = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
+        targets = np.asarray(self.targets, dtype=np.float64)
+        if targets.ndim == 1:
+            targets = targets[:, None]
+        if features.shape[0] != targets.shape[0]:
             raise ValueError(
-                f"feature rows ({self.features.shape[0]}) != target rows "
-                f"({self.targets.shape[0]})"
+                f"feature rows ({features.shape[0]}) != target rows "
+                f"({targets.shape[0]})"
             )
-        if not (np.isfinite(self.features).all() and np.isfinite(self.targets).all()):
-            finite = np.isfinite(self.features).all(axis=1) & np.isfinite(self.targets).all(axis=1)
+        if not (np.isfinite(features).all() and np.isfinite(targets).all()):
+            finite = np.isfinite(features).all(axis=1) & np.isfinite(targets).all(axis=1)
             raise ValueError(f"non-finite feature or target value in row {int(finite.argmin())}")
+        for name, view in zip(("features", "targets"), read_only(features, targets)):
+            object.__setattr__(self, name, view)
 
     @property
     def n(self) -> int:
@@ -89,7 +103,7 @@ class Dataset:
                        normalization=self.normalization)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
     """Configuration for the skewed synthetic regression sets.
 
@@ -113,7 +127,7 @@ class SynthSpec:
         if self.variant not in SYNTH_DEFAULT_N:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.n is None:
-            self.n = SYNTH_DEFAULT_N[self.variant]
+            object.__setattr__(self, "n", SYNTH_DEFAULT_N[self.variant])
         _check_size_and_seed(self.n, self.seed)
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
@@ -198,7 +212,7 @@ def generate_synth(spec: SynthSpec) -> Dataset:
     return Dataset(features, targets)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BinarySynthSpec:
     """Size and seed of the imbalanced two-cluster binary classification
     task that ``generate_binary_clusters`` draws."""

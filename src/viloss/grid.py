@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, column_range, write_columns
+from .data import Dataset, column_range, read_only, write_columns
 
 NORM_KINDS = ("l1", "l2")  # gamma: L1 or squared-L2 target deviation
 _KEY_MAX = np.iinfo(np.int64).max
@@ -25,11 +25,11 @@ _OVERFLOW = "cell statistics overflowed float64: normalize the features and targ
 _TINY_RANGE = float(np.sqrt(np.finfo(np.float64).tiny))  # 2.0 ** -511
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CellGrid:
-    """Per-cell statistics as arrays, one row per non-empty cell in sorted
-    key order, plus the fitting ``dataset`` (held, not copied: editing it in
-    place invalidates the grid) and the cell row of each of its samples."""
+    """Per-cell statistics as read-only arrays, one row per non-empty cell in
+    sorted key order, plus the fitting ``dataset`` (held, not copied; its
+    arrays are read-only too) and the cell row of each of its samples."""
 
     keys: np.ndarray  # (k, d) bin index per selected dimension
     count: np.ndarray  # (k,)
@@ -250,13 +250,15 @@ def fit_grid(
     if not np.isfinite(mu).all():  # sigma_x_bar ** 2 underflowed to 0
         raise ValueError("the cells' feature spreads are too small to square in float64")
 
+    keys, count, sigma_x, y_mean, sigma_y, mu, cell_of = read_only(
+        idx[member], count, sigma_x, y_mean, sigma_y, np.maximum(mu, mu_floor), cell_of)
     return CellGrid(
-        keys=idx[member],
+        keys=keys,
         count=count,
         sigma_x=sigma_x,
         y_mean=y_mean,
         sigma_y=sigma_y,
-        mu=np.maximum(mu, mu_floor),
+        mu=mu,
         cell_of=cell_of,
         sigma_x_bar=sigma_x_bar,
         dataset=dataset,
@@ -288,7 +290,6 @@ def compute_weights(grid: CellGrid, dataset: Dataset, norm_kind: str = "l2") -> 
     cell mean, normalized by the cell's target deviation; cells with zero
     target deviation assign gamma = 0 to all their samples.
     """
-    norm_kind = norm_kind.lower()
     if norm_kind not in NORM_KINDS:
         raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {norm_kind!r}")
     if dataset is not grid.dataset:
@@ -311,9 +312,7 @@ def compute_weights(grid: CellGrid, dataset: Dataset, norm_kind: str = "l2") -> 
 
     weight = np.add(gamma, 1.0)
     np.divide(mu, weight, out=weight)
-    for arr in (mu, gamma, weight):
-        arr.setflags(write=False)
-    return WeightTable(mu, gamma, weight)
+    return WeightTable(*read_only(mu, gamma, weight))
 
 
 def localized_deviation(grid: CellGrid) -> float:

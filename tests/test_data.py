@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import re
 from unittest import mock
 
@@ -16,8 +17,8 @@ from viloss import (
     normalize_minmax,
     split,
 )
-from viloss import data
-from viloss.data import BinarySynthSpec, generate_binary_clusters, save_csv
+from viloss import cli, data
+from viloss.data import BinarySynthSpec, NormalizationRecord, generate_binary_clusters, save_csv
 
 from oracles import binary_clusters_row_loop
 
@@ -502,3 +503,82 @@ class TestDataset:
         ds = Dataset(np.arange(3.0)[:, None], np.zeros((3, 1)))
         with pytest.raises(ValueError, match="integer row indices, got dtype bool"):
             ds.subset(np.array([True, False, True]))
+
+
+def _csv_dataset(tmp_path, bad_row):
+    path = tmp_path / "d.csv"
+    path.write_text("x,y\n0.25,1.5\n" + ("abc,2\n" if bad_row else "") + "0.75,-2\n")
+    return load_csv(path, ["x"], ["y"])[0]
+
+
+_SYNTH = generate_synth(SynthSpec("synth-2d", n=50, seed=1))
+# every way the library builds a dataset, by name
+_BUILDERS = {
+    "load_csv-clean": lambda tmp_path: _csv_dataset(tmp_path, bad_row=False),
+    "load_csv-row-loop": lambda tmp_path: _csv_dataset(tmp_path, bad_row=True),
+    "generate_synth": lambda _: generate_synth(SynthSpec("synth-1d", n=20)),
+    "generate_binary_clusters": lambda _: generate_binary_clusters(BinarySynthSpec(n=20)),
+    "split-train": lambda _: split(_SYNTH, 0.7, seed=0)[0],
+    "split-test": lambda _: split(_SYNTH, 0.7, seed=0)[1],
+    "subset": lambda _: _SYNTH.subset(np.array([4, 0, 9])),
+    "normalize_minmax": lambda _: normalize_minmax(_SYNTH),
+    "prepare-regression": lambda _: cli._prepare(_SYNTH, 0, 2, None, ["l2"], 0.0, True)[0],
+    "prepare-logistic": lambda _: cli._prepare(generate_binary_clusters(BinarySynthSpec(n=50)),
+                                               0, 2, None, ["l2"], 0.0, False)[0],
+}
+
+
+class TestFrozen:
+    """A dataset is checked once, when built, and cannot change after: its
+    arrays are read-only and no field of it, or of a spec or normalization
+    record, can be reassigned."""
+
+    @pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS.keys())
+    def test_every_built_dataset_is_read_only(self, tmp_path, build):
+        ds = build(tmp_path)
+        for arr in (ds.features, ds.targets):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.5
+
+    def test_non_finite_write_after_the_check_rejected(self):
+        # Dataset rejects nan when built; a nan written in afterwards would
+        # pass every later check and reach fit_grid as an overflow
+        ds = Dataset(np.array([[0.1], [0.8]]), np.zeros(2))
+        with pytest.raises(ValueError, match="read-only"):
+            ds.features[0, 0] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            ds.targets[1] = np.inf
+        assert np.isfinite(ds.features).all() and np.isfinite(ds.targets).all()
+
+    def test_callers_arrays_stay_writable_and_are_not_copied(self):
+        features, targets = np.zeros((3, 2)), np.zeros((3, 1))
+        ds = Dataset(features, targets)
+        assert features.flags.writeable and targets.flags.writeable
+        assert np.shares_memory(ds.features, features) and np.shares_memory(ds.targets, targets)
+        features[0, 0] = 7.0  # the caller's own array writes through
+        assert ds.features[0, 0] == 7.0
+
+    @pytest.mark.parametrize("obj,field", [
+        (Dataset(np.zeros((2, 1)), np.zeros(2)), "features"),
+        (Dataset(np.zeros((2, 1)), np.zeros(2)), "targets"),
+        (Dataset(np.zeros((2, 1)), np.zeros(2)), "normalization"),
+        (normalize_minmax(_SYNTH).normalization, "target_min"),
+        (SynthSpec(), "n"),
+        (SynthSpec(), "corrupt_fraction"),
+        (BinarySynthSpec(), "seed"),
+    ], ids=["dataset-features", "dataset-targets", "dataset-normalization",
+            "normalization-record", "synth-spec-n", "synth-spec-corrupt-fraction",
+            "binary-synth-spec"])
+    def test_fields_cannot_be_reassigned(self, obj, field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, getattr(obj, field))
+
+    def test_equal_only_to_itself(self):
+        # the generated == would compare arrays, whose truth value is ambiguous
+        features, targets = np.zeros((2, 1)), np.zeros(2)
+        ds = Dataset(features, targets)
+        assert ds == ds
+        assert Dataset(features, targets) != Dataset(features, targets)
+        record = normalize_minmax(ds).normalization
+        assert record == record and record != NormalizationRecord(*vars(record).values())

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -285,6 +287,23 @@ class TestComputeWeights:
         with pytest.raises(ValueError):
             compute_weights(grid, ds, "linf")
 
+    @pytest.mark.parametrize("norm", [None, "L2", "l3"])
+    def test_norm_taken_as_given(self, norm):
+        # no case folding: "L2" is not a norm, and None fails the check
+        # rather than in a string method
+        ds = make_1d([0.1, 0.9])
+        grid = fit_grid(ds, 2)
+        with pytest.raises(ValueError, match=re.escape(
+                f"norm_kind must be one of {NORM_KINDS}, got {norm!r}")):
+            compute_weights(grid, ds, norm)
+
+    def test_weight_table_is_read_only(self):
+        ds = make_1d([0.1, 0.2, 0.8, 0.9], ys=[0.0, 2.0, 5.0, 5.0])
+        table = compute_weights(fit_grid(ds, 2), ds, "l2")
+        for arr in (table.mu, table.gamma, table.weight):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
     def test_gamma_scale_invariance(self):
         rng = np.random.default_rng(5)
         features = rng.random((80, 2))
@@ -383,6 +402,38 @@ class TestComputeWeights:
         finally:
             tracemalloc.stop()
         assert peak < (3 + v) * 8 * n + 64 * 1024
+
+
+class TestFrozenGrid:
+    """The grid's statistics are fixed once fitted: its arrays, and those of
+    the dataset it holds, are read-only, and its fields cannot be
+    reassigned, so the weights it gives cannot go stale."""
+
+    _ARRAYS = ("keys", "count", "sigma_x", "y_mean", "sigma_y", "mu", "cell_of")
+
+    @pytest.mark.parametrize("name", _ARRAYS)
+    def test_arrays_are_read_only(self, name):
+        grid = fit_grid(Dataset(np.random.default_rng(2).random((40, 2)), np.zeros((40, 2))), 3)
+        arr = getattr(grid, name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0
+
+    def test_target_write_after_fitting_rejected(self):
+        # such a write would change compute_weights' result silently, as
+        # the identity check on the dataset still passes
+        ds = make_1d([0.1, 0.2, 0.8, 0.9], ys=[0.0, 2.0, 5.0, 5.0])
+        grid = fit_grid(ds, 2)
+        before = compute_weights(grid, ds, "l2").weight
+        with pytest.raises(ValueError, match="read-only"):
+            ds.targets[0, 0] = 100.0
+        np.testing.assert_array_equal(compute_weights(grid, ds, "l2").weight, before)
+
+    @pytest.mark.parametrize("name", [*_ARRAYS, "sigma_x_bar", "dataset"])
+    def test_fields_cannot_be_reassigned(self, name):
+        grid = fit_grid(make_1d([0.1, 0.9]), 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(grid, name, getattr(grid, name))
 
 
 class TestLocalizedDeviation:
