@@ -6,10 +6,12 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import os
 import re
 import sys
+import urllib.parse
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,12 +20,20 @@ SYNTH_DEFAULT_N = {"synth-1d": 300, "synth-2d": 1000}
 
 @dataclass(frozen=True, eq=False)
 class NormalizationRecord:
-    """Per-column min/max fitted on the training rows only."""
+    """Per-column min/max fitted on the training rows only, held as
+    read-only views of the arrays given, so the record cannot change after
+    it is fitted."""
 
     feature_min: np.ndarray
     feature_max: np.ndarray
     target_min: np.ndarray
     target_max: np.ndarray
+
+    def __post_init__(self):
+        names = [f.name for f in fields(self)]
+        views = read_only(*(np.asarray(getattr(self, name)) for name in names))
+        for name, view in zip(names, views):
+            object.__setattr__(self, name, view)
 
     def apply_features(self, x: np.ndarray) -> np.ndarray:
         return _minmax_apply(x, self.feature_min, self.feature_max)
@@ -67,15 +77,17 @@ class Dataset:
     normalization: NormalizationRecord | None = None
 
     def __post_init__(self):
-        features = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
+        given = np.asarray(self.features, dtype=np.float64)
+        features = np.atleast_2d(given)
         targets = np.asarray(self.targets, dtype=np.float64)
         if targets.ndim == 1:
             targets = targets[:, None]
         if features.shape[0] != targets.shape[0]:
-            raise ValueError(
-                f"feature rows ({features.shape[0]}) != target rows "
-                f"({targets.shape[0]})"
-            )
+            fix = (f": 1-D features of shape {given.shape} are one sample of {given.size} "
+                   f"features; pass features[:, None] for {given.size} samples of one feature"
+                   if given.ndim == 1 else "")
+            raise ValueError(f"feature rows ({features.shape[0]}) != target rows "
+                             f"({targets.shape[0]}){fix}")
         if not (np.isfinite(features).all() and np.isfinite(targets).all()):
             finite = np.isfinite(features).all(axis=1) & np.isfinite(targets).all(axis=1)
             raise ValueError(f"non-finite feature or target value in row {int(finite.argmin())}")
@@ -282,12 +294,15 @@ def load_csv(path, feature_columns, target_columns, header: bool = True):
     (1-based line, reason), in line order; a blank row is skipped silently.
     A file without a usable row is rejected, naming the first rejection.
 
-    A clean file is parsed in one numpy call; a file with a row to reject is
-    read again row by row, which names each rejected line.
+    A clean file is parsed in one ``np.loadtxt`` call, which reads the file
+    by path, in blocks, past the header's lines (see ``_parse_clean``); a
+    file with a row to reject is read again row by row, which names each
+    rejected line.
     """
     with open(path, newline="") as fh, _no_field_limit():
         # csv reads the header through readline, which leaves fh.tell() usable
-        first = next(csv.reader(iter(fh.readline, "")), None)
+        reader = csv.reader(iter(fh.readline, ""))
+        first = next(reader, None)
         if first is None:
             raise ValueError(f"{path}: empty file")
         names = [c.strip() for c in first] if header else None
@@ -297,7 +312,8 @@ def load_csv(path, feature_columns, target_columns, header: bool = True):
             raise ValueError(f"{path}: select at least one feature and one target column")
         if not header:
             fh.seek(0)
-        table, rejected = _parse_clean(fh, columns), []
+        # a quoted header cell may span lines: line_num counts them all
+        table, rejected = _parse_clean(fh, path, columns, reader.line_num if header else 0), []
         if table is None:
             table, rejected = _read_rows(fh, columns, header)
     if not len(table):
@@ -319,19 +335,42 @@ def _no_field_limit():
         csv.field_size_limit(limit)
 
 
-def _parse_clean(fh, columns):
+# np.loadtxt opens a path through np.lib._datasource, which decompresses a
+# file by these suffixes and fetches a URL, so such a path is read by handle
+_DATASOURCE_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _loadtxt_source(fh, path, skip: int):
+    """What ``np.loadtxt`` reads the rest of ``fh`` from, and the lines it
+    skips first; ``fh`` was opened from ``path`` and has read ``skip``
+    lines. numpy reads a str name in blocks and a handle line by line, so
+    this is ``path``'s name with ``skip``, unless numpy would not open that
+    name as plain text; then it is ``fh`` itself, from its position."""
+    name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+    if isinstance(name, str) and not name.endswith(_DATASOURCE_SUFFIXES):
+        url = urllib.parse.urlparse(name)  # as np.lib._datasource tells a URL
+        if not (url.scheme and url.netloc):
+            return name, skip
+    return fh, 0
+
+
+def _parse_clean(fh, path, columns, skip: int):
     """The ``columns`` of every row from ``fh``'s position on, as one float
     array; None when a row there is to be rejected or there is none.
-    ``np.loadtxt`` accepts a subset of what ``float()`` does and parses it
-    to the same values, so a file it accepts gives the row loop's table."""
+    ``fh`` was opened from ``path`` and has read ``skip`` lines, the
+    header's; ``np.loadtxt`` reads the file by name past them where it can
+    (``_loadtxt_source``). It accepts a subset of what ``float()`` does and
+    parses it to the same values, so a file it accepts gives the row loop's
+    table."""
     start = fh.tell()
     # loadtxt warns on input without data
     if not any(line.strip() for line in iter(fh.readline, "")):
         return None
     fh.seek(start)
+    source, skiprows = _loadtxt_source(fh, path, skip)
     try:
-        table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
-                           usecols=columns, ndmin=2, dtype=np.float64)
+        table = np.loadtxt(source, delimiter=",", quotechar='"', comments=None,
+                           skiprows=skiprows, usecols=columns, ndmin=2, dtype=np.float64)
     except ValueError:
         return None
     # like float(), loadtxt parses "nan" and "inf", and overflows to inf
@@ -401,17 +440,36 @@ def split(dataset: Dataset, train_fraction: float, seed: int):
 _WRITE_ROWS = 4096  # rows formatted per write, which bounds the strings alive at once
 
 
-def write_columns(path, names, columns, line_end: str) -> None:
+def write_columns(path, names, columns, line_end: str, repeated=()) -> None:
     """Write a CSV of a header and one row per element of the 1-D
     ``columns``, each cell the ``repr()`` of a Python int or float, with
     ``line_end`` after every line: one ``tolist()`` and one ``repr()`` per
-    column and block of rows instead of one per cell."""
+    column and block of rows instead of one per cell. A column whose index
+    is in ``repeated`` is float64 with few distinct values: each of them is
+    formatted once, and the rows gather their texts."""
+    columns = [_distinct_texts(c) if j in repeated else c for j, c in enumerate(columns)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + line_end)
         for start in range(0, len(columns[0]), _WRITE_ROWS):
-            cells = [repr(col[start : start + _WRITE_ROWS].tolist())[1:-1].split(", ")
-                     for col in columns]
+            cells = [_texts(col[start : start + _WRITE_ROWS]) for col in columns]
             fh.write(line_end.join(map(",".join, zip(*cells))) + line_end)
+
+
+def _texts(values: np.ndarray) -> list[str]:
+    """The ``repr()`` of each element of the 1-D ``values``, from one
+    ``repr()`` of their list; an object array holds its texts already."""
+    if values.dtype == object:
+        return values.tolist()
+    return repr(values.tolist())[1:-1].split(", ")
+
+
+def _distinct_texts(values: np.ndarray) -> np.ndarray:
+    """``_texts(values)`` as an object array, each distinct value formatted
+    once. Values are told apart by their bits, so 0.0 and -0.0 keep their
+    own texts."""
+    bits, row = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
+                          return_inverse=True)
+    return np.array(_texts(bits.view(np.float64)), dtype=object)[row]
 
 
 def save_csv(dataset: Dataset, path) -> None:

@@ -265,10 +265,11 @@ def fit_grid(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightTable:
     """Per-sample (mu, gamma, weight), fixed before training starts and
-    independent of any model parameters."""
+    independent of any model parameters. Two tables are equal only if they
+    are the same object."""
 
     mu: np.ndarray
     gamma: np.ndarray
@@ -278,8 +279,13 @@ class WeightTable:
         return len(self.weight)
 
     def export(self, path) -> None:
+        """Write the table as a CSV of index, mu, gamma and weight, one row
+        per sample, each cell the ``repr()`` of its value. A sample's mu is
+        its cell's, so each distinct mu is formatted once
+        (``write_columns``' ``repeated``)."""
         write_columns(path, ["index", "mu", "gamma", "weight"],
-                      [np.arange(len(self)), self.mu, self.gamma, self.weight], "\n")
+                      [np.arange(len(self)), self.mu, self.gamma, self.weight], "\n",
+                      repeated=(1,))
 
 
 def compute_weights(grid: CellGrid, dataset: Dataset, norm_kind: str = "l2") -> WeightTable:

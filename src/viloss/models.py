@@ -107,8 +107,11 @@ def expand_polynomial(features: np.ndarray, degree: int, out=None) -> np.ndarray
     return phi[0] if single else phi
 
 
-@dataclass
+@dataclass(eq=False)
 class Model:
+    """A model's spec and parameters. Two models are equal only if they are
+    the same object."""
+
     spec: ModelSpec
     weights: np.ndarray  # (output_dim, basis_dim)
     bias: np.ndarray  # (output_dim,)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import pathlib
 import re
 from unittest import mock
 
@@ -17,8 +18,9 @@ from viloss import (
     normalize_minmax,
     split,
 )
-from viloss import cli, data
+from viloss import ModelSpec, cli, data, load_model, save_model
 from viloss.data import BinarySynthSpec, NormalizationRecord, generate_binary_clusters, save_csv
+from viloss.models import init_model
 
 from oracles import binary_clusters_row_loop
 
@@ -343,6 +345,33 @@ _ROWS = st.tuples(st.lists(_ROW.map(",".join), max_size=5),
 # random token soup, and rows that are mostly clean
 CSV_TEXTS = st.one_of(st.lists(st.sampled_from(_TOKENS), max_size=40).map("".join), _ROWS)
 
+# one file per way a CSV's lines can be laid out; every one of them but
+# those in _ROW_LOOP_EDGES parses on the clean path when it has a header
+_EDGE_FILES = {
+    "crlf.csv": "x,y\r\n1,2\r\n3,4\r\n",
+    "lone-cr.csv": "x,y\r1,2\r3,4\r",
+    "mixed-ends.csv": "x,y\n1,2\r\n3,4\r5,6\n",
+    "header-spans-lines.csv": '"x\nx",y\n1,2\n3,4\n',
+    "header-spans-crlf.csv": '"x\r\nx",y\r\n1,2\r\n3,4\r\n',
+    "header-spans-cr.csv": '"x\rx",y\r1,2\r3,4\r',
+    "cell-spans-lines.csv": 'x,y,z\n1,2,"a\nb"\n3,4,c\n',
+    "blank-lines.csv": "x,y\n\n1,2\n\n3,4\n\n",
+    "whitespace-lines.csv": "x,y\n1,2\n   \n3,4\n\t\n",
+    "bom.csv": "\ufeffx,y\n1,2\n3,4\n",
+    "quoted-numbers.csv": 'x,y\n"1","2"\n" 3 ",4\n',
+    "no-final-newline.csv": "x,y\n1,2\n3,4",
+    "header-only.csv": "x,y\n",
+    "rejected-row.csv": "x,y\n1,2\nfoo,3\n4,5\n",
+    # plain text under a name numpy would decompress
+    "plain.csv.gz": "x,y\n1,2\n3,4\n",
+    "plain.csv.bz2": "x,y\n1,2\n3,4\n",
+    "plain.csv.xz": "x,y\n1,2\n3,4\n",
+    "plain.csv.lzma": "x,y\n1,2\n3,4\n",
+    "rejected-row.csv.gz": "x,y\n1,2\nfoo,3\n",
+}
+_ROW_LOOP_EDGES = ("whitespace-lines.csv", "header-only.csv", "rejected-row.csv",
+                   "rejected-row.csv.gz")
+
 
 def _load_outcome(path, columns, header):
     """What load_csv gives: the arrays' bytes and shapes with the rejected
@@ -385,6 +414,47 @@ class TestLoadCsvFastPath:
         np.testing.assert_array_equal(loaded.targets, ds.targets)
         np.testing.assert_array_equal(odd_ds.features, [[1e-3], [5.5]])
         np.testing.assert_array_equal(odd_ds.targets, [[-4.0], [7.0]])
+
+    @pytest.mark.parametrize("header", [True, False], ids=["header", "no-header"])
+    @pytest.mark.parametrize("name", _EDGE_FILES)
+    def test_edge_file_matches_the_row_loop(self, tmp_path, name, header):
+        path = tmp_path / name
+        path.write_text(_EDGE_FILES[name], newline="")
+        for columns in (([0], [1]), ([1], [0])):
+            with mock.patch.object(data, "_parse_clean", return_value=None):
+                expected = _load_outcome(path, columns, header)
+            assert _load_outcome(path, columns, header) == expected
+
+    @pytest.mark.parametrize("name", [n for n in _EDGE_FILES if n not in _ROW_LOOP_EDGES])
+    def test_clean_edge_file_skips_the_row_loop(self, tmp_path, name):
+        # a later edit that dropped such a file to the row loop would give
+        # the same table, only slower: this catches it
+        path = tmp_path / name
+        path.write_text(_EDGE_FILES[name], newline="")
+        with mock.patch.object(data, "_read_rows", side_effect=AssertionError("row loop")):
+            ds, rejected = load_csv(path, [0], [1])
+        assert rejected == [] and ds.n >= 2
+
+    @pytest.mark.parametrize("name", ["d.csv", "d.csv.gz"])
+    def test_loadtxt_reads_a_plain_name_by_name(self, tmp_path, name):
+        # by name np.loadtxt reads the file in blocks, by handle line by line
+        path = tmp_path / name
+        path.write_text("x,y\n1,2\n3,4\n")
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as spy:
+            load_csv(path, ["x"], ["y"])
+        source = spy.call_args.args[0]
+        assert (source == str(path)) if name == "d.csv" else hasattr(source, "readline")
+
+    @pytest.mark.parametrize("path,name", [
+        ("d.csv", "d.csv"), (pathlib.Path("d.txt"), "d.txt"), ("d.csv.gz", None),
+        ("d.csv.bz2", None), ("d.csv.xz", None), ("d.csv.lzma", None),
+        ("http://example.org/d.csv", None), (b"d.csv", None), (3, None),
+    ])
+    def test_loadtxt_reads_by_name_only_what_it_opens_as_text(self, path, name):
+        # np.loadtxt would decompress these suffixes and fetch a URL, so
+        # they are read through the open handle, from its position
+        fh = object()
+        assert data._loadtxt_source(fh, path, 2) == ((fh, 0) if name is None else (name, 2))
 
     # cells longer than csv's default field limit of 131072 characters
     _OVERFLOWING, _LONG_ONE = "1" * 200_000, "0" * 199_999 + "1"
@@ -471,6 +541,17 @@ class TestDataset:
     def test_row_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 1)), np.zeros((2, 1)))
+
+    def test_one_dim_features_named_in_row_mismatch(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "feature rows (1) != target rows (3): 1-D features of shape (3,) are one "
+                "sample of 3 features; pass features[:, None] for 3 samples of one feature")):
+            Dataset(np.arange(3.0), np.arange(3.0))
+        with pytest.raises(ValueError, match=r"^feature rows \(2\) != target rows \(3\)$"):
+            Dataset(np.zeros((2, 1)), np.arange(3.0))
+        # a vector with one target row is one sample
+        ds = Dataset(np.arange(3.0), [1.0])
+        assert (ds.n, ds.feature_dim) == (1, 3)
 
     def test_one_dim_targets_promoted(self):
         ds = Dataset(np.zeros((3, 2)), np.arange(3.0))
@@ -573,6 +654,19 @@ class TestFrozen:
     def test_fields_cannot_be_reassigned(self, obj, field):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, field, getattr(obj, field))
+
+    @pytest.mark.parametrize("source", ["normalize_minmax", "load_model"])
+    def test_normalization_record_is_read_only(self, tmp_path, source):
+        # a write would move every later inverse: target_min 1 -> 100 took
+        # invert_targets([0.5]) from 2.0 to 51.5
+        record = normalize_minmax(Dataset(np.array([[0.0], [1.0]]), [1.0, 3.0])).normalization
+        if source == "load_model":
+            save_model(init_model(ModelSpec("linear"), 1, 1), record, tmp_path / "model.txt")
+            record = load_model(tmp_path / "model.txt")[1]
+        for name in ("feature_min", "feature_max", "target_min", "target_max"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(record, name)[0] = 100.0
+        assert record.invert_targets([0.5]).tolist() == [2.0]
 
     def test_equal_only_to_itself(self):
         # the generated == would compare arrays, whose truth value is ambiguous

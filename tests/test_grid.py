@@ -15,7 +15,7 @@ from viloss import (
     localized_deviation,
     select_lambda,
 )
-from viloss.grid import NORM_KINDS
+from viloss.grid import NORM_KINDS, WeightTable
 
 from oracles import brute_force_cells
 
@@ -404,6 +404,47 @@ class TestComputeWeights:
         assert peak < (3 + v) * 8 * n + 64 * 1024
 
 
+class TestExport:
+    """Every cell of an exported table is the repr() of its float, however
+    many samples share a mu."""
+
+    @staticmethod
+    def _expected(table) -> str:
+        rows = zip(table.mu.tolist(), table.gamma.tolist(), table.weight.tolist())
+        return "index,mu,gamma,weight\n" + "".join(
+            f"{i},{mu!r},{gamma!r},{weight!r}\n" for i, (mu, gamma, weight) in enumerate(rows))
+
+    @pytest.mark.parametrize("mu_floor", [0.0, 1.0], ids=["no-floor", "floor-clamps"])
+    @pytest.mark.parametrize("norm", NORM_KINDS)
+    def test_cells_are_the_repr_of_each_value(self, tmp_path, norm, mu_floor):
+        # 10,001 shuffled rows span three write blocks. At lam 40 on [0, 80],
+        # cells 0-19 each hold 150 copies of 2k and of 2k + 1, so all share
+        # one spread, 0.5, and one mu below 1, which the floor clamps to 1.0;
+        # cells 20-39 hold uniform draws, each with its own mu
+        rng = np.random.default_rng(31)
+        x = np.concatenate([np.repeat(np.arange(40.0), 150), 40 + 40 * rng.random(4000), [80.0]])
+        order = rng.permutation(len(x))
+        ds = Dataset(x[order, None], rng.random(len(x)))
+        table = compute_weights(fit_grid(ds, 40, mu_floor=mu_floor), ds, norm)
+        distinct, count = np.unique(table.mu, return_counts=True)
+        assert count.max() >= 6000 and len(distinct) > 10
+        assert ((table.mu == 1.0).sum() >= 6000) == bool(mu_floor)
+        table.export(tmp_path / "w.csv")
+        assert (tmp_path / "w.csv").read_text() == self._expected(table)
+
+    def test_signed_zeros_keep_their_text(self, tmp_path):
+        # -0.0 == 0.0, but each prints as its own repr()
+        table = WeightTable(np.array([0.0, -0.0, 0.5, -0.0, 0.0]), np.zeros(5), np.zeros(5))
+        table.export(tmp_path / "w.csv")
+        assert (tmp_path / "w.csv").read_text().split("\n")[1:3] == ["0,0.0,0.0,0.0",
+                                                                    "1,-0.0,0.0,0.0"]
+        assert (tmp_path / "w.csv").read_text() == self._expected(table)
+
+    def test_empty_table_is_a_header(self, tmp_path):
+        WeightTable(np.zeros(0), np.zeros(0), np.zeros(0)).export(tmp_path / "w.csv")
+        assert (tmp_path / "w.csv").read_text() == "index,mu,gamma,weight\n"
+
+
 class TestFrozenGrid:
     """The grid's statistics are fixed once fitted: its arrays, and those of
     the dataset it holds, are read-only, and its fields cannot be
@@ -428,6 +469,14 @@ class TestFrozenGrid:
         with pytest.raises(ValueError, match="read-only"):
             ds.targets[0, 0] = 100.0
         np.testing.assert_array_equal(compute_weights(grid, ds, "l2").weight, before)
+
+    def test_weight_tables_equal_only_to_themselves(self):
+        # the generated == compared arrays, whose truth value is ambiguous
+        ds = make_1d([0.1, 0.2, 0.8, 0.9], ys=[0.0, 2.0, 5.0, 5.0])
+        grid = fit_grid(ds, 2)
+        table = compute_weights(grid, ds, "l2")
+        assert table == table
+        assert (compute_weights(grid, ds, "l2") == compute_weights(grid, ds, "l1")) is False
 
     @pytest.mark.parametrize("name", [*_ARRAYS, "sigma_x_bar", "dataset"])
     def test_fields_cannot_be_reassigned(self, name):

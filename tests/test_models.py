@@ -982,6 +982,15 @@ class TestModelSpec:
             ModelSpec(kind, 6)
 
 
+class TestModel:
+    def test_equal_only_to_itself(self):
+        # the generated == compared arrays, whose truth value is ambiguous
+        model = init_model(ModelSpec("linear"), 2, 1)
+        assert model == model
+        assert (init_model(ModelSpec("linear"), 2, 1) == init_model(ModelSpec("linear"), 2, 1)) \
+            is False
+
+
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(21)
