@@ -20,6 +20,8 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .data import (
     SYNTH_DEFAULT_N,
@@ -33,7 +35,7 @@ from .data import (
     save_csv,
     split,
 )
-from .grid import NORM_KINDS, check_grid_args, compute_weights, fit_grid, select_lambda
+from .grid import NORM_KINDS, compute_weights, fit_grid, select_lambda
 from .losses import BASE_KINDS, LossSpec
 from .metrics import classification_metrics, regression_metrics
 from .models import (
@@ -127,19 +129,16 @@ def _weighting_columns(spec: LossSpec, norm: str | None, lam) -> str:
 def _prepare(dataset, seed, lam, subset, norms, mu_floor, scale_targets):
     """The seeded 70/30 split of ``dataset``: its training rows min-max
     normalized, targets too only if ``scale_targets``, and its raw test
-    rows. Each gamma norm of ``norms`` weighs the training rows through one
-    grid, fitted only if there is a norm; without one, the grid arguments
-    are still checked, so a run records none that a weighted run would
-    reject. Returns (training set, test set, {norm: weights}); both sets
-    are read-only ``Dataset``s, so unscaled targets make a new training set
-    from the normalized features and the raw targets."""
+    rows. One grid is fitted on the training rows whatever ``norms`` holds,
+    so a run without weights rejects what a weighted run rejects, and each
+    gamma norm of ``norms`` weighs the training rows through it. Returns
+    (training set, test set, {norm: weights}); both sets are read-only
+    ``Dataset``s, so unscaled targets make a new training set from the
+    normalized features and the raw targets."""
     train_set, test_set = split(dataset, 0.7, seed)
     train_norm = normalize_minmax(train_set)
     if not scale_targets:
         train_norm = Dataset(train_norm.features, train_set.targets, train_norm.normalization)
-    if not norms:
-        check_grid_args(train_norm, lam, subset, mu_floor)
-        return train_norm, test_set, {}
     grid = fit_grid(train_norm, lam, subset, mu_floor=mu_floor)
     return train_norm, test_set, {norm: compute_weights(grid, train_norm, norm).weight
                                   for norm in norms}
@@ -149,10 +148,20 @@ def _score(model, record, rows):
     """The metric reports of ``model`` on the raw ``rows``, whose features
     pass through the training normalization ``record``: regression metrics
     in the targets' original units, then, for a logistic model, whose
-    labels must lie in {0, 1}, classification metrics of its probabilities."""
-    pred = model.predict_batch(record.apply_features(rows.features))
-    if model.spec.kind != "logistic":
-        return [regression_metrics(record.invert_targets(pred), rows.targets)]
+    labels must lie in {0, 1}, classification metrics of its probabilities.
+    A prediction that is not finite, in those units, is rejected, naming its
+    position in ``rows`` and the row's raw features."""
+    logistic = model.spec.kind == "logistic"
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite prediction is named below
+        pred = model.predict_batch(record.apply_features(rows.features))
+        pred = pred if logistic else record.invert_targets(pred)
+    finite = np.isfinite(pred).all(axis=1)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(f"the prediction for row {i} of the {len(pred)} scored rows is not "
+                         f"finite; its raw features are {rows.features[i].tolist()}")
+    if not logistic:
+        return [regression_metrics(pred, rows.targets)]
     check_binary_targets(rows.targets)
     return [regression_metrics(pred, rows.targets), classification_metrics(pred, rows.targets)]
 

@@ -67,10 +67,11 @@ def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Feature matrix (n, m) plus aligned target matrix (n, v), checked once
-    when built and fixed after: both are read-only views of the arrays given
-    (not copies, when those are float64), and no field can be reassigned.
-    Two datasets are equal only if they are the same object."""
+    """Feature matrix (n, m) plus aligned target matrix (n, v), m and v at
+    least 1, checked once when built and fixed after: both are read-only
+    views of the arrays given (not copies, when those are float64), and no
+    field can be reassigned. Two datasets are equal only if they are the
+    same object."""
 
     features: np.ndarray
     targets: np.ndarray
@@ -88,6 +89,10 @@ class Dataset:
                    if given.ndim == 1 else "")
             raise ValueError(f"feature rows ({features.shape[0]}) != target rows "
                              f"({targets.shape[0]}){fix}")
+        for name, array in (("feature", features), ("target", targets)):
+            if array.shape[1] == 0:
+                raise ValueError(f"a dataset needs at least one {name} column, "
+                                 f"got {name}s of shape {array.shape}")
         if not (np.isfinite(features).all() and np.isfinite(targets).all()):
             finite = np.isfinite(features).all(axis=1) & np.isfinite(targets).all(axis=1)
             raise ValueError(f"non-finite feature or target value in row {int(finite.argmin())}")

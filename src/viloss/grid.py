@@ -161,20 +161,6 @@ def _feature_columns(dataset: Dataset, feature_subset: list[int] | None):
     return columns
 
 
-def check_grid_args(dataset: Dataset, lam, feature_subset: list[int] | None,
-                    mu_floor: float):
-    """Reject what ``fit_grid`` rejects in its arguments, short of the
-    columns' scale: a ``mu_floor`` that is not finite and >= 0, a bad
-    ``feature_subset`` (``_feature_columns``) or ``lam`` (``_check_lam``),
-    so a caller that fits no grid still refuses arguments no grid takes.
-    Returns the feature columns."""
-    if not (np.isfinite(mu_floor) and mu_floor >= 0):
-        raise ValueError(f"mu_floor must be finite and >= 0, got {mu_floor}")
-    columns = _feature_columns(dataset, feature_subset)
-    _check_lam(lam, dataset.n)
-    return columns
-
-
 def _selected_features(dataset: Dataset, feature_subset: list[int] | None, columns):
     """The ``columns`` of ``dataset`` that ``_feature_columns`` gave for
     ``feature_subset`` (its feature array itself, uncopied, when the subset
@@ -220,9 +206,13 @@ def fit_grid(
     selected dimensions and over the targets are then accumulated by cell
     row, one column at a time. ``select_lambda`` runs the same feature-side
     steps and skips the target statistics. The grid holds ``dataset``
-    itself, uncopied.
+    itself, uncopied. A ``mu_floor`` that is not finite and >= 0, a bad
+    ``feature_subset`` or a bad ``lam`` is rejected first.
     """
-    columns = check_grid_args(dataset, lam, feature_subset, mu_floor)
+    if not (np.isfinite(mu_floor) and mu_floor >= 0):
+        raise ValueError(f"mu_floor must be finite and >= 0, got {mu_floor}")
+    columns = _feature_columns(dataset, feature_subset)
+    _check_lam(lam, dataset.n)
     # Dataset guarantees finite values, so every sample lands in a bin, but
     # raw values far from 1 can overflow a range or a squared deviation, or
     # square into subnormals; such a grid is rejected rather than warned about

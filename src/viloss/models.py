@@ -337,27 +337,13 @@ def _batch_step(params, params_t, grad, phi, z, g_t, ops):
 
 def parameter_gradient(model: Model, loss_spec: LossSpec, features, target, weight: float = 1.0):
     """Gradient of weight * loss(y_hat(x), y) w.r.t. (W, b) for one sample:
-    the step that ``train`` runs, for one run on a batch of one, at a
-    learning rate of 1 on a copy of the parameters."""
-    phi = _affine_basis(model, features)
-    y = np.atleast_2d(np.asarray(target, dtype=np.float64))
-    groups = _loss_groups(model.spec.kind, [loss_spec], y.shape[1])
-    bce = loss_spec.base == "bce"
-    ws = weight * _step_scale([loss_spec], y.shape[1], 1.0, np.ones(1))
+    ``train``'s own SGD (``_sgd``), with its checks, for one run and one
+    step on a batch of one at a learning rate of 1, on a copy of the
+    model's parameters. A non-finite loss raises ``TrainingDiverged``."""
     params = np.concatenate([model.weights, model.bias[:, None]], axis=1)
-    grad, z, g = np.empty_like(params), np.empty(y.shape), np.empty(y.shape)
-    _batch_step(params, params.T, grad, phi, z, g.T, _step_ops(
-        bce, z, 2.0 * y if bce else y, ws, g, _part_ops(groups, g)))
+    _, grad = _sgd(model.spec, Dataset(np.atleast_2d(features), np.atleast_2d(target)),
+                   [(loss_spec, np.array([weight]))], TrainConfig(1, 1, 1.0, shuffle=False), params)
     return grad[:, :-1], grad[:, -1]
-
-
-def _run_weights(weights, n: int) -> np.ndarray:
-    if weights is None:
-        return np.ones(n)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,):
-        raise ValueError("weight table not aligned with dataset")
-    return w
 
 
 def train(
@@ -366,43 +352,56 @@ def train(
     runs: list[Run],
     config: TrainConfig,
 ) -> list[tuple[Model, TrainReport]]:
-    """Mini-batch SGD of every run in ``runs`` in lockstep.
+    """Mini-batch SGD of every run in ``runs`` in lockstep, from zero
+    parameters (see ``_sgd``). Returns one (model, report) per run, in the
+    order of ``runs``."""
+    # each run's v rows of weights, then its bias; _sgd steps them as (R * v, basis + 1)
+    width = _basis_size(model_spec, dataset.feature_dim) + 1
+    params = np.zeros((len(runs), dataset.target_dim, width))
+    history, _ = _sgd(model_spec, dataset, runs, config, params.reshape(-1, width))
+    return [(Model(model_spec, p[:, :-1].copy(), p[:, -1].copy()), TrainReport(h.tolist()))
+            for p, h in zip(params, history)]
 
-    A run is a ``(LossSpec, weights)`` pair; ``weights`` is an (n,) array
-    of finite weights >= 0, or None for unit weights; nothing else weights
-    a run. The model's input and output widths are the dataset's feature
-    and target widths. All runs share the model spec, the data, the config
-    and so the shuffle order, and each run's result equals a ``train`` of
-    that run alone to rtol 1e-12. The batch parameter gradient is the mean
-    over the batch of weight_i times each sample's loss gradient. Run r
-    owns rows r * v to r * v + v - 1 of the parameters (bias last, the
-    weight of the basis's constant-1 column, see ``_affine_basis``) and
-    those columns of the (n, R * v) outputs, targets and weights, so a
-    batch is a slice of rows. An epoch gathers its order's targets and
-    weights and scales the weights by ``_step_scale``. One ``take`` gathers
-    the basis rows of a block of consecutive batches into a buffer of at
-    most ``_BLOCK_BYTES``, or of one batch, and each step runs
-    ``_batch_step`` on its views of that buffer, of the epoch's arrays and
-    of the gradient buffer, and its ``_step_ops`` on them. These operands
-    are built once per call, one set per batch of the epoch, so they hold
-    about 1 to 1.5 KB for each of the n / batch_size batches. The epoch's
-    loss values, at the parameters each batch saw, are computed when it
-    ends, for the history and the divergence check. Returns one (model,
-    report) per run, in the order of ``runs``.
-    """
+
+def _sgd(model_spec: ModelSpec, dataset: Dataset, runs: list[Run], config: TrainConfig,
+         params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The SGD of ``train`` and ``parameter_gradient``: every run in ``runs``
+    in lockstep, stepping ``params`` in place. A run is a ``(LossSpec,
+    weights)`` pair, ``weights`` an (n,) array of finite weights >= 0 or
+    None for unit weights. The model's input and output widths are the
+    dataset's feature and target widths. All runs share the data, the
+    config and so the shuffle order, and each run's result equals that run
+    trained alone to rtol 1e-12. A batch's parameter gradient is the mean
+    over the batch of weight_i times each sample's loss gradient. Run r owns
+    rows r * v to r * v + v - 1 of ``params`` (R * v, basis + 1), its bias
+    last (see ``_affine_basis``), and those columns of the (n, R * v)
+    outputs, targets and weights, so a batch is a slice of rows. An epoch
+    gathers its order's targets and weights and scales the weights by
+    ``_step_scale``. One ``take`` gathers the basis rows of a block of
+    batches into a buffer of at most ``_BLOCK_BYTES``, or of one batch, and
+    each step runs ``_batch_step`` and its ``_step_ops`` on views of it, of
+    the epoch's arrays and of the gradient buffer. These operands are built
+    once per call, about 1 to 1.5 KB for each of the n / batch_size batches.
+    When an epoch ends, its loss values at the parameters each batch saw
+    feed the history and the divergence check. Returns the (R, epochs)
+    history of each run's weighted mean loss and the gradient buffer, which
+    holds the last step's update."""
     n = dataset.n
     if config.batch_size > n:
         raise ValueError(f"batch_size {config.batch_size} exceeds the {n} training rows")
     specs = [spec for spec, _ in runs]
     if not specs:
         raise ValueError("train needs at least one run")
-    w = np.stack([_run_weights(weights, n) for _, weights in runs])
+    w = [np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+         for _, weights in runs]
+    if any(run_w.shape != (n,) for run_w in w):
+        raise ValueError("weight table not aligned with dataset")
+    w = np.stack(w)
     bad = np.argwhere(~(np.isfinite(w) & (w >= 0)))
     if bad.size:
         r, i = (int(v) for v in bad[0])
-        raise ValueError(
-            f"run {r}: weight of sample {i} must be finite and non-negative, got {w[r, i]!r}"
-        )
+        raise ValueError(f"run {r}: weight of sample {i} must be finite and non-negative, "
+                         f"got {float(w[r, i])}")
     R, v, bs = len(specs), dataset.target_dim, config.batch_size
     groups = _loss_groups(model_spec.kind, specs, v)  # each loss's columns of the stack
     bce = model_spec.kind == "logistic"  # a stack is all bce or all regression
@@ -413,11 +412,9 @@ def train(
     scale = _step_scale(specs, v, config.learning_rate, np.repeat(stops - starts, stops - starts))
 
     phi = _affine_basis(init_model(model_spec, dataset.feature_dim, v), dataset.features)
-    k = phi.shape[1] - 1
     # bce's target operand, 2y; run r in columns r*v .. r*v+v-1
     y = np.tile(2.0 * dataset.targets if bce else dataset.targets, R)
     w = np.repeat(w.T, v, axis=1)
-    params = np.zeros((R * v, k + 1))  # each run's v rows of weights, then its bias
     grad = np.empty_like(params)
     z = np.empty(y.shape)  # each sample's output at the step that used it
     g = np.empty((bs, R * v))  # a batch's loss gradients
@@ -427,7 +424,7 @@ def train(
     # a gather block holds the basis rows of consecutive batches: as many as
     # fit in _BLOCK_BYTES, at least one; each step reads a fixed view of it
     per_block = max(1, _BLOCK_BYTES // (bs * phi[0].nbytes))
-    block = np.empty((min(per_block * bs, n), k + 1))
+    block = np.empty((min(per_block * bs, n), phi.shape[1]))
     head = (params, params.T, grad)
     # each batch size's view of g, its transpose and its groups' part ops
     tails = {size: (g[:size], g[:size].T, _part_ops(groups, g[:size]))
@@ -473,10 +470,7 @@ def train(
                 raise TrainingDiverged(f"run {r} ({specs[r].base}): non-finite loss at epoch "
                                        f"{epoch}, batch starting at {starts[j]}")
             history[:, epoch] = batch_loss.sum(axis=1) / n
-
-    params = params.reshape(R, v, k + 1)
-    return [(Model(model_spec, params[r, :, :k].copy(), params[r, :, k].copy()),
-             TrainReport(history[r].tolist())) for r in range(R)]
+    return history, grad
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(NormalizationRecord))

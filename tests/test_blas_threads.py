@@ -2,12 +2,14 @@
 two BLAS dots over the (batch, runs * outputs) stack, so a ``train`` at
 batch 500 on a degree-6 basis, a shape OpenBLAS splits across threads,
 with one output and with two, a logistic ``train`` at batch 500 on its
-halved basis, and a short ``repro`` of synth-1d (batch 1, with the huber
-and lqr ops), of synth-2d and of the logistic experiment write the same
-bytes under 1 and under 2 BLAS threads. So does a two-output degree-6
-``train`` whose test split, which it scores block by block of basis rows
-with one matrix product each, spans two and a half blocks. Each run is a
-fresh process, since BLAS reads its thread count when it loads."""
+halved basis, the one-output degree-6 and the logistic ``train`` again
+with ``--weighted off``, which fits a grid it does not use, and a short
+``repro`` of synth-1d (batch 1, with the huber and lqr ops), of synth-2d
+and of the logistic experiment write the same bytes under 1 and under 2
+BLAS threads. So does a two-output degree-6 ``train`` whose test split,
+which it scores block by block of basis rows with one matrix product
+each, spans two and a half blocks. Each run is a fresh process, since
+BLAS reads its thread count when it loads."""
 
 import os
 import subprocess
@@ -46,6 +48,13 @@ _CASES = {
     # binary targets
     "train-logistic": (["--feature-cols", "x1,x2", "--target-cols", "y", "--model", "logistic",
                         "--loss", "bce"], ["model.txt", "results.csv"]),
+    # "train" and "train-logistic" without weights
+    "train-unweighted": (["--feature-cols", "x1,x2", "--target-cols", "y", "--model",
+                          "polynomial", "--degree", "6", "--weighted", "off"],
+                         ["model.txt", "results.csv"]),
+    "train-logistic-unweighted": (["--feature-cols", "x1,x2", "--target-cols", "y", "--model",
+                                   "logistic", "--loss", "bce", "--weighted", "off"],
+                                  ["model.txt", "results.csv"]),
     "repro": (["repro", "--name", "synth-2d", "--epochs", "2"], ["results.csv"]),
     "repro-batch-1": (["repro", "--name", "synth-1d", "--epochs", "2"], ["results.csv"]),
     "repro-logistic": (["repro", "--name", "logistic-synth", "--epochs", "2"], ["results.csv"]),
@@ -55,7 +64,7 @@ _CASES = {
 @pytest.mark.parametrize("command", list(_CASES))
 def test_outputs_do_not_depend_on_blas_threads(tmp_path, command):
     argv, names = _CASES[command]
-    if command == "train-logistic":
+    if command.startswith("train-logistic"):
         data = tmp_path / "binary.csv"
         save_csv(generate_binary_clusters(BinarySynthSpec(n=1500, seed=0)), data)
     elif command.startswith("train"):

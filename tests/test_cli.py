@@ -31,6 +31,17 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+def _huge_row_csv(tmp_path):
+    """A 300-row synth-2d CSV (seed 1) whose row 7 has features 1e60, -1e60."""
+    data = tmp_path / "huge.csv"
+    run(["gen", "--variant", "synth-2d", "--n", 300, "--seed", 1, "--out", data])
+    ds, _ = load_csv(data, ["x1", "x2"], ["y"])
+    features = ds.features.copy()
+    features[7] = [1e60, -1e60]
+    save_csv(Dataset(features, ds.targets), data)
+    return data
+
+
 class TestGen:
     def test_default_synth_1d(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -343,14 +354,43 @@ class TestTrainCommand:
     @pytest.mark.parametrize("weighted", ["off", "on"])
     def test_grid_flags_checked_whether_or_not_weighted(self, tmp_path, capsys, flags, message,
                                                         weighted):
-        # an unweighted run fits no grid, but its manifest records the grid
-        # flags: they must be ones a weighted re-run of it accepts
+        # an unweighted run fits the grid it does not use, so its manifest
+        # records only grid flags that a weighted re-run of it accepts
         data, out_dir = tmp_path / "s.csv", tmp_path / "run"
         run(["gen", "--variant", "synth-2d", "--n", 300, "--out", data])
         capsys.readouterr()
         assert run(["train", "--data", data, "--feature-cols", "x1,x2", "--target-cols", "y",
                     "--weighted", weighted, *flags, "--epochs", 1, "--out-dir", out_dir]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out_dir.exists()
+
+    def test_unweighted_run_fits_its_grid_once(self, tmp_path, monkeypatch):
+        data = tmp_path / "s.csv"
+        run(["gen", "--variant", "synth-2d", "--n", 300, "--out", data])
+        fits, fit = [], cli.fit_grid
+
+        def counting(*args, **kwargs):
+            fits.append(args[1:])
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_grid", counting)
+        assert run(["train", "--data", data, "--feature-cols", "x1,x2", "--target-cols", "y",
+                    "--weighted", "off", "--lambda", 5, "--epochs", 1,
+                    "--out-dir", tmp_path / "run"]) == 0
+        assert fits == [(5, None)]
+
+    def test_non_finite_prediction_fails_without_outputs(self, tmp_path, capsys):
+        # row 7 lands in seed 0's test split, and its degree-6 basis overflows
+        data, out_dir = _huge_row_csv(tmp_path), tmp_path / "run"
+        _, test_set = split(load_csv(data, ["x1", "x2"], ["y"])[0], 0.7, seed=0)
+        i = test_set.features[:, 0].tolist().index(1e60)
+        capsys.readouterr()
+        assert run(["train", "--data", data, "--feature-cols", "x1,x2", "--target-cols", "y",
+                    "--model", "polynomial", "--degree", 6, "--epochs", 2, "--seed", 0,
+                    "--out-dir", out_dir]) == 1
+        assert capsys.readouterr() == ("", f"error: the prediction for row {i} of the 90 scored "
+                                           f"rows is not finite; its raw features are "
+                                           f"[1e+60, -1e+60]\n")
         assert not out_dir.exists()
 
     def test_one_row_csv_fails_without_results(self, tmp_path, capsys):
@@ -648,6 +688,21 @@ class TestEval:
         out, err = capsys.readouterr()
         assert out == ""
         assert "logistic models require targets in {0, 1}" in err
+
+    def test_non_finite_prediction_names_the_row(self, tmp_path, capsys):
+        # eval used to print a numpy warning and non-finite metrics, and exit 0
+        data, out_dir = _huge_row_csv(tmp_path), tmp_path / "run"
+        clean = tmp_path / "clean.csv"
+        run(["gen", "--variant", "synth-2d", "--n", 300, "--seed", 1, "--out", clean])
+        assert run(["train", "--data", clean, "--feature-cols", "x1,x2", "--target-cols", "y",
+                    "--model", "polynomial", "--degree", 6, "--epochs", 2,
+                    "--out-dir", out_dir]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--data", data, "--feature-cols", "x1,x2", "--target-cols", "y",
+                    "--model", out_dir / "model.txt"]) == 1
+        assert capsys.readouterr() == ("", "error: the prediction for row 7 of the 300 scored "
+                                           "rows is not finite; its raw features are "
+                                           "[1e+60, -1e+60]\n")
 
     def test_corrupt_spec_line_fails_at_once(self, tmp_path, capsys):
         # a polynomial,40,10,1 spec line once made eval enumerate about 1e10

@@ -553,6 +553,17 @@ class TestDataset:
         ds = Dataset(np.arange(3.0), [1.0])
         assert (ds.n, ds.feature_dim) == (1, 3)
 
+    def test_no_feature_or_target_column_rejected(self):
+        # zero feature columns used to divide by zero in train's block size,
+        # zero target columns in its step scale; zero rows stay allowed
+        with pytest.raises(ValueError, match=re.escape(
+                "a dataset needs at least one feature column, got features of shape (4, 0)")):
+            Dataset(np.ones((4, 0)), np.ones((4, 1)))
+        with pytest.raises(ValueError, match=re.escape(
+                "a dataset needs at least one target column, got targets of shape (4, 0)")):
+            Dataset(np.ones((4, 1)), np.ones((4, 0)))
+        assert Dataset(np.empty((0, 2)), np.empty((0, 1))).n == 0
+
     def test_one_dim_targets_promoted(self):
         ds = Dataset(np.zeros((3, 2)), np.arange(3.0))
         assert ds.targets.shape == (3, 1)

@@ -315,6 +315,32 @@ class TestParameterGradient:
             np.testing.assert_array_equal(dw, 0.0)
             np.testing.assert_array_equal(db, 0.0)
 
+    @pytest.mark.parametrize("weight,text", [(-2.0, "-2.0"), (float("nan"), "nan")])
+    def test_bad_weight_rejected_in_trains_words(self, weight, text):
+        # parameter_gradient runs train's SGD, so it rejects what train
+        # rejects, with train's message; the weight reads as a Python float
+        message = "^run 0: weight of sample {} must be finite and non-negative, got " + text + "$"
+        cfg = TrainConfig(epochs=1, batch_size=1)
+        ds = Dataset(np.zeros((2, 1)), np.zeros((2, 1)))
+        with pytest.raises(ValueError, match=message.format(1)):
+            train(ModelSpec("linear"), ds, [(LossSpec("mse"), np.array([1.0, weight]))], cfg)
+        with pytest.raises(ValueError, match=message.format(0)):
+            parameter_gradient(init_model(ModelSpec("linear"), 1, 1), LossSpec("mse"), [0.5],
+                               [1.0], weight=weight)
+
+    def test_bad_sample_rejected_as_train_rejects_it(self):
+        # a nan feature used to give a nan gradient, a bce label of 0.5 a
+        # gradient, and an overflowing loss a numpy warning
+        linear, logistic = (init_model(ModelSpec(kind), 1, 1) for kind in ("linear", "logistic"))
+        with pytest.raises(ValueError, match="^non-finite feature or target value in row 0$"):
+            parameter_gradient(linear, LossSpec("mse"), [np.nan], [1.0])
+        with pytest.raises(ValueError, match=r"^logistic models require targets in \{0, 1\}; "
+                                             r"row 0 has 0.5$"):
+            parameter_gradient(logistic, LossSpec("bce"), [0.5], [0.5])
+        with pytest.raises(TrainingDiverged, match=r"^run 0 \(lqr\): non-finite loss at epoch 0, "
+                                                   r"batch starting at 0$"):
+            parameter_gradient(linear, LossSpec("lqr"), [0.0], [1e100])
+
 
 def _linear_1d_dataset(n=50, noise=0.0, seed=0):
     rng = np.random.default_rng(seed)
@@ -386,8 +412,8 @@ class TestTrain:
         phi, want = np.column_stack([ds.features, np.ones(23)]), np.zeros((1, 3))
         for _, a in np.ndindex(cfg.epochs, 4):
             rows = slice(7 * a, 7 * a + 7)
-            _einsum_step([LossSpec("mse")], want, phi[rows], ds.targets[rows], w[rows, None],
-                         cfg.learning_rate)
+            _papers_update([LossSpec("mse")], want, phi[rows], ds.targets[rows], w[rows, None],
+                           cfg.learning_rate)
         np.testing.assert_allclose(model.weights, want[:, :2], rtol=1e-12, atol=0)
         np.testing.assert_allclose(model.bias, want[:, 2], rtol=1e-12, atol=0)
 
@@ -732,23 +758,11 @@ def _allocating_step(specs, params, phi, y, w, lr):
     return z
 
 
-def _einsum_step(specs, params, phi, y, w, lr):
-    # each run's update as one contraction of loss gradient, basis and
-    # weight, scaled by lr / B after
-    v = len(params) // len(specs)
-    z = phi @ params.T
-    for r, spec in enumerate(specs):
-        cols = slice(r * v, r * v + v)
-        g = allocating_loss_grad(spec, z[:, cols], y[:, cols])
-        params[cols] -= lr / len(phi) * np.einsum("bo,bk,b->ok", g, phi, w[:, r * v])
-    return z
-
-
-def _two_contraction_step(specs, params, phi, y, w, lr):
-    # the paper's update in plain loops, the bias apart from the features:
-    # for each run and sample, the loss gradient times the sample's features
-    # for the weights and times 1 for the bias, times w_i, summed over the
-    # batch and scaled by lr / B
+def _papers_update(specs, params, phi, y, w, lr):
+    # the paper's update in plain loops, sharing nothing with the step's
+    # layout: for each run and sample, the loss gradient times the sample's
+    # features for the weights and times 1 for the bias, apart, times w_i,
+    # summed over the batch and scaled by lr / B after
     v, k = len(params) // len(specs), phi.shape[1] - 1
     x = phi[:, :k]
     z = x @ params[:, :k].T + params[:, k]
@@ -777,43 +791,59 @@ def _wild_run(stack):
     return 0 if stack == "bce" else _ORACLE_STACKS[stack].index(LossSpec("lqr"))
 
 
-def _step_against(oracle, stack, out, bs, check):
-    """Three shuffled epochs of ``models._batch_step`` on ``_affine_basis``
-    of a 23-row stack (a logistic model's for bce, a linear one's else),
-    next to ``oracle(specs, params, phi, y, w, lr)`` on the whole affine
-    basis and its own copy of the parameters. After each step, ``check(z,
-    want_z, params, want)``, with z the outputs as the loss values read
-    them: twice the half logit that a bce step stores. Returns the step's
-    final parameters as (R, out, basis + 1)."""
+def _step_against(oracle, stack, out, bs, check, wild=True):
+    """Three shuffled epochs of ``models._sgd`` on a 23-row stack (a
+    logistic model for bce, a linear one else) from random parameters, its
+    runs sharing the targets as in ``train``. A wrapper of
+    ``models._batch_step`` runs each real step, then ``oracle(specs,
+    params, phi, y, w, lr)`` on the batch's rows of the whole affine basis
+    and its own copy of the parameters, then ``check(z, want_z, params,
+    want)``, with z the outputs as the loss values read them: twice the
+    half logit that a bce step stores. If ``wild``, ``_wild_run`` starts out
+    huge or infinite, and the stack steps until ``_sgd`` raises
+    ``TrainingDiverged`` naming it at the end of the first epoch. Returns
+    the final parameters as (R, out, basis + 1) and the number of steps."""
     specs, bce = _ORACLE_STACKS[stack], stack == "bce"
-    groups = models._loss_groups("logistic" if bce else "linear", specs, out)
     rng = np.random.default_rng(31)
-    R, n, k, lr = len(specs), 23, 4, 0.02
+    R, n, k = len(specs), 23, 4
     x = rng.uniform(-1.0, 1.0, size=(n, k))
     phi = np.column_stack([x, np.ones(n)])
-    basis = models._affine_basis(init_model(ModelSpec("logistic" if bce else "linear"), k, out), x)
-    y = rng.normal(scale=0.5, size=(n, R * out))
+    y = rng.normal(scale=0.5, size=(n, out))
     if bce:
         y = (y > 0).astype(float)
-    w = np.repeat(rng.uniform(0.0, 2.0, size=(n, R)), out, axis=1)
+    w = rng.uniform(0.0, 2.0, size=(n, R))
     w[::4] = 0.0
     params = rng.normal(scale=0.3, size=(R * out, k + 1))
-    params.reshape(R, out, k + 1)[_wild_run(stack)] *= np.inf if bce else 1e154
+    if wild:
+        params.reshape(R, out, k + 1)[_wild_run(stack)] *= np.inf if bce else 1e154
     want = params.copy()
-    grad, y2 = np.empty_like(params), 2.0 * y if bce else y
-    z, g = np.empty((n, R * out)), np.empty((bs, R * out))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(3):
-            order = rng.permutation(n)
-            for start in range(0, n, bs):
-                rows = order[start : start + bs]
-                b, g_b = slice(start, start + len(rows)), g[: len(rows)]
-                ws = w[rows] * models._step_scale(specs, out, lr, np.full(len(rows), len(rows)))
-                ops = models._step_ops(bce, z[b], y2[rows], ws, g_b, models._part_ops(groups, g_b))
-                models._batch_step(params, params.T, grad, basis[rows], z[b], g_b.T, ops)
-                want_z = oracle(specs, want, phi[rows], y[rows], w[rows], lr)
-                check(2.0 * z[b] if bce else z[b], want_z, params, want)
-    return params.reshape(R, out, k + 1)
+    cfg = TrainConfig(epochs=3, batch_size=bs, learning_rate=0.02, seed=31)
+    shuffle = np.random.default_rng(cfg.seed)
+    batches = [order[a : a + bs] for order in (shuffle.permutation(n) for _ in range(3))
+               for a in range(0, n, bs)]
+    seen, step = [], models._batch_step
+
+    def beside(params, params_t, grad, basis, z, *operands):
+        step(params, params_t, grad, basis, z, *operands)
+        rows = batches[len(seen)]
+        seen.append(rows)
+        np.testing.assert_array_equal(basis, 0.5 * phi[rows] if bce else phi[rows])
+        want_z = oracle(specs, want, phi[rows], np.tile(y[rows], R),
+                        np.repeat(w[rows], out, axis=1), cfg.learning_rate)
+        check(2.0 * z if bce else z, want_z, params, want)
+
+    model_spec = ModelSpec("logistic" if bce else "linear")
+    runs = [(spec, w[:, r]) for r, spec in enumerate(specs)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(models, "_batch_step", beside)
+        if not wild:
+            models._sgd(model_spec, Dataset(x, y), runs, cfg, params)
+        else:
+            r = _wild_run(stack)
+            with pytest.raises(TrainingDiverged, match=rf"^run {r} \({specs[r].base}\): "
+                                                       r"non-finite loss at epoch 0, "):
+                models._sgd(model_spec, Dataset(x, y), runs, cfg, params)
+    return params.reshape(R, out, k + 1), len(seen)
 
 
 # 23 rows; at out 3 the scale's 1/3 is not exact
@@ -821,51 +851,62 @@ _ORACLE_CASES = [("loss-major", 1), ("loss-major", 2), ("interleaved", 1), ("int
                  ("bce", 1), ("interleaved", 3)]
 
 
-def _close_on_finite_runs(stack, out):
+def _close_on_finite_runs(stack, out, wild=True):
     """A ``_step_against`` check: the runs that stay finite agree to rtol
-    1e-12."""
-    finite = np.repeat(np.arange(len(_ORACLE_STACKS[stack])) != _wild_run(stack), out)
+    1e-12. Without a ``wild`` run every run stays finite for three epochs,
+    and a parameter that passes near 0 there differs by an ulp of its
+    terms, not of itself; so each value is also allowed 1e-12 of the
+    largest parameter or output."""
+    runs = np.arange(len(_ORACLE_STACKS[stack]))
+    finite = np.repeat(runs != (_wild_run(stack) if wild else -1), out)
 
     def check(z, want_z, params, want):
-        np.testing.assert_allclose(z[:, finite], want_z[:, finite], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(params[finite], want[finite], rtol=1e-12, atol=0)
+        for got, expected in [(z[:, finite], want_z[:, finite]), (params[finite], want[finite])]:
+            atol = 0 if wild else 1e-12 * np.abs(expected).max()
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=atol)
 
     return check
 
 
+def _equal(z, want_z, params, want):
+    """A ``_step_against`` check: every output and parameter bit for bit."""
+    np.testing.assert_array_equal(z, want_z)
+    np.testing.assert_array_equal(params, want)
+
+
 class TestStepOracle:
-    """The in-place step against the allocating one: the same operations in
-    the same order on the same 2-D, sample-major layout, with the paper's
-    gradient constants on the whole basis, so every parameter and output is
-    equal bit for bit, though a bce step runs on the basis halved with a
-    constant of 1. The step runs one dot for the outputs, scales each
-    loss's non-linear gradient part by w * lr / B times the loss's constant
-    over v, and runs one dot with the basis. A per-run step that contracts
-    gradient, basis and weight in one einsum and scales by lr / B after,
-    and the paper's update in plain loops with the bias apart, agree with
-    it to rtol 1e-12 on the runs that stay finite."""
+    """``_sgd``'s real steps against two oracles. The allocating step runs
+    the same operations in the same order on the same 2-D, sample-major
+    layout, with the paper's gradient constants on the whole basis, so
+    every parameter and output is equal bit for bit, though a bce step runs
+    on the basis halved with a constant of 1. The step runs one dot for the
+    outputs, scales each loss's non-linear gradient part by w * lr / B
+    times the loss's constant over v, and runs one dot with the basis. The
+    paper's update in plain loops, with the bias apart, agrees with it to
+    rtol 1e-12 on the runs that stay finite."""
 
     @pytest.mark.parametrize("bs", [1, 5, 7])  # 23 rows: 7 leaves a partial last batch
     @pytest.mark.parametrize("stack,out", _ORACLE_CASES)
     def test_step_matches_the_allocating_step(self, stack, out, bs):
-        def check(z, want_z, params, want):
-            np.testing.assert_array_equal(z, want_z)
-            np.testing.assert_array_equal(params, want)
-
-        params = _step_against(_allocating_step, stack, out, bs, check)
+        params, steps = _step_against(_allocating_step, stack, out, bs, _equal)
+        assert steps == -(-23 // bs)  # one epoch
         wild = _wild_run(stack)
         assert not np.isfinite(params[wild]).any()
         assert np.isfinite(np.delete(params, wild, axis=0)).all()
 
     @pytest.mark.parametrize("bs", [1, 5, 7])
     @pytest.mark.parametrize("stack,out", _ORACLE_CASES)
-    def test_step_matches_the_einsum_step(self, stack, out, bs):
-        _step_against(_einsum_step, stack, out, bs, _close_on_finite_runs(stack, out))
+    def test_affine_step_matches_the_two_contraction_step(self, stack, out, bs):
+        _step_against(_papers_update, stack, out, bs, _close_on_finite_runs(stack, out))
 
     @pytest.mark.parametrize("bs", [1, 5, 7])
     @pytest.mark.parametrize("stack,out", _ORACLE_CASES)
-    def test_affine_step_matches_the_two_contraction_step(self, stack, out, bs):
-        _step_against(_two_contraction_step, stack, out, bs, _close_on_finite_runs(stack, out))
+    def test_finite_stack_matches_both_oracles_for_three_epochs(self, stack, out, bs):
+        params, steps = _step_against(_allocating_step, stack, out, bs, _equal, wild=False)
+        assert steps == 3 * -(-23 // bs)
+        assert np.isfinite(params).all()
+        _step_against(_papers_update, stack, out, bs,
+                      _close_on_finite_runs(stack, out, wild=False), wild=False)
 
     @pytest.mark.parametrize("base,v", [("mse", 1), ("mse", 2), ("huber", 1), ("huber", 2),
                                         ("lqr", 1), ("lqr", 2), ("bce", 1)])
