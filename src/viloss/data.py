@@ -297,7 +297,8 @@ def load_csv(path, feature_columns, target_columns, header: bool = True):
     Returns (dataset, rejected). A row whose selected cells are missing,
     unparseable or non-finite is skipped and listed in ``rejected`` as
     (1-based line, reason), in line order; a blank row is skipped silently.
-    A file without a usable row is rejected, naming the first rejection.
+    A file without a usable row is rejected, naming a selected index
+    outside the header if there is one, else the first rejection.
 
     A clean file is parsed in one ``np.loadtxt`` call, which reads the file
     by path, in blocks, past the header's lines (see ``_parse_clean``); a
@@ -322,6 +323,10 @@ def load_csv(path, feature_columns, target_columns, header: bool = True):
         if table is None:
             table, rejected = _read_rows(fh, columns, header)
     if not len(table):
+        # an index outside a non-empty header rejects every row: name the index
+        for j in columns if names else ():
+            if not -len(names) <= j < len(names):
+                raise ValueError(f"{path}: column {j} out of range for header {','.join(names)}")
         why = (f" ({len(rejected)} rejected; line {rejected[0][0]}: {rejected[0][1]})"
                if rejected else "")
         raise ValueError(f"{path}: no usable rows{why}")

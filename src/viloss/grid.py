@@ -143,10 +143,14 @@ def _check_lam(lam, n: int) -> None:
                          f"lam * n must stay below 2**63")
 
 
-def _feature_columns(dataset: Dataset, feature_subset: list[int] | None):
-    """The feature columns ``feature_subset`` selects from a non-empty
-    ``dataset``, all of them when it is None; a subset that does not name
-    distinct features is rejected."""
+def _scaled_features(dataset: Dataset, feature_subset: list[int] | None, lams):
+    """The one checked, scaled feature pass of ``fit_grid`` and
+    ``select_lambda``: the columns ``feature_subset`` selects (all of them,
+    uncopied, when it is None) and their ``_unit_scaled`` copy, which
+    ``_bins`` cuts at each of ``lams``. Rejects, in this order: an empty
+    dataset, a subset that does not name distinct features, a bad lam
+    anywhere in ``lams``, a column too narrow for the statistics
+    (``_check_scale``) and an overflowing range."""
     if dataset.n == 0:
         raise ValueError("cannot fit a grid on an empty dataset")
     columns = range(dataset.feature_dim) if feature_subset is None else feature_subset
@@ -158,18 +162,12 @@ def _feature_columns(dataset: Dataset, feature_subset: list[int] | None):
         if j < 0 or j >= dataset.feature_dim:
             raise ValueError(f"feature_subset index {j} out of range for "
                              f"{dataset.feature_dim} features")
-    return columns
-
-
-def _selected_features(dataset: Dataset, feature_subset: list[int] | None, columns):
-    """The ``columns`` of ``dataset`` that ``_feature_columns`` gave for
-    ``feature_subset`` (its feature array itself, uncopied, when the subset
-    is None) and their per-column (min, max); a column too narrow for the
-    grid's statistics is rejected."""
+    for lam in lams:
+        _check_lam(lam, dataset.n)
     sub = dataset.features if feature_subset is None else dataset.features[:, feature_subset]
     span = column_range(sub)
     _check_scale(span, "feature", columns)
-    return sub, span
+    return sub, _unit_scaled(sub, span)
 
 
 class _FeatureCells(NamedTuple):
@@ -204,22 +202,22 @@ def fit_grid(
     when the keys' range is at most n, else by one 1-D ``np.unique`` (see
     ``_assign_cells``). Per-cell means and standard deviations over the
     selected dimensions and over the targets are then accumulated by cell
-    row, one column at a time. ``select_lambda`` runs the same feature-side
+    row, one column at a time. ``select_lambda`` shares the feature-side
     steps and skips the target statistics. The grid holds ``dataset``
-    itself, uncopied. A ``mu_floor`` that is not finite and >= 0, a bad
-    ``feature_subset`` or a bad ``lam`` is rejected first.
+    itself, uncopied. A ``mu_floor`` that is not finite and >= 0 is
+    rejected first, then whatever ``_scaled_features`` rejects for
+    ``[lam]``, then a target column too narrow for the statistics.
     """
     if not (np.isfinite(mu_floor) and mu_floor >= 0):
         raise ValueError(f"mu_floor must be finite and >= 0, got {mu_floor}")
-    columns = _feature_columns(dataset, feature_subset)
-    _check_lam(lam, dataset.n)
     # Dataset guarantees finite values, so every sample lands in a bin, but
     # raw values far from 1 can overflow a range or a squared deviation, or
     # square into subnormals; such a grid is rejected rather than warned about
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sub, span = _selected_features(dataset, feature_subset, columns)
+        sub, unit = _scaled_features(dataset, feature_subset, [lam])
         _check_scale(column_range(dataset.targets), "target", range(dataset.target_dim))
-        idx = _bins(_unit_scaled(sub, span), lam)
+        idx = _bins(unit, lam)
+        del unit  # kept past binning, its (n, d) float64 would add to the fit's peak
         cell_of, count, sigma_x = _feature_cells(sub, idx, lam)
         member = np.empty(len(count), dtype=np.intp)
         member[cell_of] = np.arange(dataset.n)  # any one row of each cell
@@ -240,19 +238,8 @@ def fit_grid(
     if not np.isfinite(mu).all():  # sigma_x_bar ** 2 underflowed to 0
         raise ValueError("the cells' feature spreads are too small to square in float64")
 
-    keys, count, sigma_x, y_mean, sigma_y, mu, cell_of = read_only(
-        idx[member], count, sigma_x, y_mean, sigma_y, np.maximum(mu, mu_floor), cell_of)
-    return CellGrid(
-        keys=keys,
-        count=count,
-        sigma_x=sigma_x,
-        y_mean=y_mean,
-        sigma_y=sigma_y,
-        mu=mu,
-        cell_of=cell_of,
-        sigma_x_bar=sigma_x_bar,
-        dataset=dataset,
-    )
+    return CellGrid(*read_only(idx[member], count, sigma_x, y_mean, sigma_y,
+                               np.maximum(mu, mu_floor), cell_of), sigma_x_bar, dataset)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,21 +321,20 @@ def select_lambda(
     division count; picks the candidate that maximizes localized
     deviation, ties going to the smaller one.
 
-    Runs only ``fit_grid``'s feature-side steps and their checks: the
-    selected features are validated and scaled once, and each candidate
-    bins them and takes its cells' feature spread. Neither the targets nor
-    the weights' ``mu`` are computed, so a problem only they have is
-    reported by ``fit_grid``, not here.
+    Runs only ``fit_grid``'s feature-side steps and their checks: one
+    ``_scaled_features`` pass checks every candidate, before it scales the
+    selected features once; then each candidate bins them and takes its
+    cells' feature spread. Neither the targets nor the weights' ``mu`` are
+    computed, so a problem only they have is reported by ``fit_grid``, not
+    here. ``candidates`` may be any sequence, a numpy array included.
     """
-    if not candidates:
+    if len(candidates) == 0:
         raise ValueError("candidates must be non-empty")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sub, span = _selected_features(dataset, feature_subset,
-                                       _feature_columns(dataset, feature_subset))
-        unit = _unit_scaled(sub, span)
+        sub, unit = _scaled_features(dataset, feature_subset, candidates)
         report = []
         for lam in candidates:
-            _check_lam(lam, dataset.n)
+            # the bins are a temporary: no candidate's (n, d) bins outlive it
             cells = _feature_cells(sub, _bins(unit, lam), lam)
             report.append(SweepEntry(lam, localized_deviation(cells), len(cells.count)))
     best = max(report, key=lambda e: (e.ld, -e.lam))

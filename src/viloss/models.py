@@ -368,10 +368,10 @@ def _sgd(model_spec: ModelSpec, dataset: Dataset, runs: list[Run], config: Train
     """The SGD of ``train`` and ``parameter_gradient``: every run in ``runs``
     in lockstep, stepping ``params`` in place. A run is a ``(LossSpec,
     weights)`` pair, ``weights`` an (n,) array of finite weights >= 0 or
-    None for unit weights. The model's input and output widths are the
-    dataset's feature and target widths. All runs share the data, the
-    config and so the shuffle order, and each run's result equals that run
-    trained alone to rtol 1e-12. A batch's parameter gradient is the mean
+    None for unit weights. ``params`` must fit the dataset's feature and
+    target widths, or the call names both widths. All runs share the data,
+    the config and so the shuffle order, and each run's result equals that
+    run trained alone to rtol 1e-12. A batch's parameter gradient is the mean
     over the batch of weight_i times each sample's loss gradient. Run r owns
     rows r * v to r * v + v - 1 of ``params`` (R * v, basis + 1), its bias
     last (see ``_affine_basis``), and those columns of the (n, R * v)
@@ -403,6 +403,11 @@ def _sgd(model_spec: ModelSpec, dataset: Dataset, runs: list[Run], config: Train
         raise ValueError(f"run {r}: weight of sample {i} must be finite and non-negative, "
                          f"got {float(w[r, i])}")
     R, v, bs = len(specs), dataset.target_dim, config.batch_size
+    width = _basis_size(model_spec, dataset.feature_dim) + 1
+    if params.shape[1] != width:  # predict_batch's wording
+        raise ValueError(f"expected basis dim {params.shape[1] - 1}, got {width - 1}")
+    if params.shape[0] != R * v:
+        raise ValueError(f"expected {params.shape[0] // R} target columns, got {v}")
     groups = _loss_groups(model_spec.kind, specs, v)  # each loss's columns of the stack
     bce = model_spec.kind == "logistic"  # a stack is all bce or all regression
     if bce:

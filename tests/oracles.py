@@ -1,6 +1,9 @@
 """Reference implementations the tests compare the library against, each
-written once and independent of the library's code path, and the loss
-gradient as the library's step forms it, which they are compared with."""
+written once and independent of the library's code path, the loss
+gradient as the library's step forms it, which they are compared with,
+and ``traced_peak``, the traced memory peak of one call."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -10,6 +13,18 @@ from viloss.models import Model
 
 # each loss's gradient constant as the paper states it, on the whole basis
 PAPER_CONSTANT = {"mse": 2.0, "huber": 1.0, "lqr": 4.0, "bce": 0.5}
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory Python traced during the
+    call, in bytes, its result included; memory allocated before the call
+    does not count."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def brute_force_cells(features, lam):

@@ -272,11 +272,20 @@ class TestWeigh:
 
     def test_no_usable_rows_names_first_rejection(self, tmp_path, capsys):
         data = tmp_path / "two.csv"
-        data.write_text("x1,y\n0.1,0.2\n0.3,0.4\n")
-        assert run(["weigh", "--data", data, "--feature-cols", 5, "--target-cols", "y",
+        data.write_text("x1,y\nabc,0.2\n0.3,def\n")
+        assert run(["weigh", "--data", data, "--feature-cols", "x1", "--target-cols", "y",
                     "--lambda", 2, "--out", tmp_path / "w.csv"]) == 1
         assert capsys.readouterr().err == (f"error: {data}: no usable rows "
-                                           f"(2 rejected; line 2: list index out of range)\n")
+                                           f"(2 rejected; line 2: could not convert string to float: 'abc')\n")
+
+    def test_out_of_range_index_names_the_column(self, tmp_path, capsys):
+        data = tmp_path / "three.csv"
+        data.write_text("x1,x2,y\n0.1,0.2,0.3\n0.4,0.5,0.6\n")
+        assert run(["weigh", "--data", data, "--feature-cols", "x1,5", "--target-cols", "y",
+                    "--lambda", 2, "--out", tmp_path / "w.csv"]) == 1
+        assert capsys.readouterr().err == (f"error: {data}: column 5 out of range for "
+                                           f"header x1,x2,y\n")
+        assert not (tmp_path / "w.csv").exists()
 
 
 class TestTrainCommand:

@@ -256,6 +256,18 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=f"d.csv: {message}$"):
             load_csv(path, [0], [1], header=header)
 
+    def test_index_outside_the_header_named(self, tmp_path):
+        # when no row holds the column; rows that hold it still load
+        path = tmp_path / "d.csv"
+        path.write_text("x,y\n1,2\n3,4\n")
+        for j in (2, -3):
+            with pytest.raises(ValueError, match=f"d.csv: column {j} out of range for header x,y$"):
+                load_csv(path, [0, j], [1])
+        path.write_text("x,y\n1,2,5\n3,4,6\n")
+        ds, rejected = load_csv(path, [0, 2], [1])
+        np.testing.assert_array_equal(ds.features, [[1.0, 5.0], [3.0, 6.0]])
+        assert rejected == []
+
     def test_digit_strings_are_indices(self, tmp_path):
         # even where a header column has that name: "1" is column 1, not "1"
         path = tmp_path / "d.csv"

@@ -1,6 +1,5 @@
 import dataclasses
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from viloss import (
 )
 from viloss.grid import NORM_KINDS, WeightTable
 
-from oracles import brute_force_cells
+from oracles import brute_force_cells, traced_peak
 
 
 def make_1d(xs, ys=None):
@@ -198,6 +197,22 @@ class TestFitGrid:
         ds = make_1d([0.0, 1.0, 2.0, 3.0], [0.0, 1e-160, 0.0, 1e-160])
         with pytest.raises(ValueError, match=r"^target column 0 has range 1e-160, below"):
             fit_grid(ds, 2)
+
+    def test_overflowing_feature_range_named_before_a_tiny_target_range(self):
+        # the features are checked and scaled in one pass before the targets
+        ds = make_1d([-1.7e308, 1.7e308], [0.0, 1e-160])
+        with pytest.raises(ValueError, match="^cell statistics overflowed float64"):
+            fit_grid(ds, 2)
+
+    def test_peak_memory_is_the_bins_and_five_columns(self):
+        # the (n, d) bins and at most five n-sized 8-byte arrays, with a
+        # slack for the per-cell arrays (48.9 n bytes at lam 50); keeping the
+        # (n, d) unit-scaled features past binning read 64.9 n
+        n, d = 70_000, 2
+        rng = np.random.default_rng(13)
+        ds = Dataset(rng.random((n, d)), rng.random((n, 1)))
+        _, peak = traced_peak(fit_grid, ds, 50)
+        assert peak < 8 * d * n + 5 * 8 * n + 64 * 1024
 
     def test_tiny_column_named_by_dataset_index(self):
         features = np.column_stack([np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1e-160, 6)])
@@ -395,12 +410,7 @@ class TestComputeWeights:
         rng = np.random.default_rng(v)
         ds = Dataset(rng.random((n, 2)), rng.random((n, v)))
         grid = fit_grid(ds, 50)
-        tracemalloc.start()
-        try:
-            compute_weights(grid, ds, norm)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(compute_weights, grid, ds, norm)
         assert peak < (3 + v) * 8 * n + 64 * 1024
 
 
@@ -519,6 +529,13 @@ class TestSelectLambda:
         with pytest.raises(ValueError):
             select_lambda(make_1d([0.1, 0.9]), [])
 
+    def test_any_sequence_of_candidates(self):
+        rng = np.random.default_rng(4)
+        ds = Dataset(rng.random((300, 2)), rng.random((300, 1)))
+        assert select_lambda(ds, np.arange(1, 6)) == select_lambda(ds, [1, 2, 3, 4, 5])
+        with pytest.raises(ValueError, match="^candidates must be non-empty$"):
+            select_lambda(ds, np.arange(0))
+
     def test_report_cell_counts(self):
         rng = np.random.default_rng(2)
         ds = Dataset(rng.random((200, 1)), rng.random((200, 1)))
@@ -590,3 +607,27 @@ class TestSelectLambda:
         select_lambda(ds, [1, 2, 5, 10, 20, 50, 100])
         assert len(seen) == 7
         assert all(values is ds.features for values in seen)  # uncopied, no targets
+
+    def test_every_candidate_checked_before_any_cells(self, monkeypatch):
+        def no_moments(*args):
+            raise AssertionError("select_lambda took cell moments before checking lam")
+
+        monkeypatch.setattr(grid_module, "_cell_moments", no_moments)
+        rng = np.random.default_rng(6)
+        ds = Dataset(rng.random((500, 2)), rng.random((500, 1)))
+        with pytest.raises(ValueError, match="^lam must be a positive integer, got 0$"):
+            select_lambda(ds, [2, 5, 0])
+        # before a feature too narrow for the statistics, too
+        with pytest.raises(ValueError, match="^lam must be a positive integer, got 0$"):
+            select_lambda(make_1d([0.0, 1e-160]), [2, 0])
+
+    def test_peak_memory_holds_one_candidates_bins(self):
+        # the (n, d) unit-scaled features, one candidate's (n, d) bins and at
+        # most six n-sized 8-byte arrays, with a slack for the per-cell
+        # arrays (76.1 n bytes); keeping a candidate's bins alive into the
+        # next candidate read 92.1 n
+        n, d = 70_000, 2
+        rng = np.random.default_rng(17)
+        ds = Dataset(rng.random((n, d)), rng.random((n, 1)))
+        _, peak = traced_peak(select_lambda, ds, [1, 2, 5, 10, 20, 50, 100])
+        assert peak < 2 * 8 * d * n + 6 * 8 * n + 64 * 1024

@@ -1,6 +1,5 @@
 import dataclasses
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +25,8 @@ from viloss import (
 from viloss.data import NormalizationRecord
 from viloss.models import Model, TrainingDiverged, init_model
 
-from oracles import PAPER_CONSTANT, allocating_loss_grad, finite_diff_param_grad, in_place_gradient
+from oracles import (PAPER_CONSTANT, allocating_loss_grad, finite_diff_param_grad,
+                     in_place_gradient, traced_peak)
 
 
 class TestExpandPolynomial:
@@ -82,12 +82,7 @@ class TestExpandPolynomial:
         # the basis is written in place: besides it only the degree + 1
         # powers of x are alive, where stacking 28 columns would double it
         x, degree = np.random.default_rng(0).uniform(-1.0, 1.0, (50_000, 2)), 6
-        tracemalloc.start()
-        try:
-            phi = expand_polynomial(x, degree)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        phi, peak = traced_peak(expand_polynomial, x, degree)
         assert peak < phi.nbytes + (degree + 1) * x.nbytes + 64 * 1024
 
     @pytest.mark.parametrize("input_dim,degree", [(1, 6), (2, 6), (3, 2), (5, 3)])
@@ -134,12 +129,7 @@ class TestAffineBasis:
         ds = Dataset(rng.uniform(0.0, 1.0, (n, 2)), rng.uniform(0.0, 1.0, (n, 1)))
         k = init_model(spec, 2, 1).basis_dim
         cfg = TrainConfig(epochs=1, batch_size=50, learning_rate=0.01)
-        tracemalloc.start()
-        try:
-            train(spec, ds, [(LossSpec("mse"), None)], cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(train, spec, ds, [(LossSpec("mse"), None)], cfg)
         basis = n * (k + 1) * 8
         assert basis <= peak < basis + n * k * 8
 
@@ -228,13 +218,12 @@ class TestRowBlocks:
         # a whole 84-column basis of these rows would be 67 MB
         model = init_model(spec, d, 1)
         x = np.zeros((100_000, wrong))
-        tracemalloc.start()
-        try:
+
+        def rejected():
             with pytest.raises(ValueError, match=f"^{message}$"):
                 model.predict_batch(x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(rejected)
         assert peak < 100_000
 
     @pytest.mark.parametrize("spec,d", [(ModelSpec("linear"), 3), (ModelSpec("polynomial", 6), 2),
@@ -252,12 +241,7 @@ class TestRowBlocks:
         # 100k rows of a degree-6 basis of two features are 22.4 MB
         model = _random_model(ModelSpec("polynomial", 6), np.random.default_rng(67), 2)
         x = np.random.default_rng(71).uniform(0.0, 1.0, (100_000, 2))
-        tracemalloc.start()
-        try:
-            out = model.predict_batch(x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(model.predict_batch, x)
         whole = len(x) * model.basis_dim * 8
         assert whole == 22_400_000
         assert out.nbytes <= peak < out.nbytes + 3 * models._BASIS_BLOCK_BYTES < whole / 5
@@ -265,12 +249,7 @@ class TestRowBlocks:
     def test_affine_basis_holds_its_result_and_a_block(self):
         model = init_model(ModelSpec("polynomial", 6), 2, 1)
         x = np.random.default_rng(73).uniform(0.0, 1.0, (100_000, 2))
-        tracemalloc.start()
-        try:
-            phi = models._affine_basis(model, x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        phi, peak = traced_peak(models._affine_basis, model, x)
         assert phi.nbytes <= peak < phi.nbytes + models._BASIS_BLOCK_BYTES
 
 
@@ -327,6 +306,16 @@ class TestParameterGradient:
         with pytest.raises(ValueError, match=message.format(0)):
             parameter_gradient(init_model(ModelSpec("linear"), 1, 1), LossSpec("mse"), [0.5],
                                [1.0], weight=weight)
+
+    @pytest.mark.parametrize("spec,d,v,x,y,message", [
+        (ModelSpec("linear"), 2, 1, [0.5], [1.0], "expected basis dim 2, got 1"),
+        (ModelSpec("linear"), 2, 2, [0.5, 0.1], [1.0], "expected 2 target columns, got 1"),
+        (ModelSpec("polynomial", 2), 2, 1, [0.5, 0.1, 0.2], [1.0], "expected basis dim 6, got 10"),
+    ], ids=["one-feature", "one-target", "poly-three-features"])
+    def test_mismatched_widths_named(self, spec, d, v, x, y, message):
+        # these failed inside the step with numpy's shape errors
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parameter_gradient(init_model(spec, d, v), LossSpec("mse"), x, y)
 
     def test_bad_sample_rejected_as_train_rejects_it(self):
         # a nan feature used to give a nan gradient, a bce label of 0.5 a
